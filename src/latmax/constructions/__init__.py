@@ -1,40 +1,12 @@
-"""Named example systems with precomputed expectations attached."""
+"""Named example systems with precomputed expectations attached.
 
-from latmax.constructions.bundles import Expected, FramePair, WitnessBundle
+Each module has one entry function: ``haar.haar_system``,
+``lindenstrauss.lindenstrauss_witness``, ``hadamard.hadamard_mixed``,
+``rademacher.rademacher_l1``, ``triangular.triangular_basis``,
+``typewriter.pass_profile``, ``lorentz.lorentz_blocking_demo`` and
+``orlicz.orderbound_demo``.
+"""
 
-__all__ = ["Expected", "FramePair", "WitnessBundle", "build", "names"]
+from latmax.constructions.bundles import Expected, WitnessBundle
 
-# id -> (module, callable) resolved lazily so importing the package stays cheap
-_REGISTRY = {
-    "lindenstrauss": ("latmax.constructions.lindenstrauss", "build"),
-    "triangular": ("latmax.constructions.triangular", "build"),
-    "hadamard-mixed": ("latmax.constructions.hadamard", "build"),
-    "rademacher-l1": ("latmax.constructions.rademacher", "build"),
-    "haar": ("latmax.constructions.haar", "build"),
-    "typewriter": ("latmax.constructions.typewriter", "build"),
-    "lorentz": ("latmax.constructions.lorentz", "build"),
-    "orlicz": ("latmax.constructions.orlicz", "build"),
-}
-
-
-def names():
-    """Sorted tuple of registered construction ids."""
-    return tuple(sorted(_REGISTRY))
-
-
-def build(name, **params):
-    """Instantiate a registered construction by id.
-
-    Parameters are forwarded to the construction's own ``build``; each
-    module documents what it accepts.  Raises ``KeyError`` for ids that
-    are not registered.
-    """
-    import importlib
-
-    try:
-        modname, attr = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown construction {name!r}; known: {', '.join(names())}"
-        ) from None
-    return getattr(importlib.import_module(modname), attr)(**params)
+__all__ = ["Expected", "WitnessBundle"]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from latmax.systems import BiorthogonalSystem
-
 # how an expected value was obtained
 VALUE_TAGS = ("closed_form", "enumerated", "sampled", "fitted")
 
@@ -45,12 +43,3 @@ class WitnessBundle:
 
     def value(self, name: str) -> float:
         return self.expected[name].value
-
-
-@dataclass
-class FramePair:
-    """A redundant vector/functional family: reconstruction without
-    biorthogonality.  The wrapped system is built with the gram check off."""
-
-    system: BiorthogonalSystem
-    frame: bool = True

@@ -16,9 +16,8 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 from latmax.spaces import dyadic_lp
-from latmax.systems import BiorthogonalSystem, reconstruct
+from latmax.systems import BiorthogonalSystem
 
 _DEPTH_LIMIT = 14
 
@@ -74,15 +73,3 @@ def branch_coefficients(J: int, p: float) -> np.ndarray:
     for k, idx in enumerate(branch_ordering(J)):
         a[idx] = 1.0 if q == math.inf else 2.0 ** (-k / q)
     return a
-
-
-def build(J: int = 6, p: float = 2.0) -> WitnessBundle:
-    """Registry entry: system plus the branch witness data."""
-    system = haar_system(J, p)
-    bundle = WitnessBundle(space=system.space)
-    a = branch_coefficients(J, p)
-    bundle.vectors["branch_witness"] = reconstruct(system, a)
-    bundle.extras.update(J=J, p=p, system=system,
-                         branch=branch_ordering(J),
-                         branch_coefficients=a)
-    return bundle

@@ -138,11 +138,3 @@ def hadamard_mixed(n: int):
     bundle.expect("modulus_to_sign_ratio", 2.0 ** (n / 2.0), "closed_form")
     bundle.extras.update(n=n, block=m)
     return system, bundle
-
-
-def build(n: int = 6) -> WitnessBundle:
-    """Registry entry: bundle with the system attached when it exists."""
-    system, bundle = hadamard_mixed(n)
-    if system is not None:
-        bundle.extras["system"] = system
-    return bundle

@@ -118,16 +118,6 @@ def chain_prefix_join(depth: int, n: int):
     return join, float(np.abs(join).sum()), float(np.abs(running).sum())
 
 
-def build(n: int = 64, m: int = 4) -> WitnessBundle:
-    """Registry entry: witness bundle of size n with chain depth m, the
-    biorthogonal system attached when small enough to hold densely.
-    """
-    bundle = lindenstrauss_witness(m, n)
-    if n <= _DENSE_LIMIT:
-        bundle.extras["system"] = lindenstrauss(n)
-    return bundle
-
-
 def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
     """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
     size n, with the exact norm, join, and lower-bound constants.
@@ -146,12 +136,14 @@ def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
         bundle.vectors[f"y{k}"] = y
         bundle.extras.setdefault("index_sets", {})[f"I{k}"] = depth_set(k + 1)
         join = np.maximum(join, np.abs(y.coords))
-        assert sp.norm(y.coords) == 2.0  # dyadic, hence exact
+        if sp.norm(y.coords) != 2.0:  # dyadic, hence exact
+            raise RuntimeError(f"chain element y{k} lost its norm 2")
     join_norm = float(np.abs(join).sum())
     bundle.vectors["join"] = Element(sp, join)
     bundle.expect("chain_norm", 2.0, "closed_form")
     bundle.expect("join_norm", float(m + 2), "closed_form")
-    assert join_norm == float(m + 2)
+    if join_norm != float(m + 2):
+        raise RuntimeError(f"chain join norm {join_norm!r} is not {m + 2}")
 
     # one streamed pass certifies both constants: the prefix join of the
     # deepest chain element revisits every y_d
@@ -162,5 +154,6 @@ def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
         bundle.reports[name] = ConstantReport(name, ratio, a,
                                               "structured_family", 1)
     bundle.expect("lower_bound", (m + 2) / 2.0, "closed_form")
-    assert ratio == (m + 2) / 2.0
+    if ratio != (m + 2) / 2.0:
+        raise RuntimeError(f"prefix-join ratio {ratio!r} is not {(m + 2) / 2.0}")
     return bundle

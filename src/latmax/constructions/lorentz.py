@@ -147,8 +147,3 @@ def lorentz_blocking_demo(p: float, q: float, n: int) -> WitnessBundle:
     bundle.expect("block_exponent", block_fit.a, "fitted")
     bundle.extras.update(p=p, q=q, unit_fit=unit_fit, block_fit=block_fit)
     return bundle
-
-
-def build(p: float = 4.0, q: float = 2.0, n: int = 1024) -> WitnessBundle:
-    """Registry entry: the blocking demo at the requested scale."""
-    return lorentz_blocking_demo(p, q, n)

@@ -117,10 +117,6 @@ def orderbound_demo(K: int, phi: OrliczFunction = None) -> WitnessBundle:
     bundle.expect("singleton_norm", 1.0, "closed_form")  # ||1*e_1||
     bundle.extras.update(K=K, phi=phi, tail=tail)
     values = [v for _, v in series]
-    assert all(b > a for a, b in zip(values, values[1:]))
+    if not all(b > a for a, b in zip(values, values[1:])):
+        raise RuntimeError("upper-bound norms stopped increasing")
     return bundle
-
-
-def build(K: int = 256) -> WitnessBundle:
-    """Registry entry: the order-bound demo."""
-    return orderbound_demo(K)

@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
-from latmax.spaces import Element, LpBlock
+from latmax.spaces import LpBlock
 from latmax.systems import BiorthogonalSystem
 
 _SIZE_LIMIT = 20  # 2^20 coordinates, ~8 MB per stored matrix row set
@@ -62,15 +61,3 @@ def flat_ratio_series(ms):
     in a staircase; growth fits should sample a single parity.
     """
     return [(int(m), m / flat_mean(int(m))) for m in ms]
-
-
-def build(n: int = 8) -> WitnessBundle:
-    """Registry entry: system plus the exact flat-coefficient values."""
-    system = rademacher_l1(n)
-    bundle = WitnessBundle(space=system.space)
-    bundle.vectors["modulus_sum"] = Element(system.space,
-                                            float(n) * np.ones(2 ** n))
-    bundle.expect("modulus_sum_norm", float(n), "closed_form")
-    bundle.expect("flat_mean", flat_mean(n), "closed_form")
-    bundle.extras.update(n=n, system=system)
-    return bundle

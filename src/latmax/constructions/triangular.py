@@ -163,7 +163,8 @@ def triangular_basis(n: int, p: float = 2.0, alpha: float = None):
     rng = np.random.default_rng(0)
     for _ in range(8):
         z = rng.standard_normal(n)
-        assert np.linalg.norm(S @ z, p) <= 0.5 * np.linalg.norm(z, p)
+        if not np.linalg.norm(S @ z, p) <= 0.5 * np.linalg.norm(z, p):
+            raise RuntimeError("scaled kernel is not a half-contraction")
 
     E, F, iterations, residual = neumann_blocks(S)
     eye = np.eye(n)
@@ -173,7 +174,8 @@ def triangular_basis(n: int, p: float = 2.0, alpha: float = None):
     system = BiorthogonalSystem(host, V, funcs)
 
     s, M, x_norm, join_norm = _shadow_profiles(n, alpha, p)
-    assert x_norm <= 1.5 * n ** (1.0 / p) + 1e-9
+    if not x_norm <= 1.5 * n ** (1.0 / p) + 1e-9:
+        raise RuntimeError(f"witness norm {x_norm!r} above 1.5 n^(1/p)")
     bundle = WitnessBundle(space=host)
     bundle.vectors["witness"] = Element(host, np.concatenate([np.ones(n), alpha * s]))
     bundle.vectors["join"] = Element(host, np.concatenate([np.ones(n), alpha * M]))
@@ -187,13 +189,6 @@ def triangular_basis(n: int, p: float = 2.0, alpha: float = None):
                          neumann_iterations=iterations,
                          neumann_residual=residual)
     return system, bundle
-
-
-def build(n: int = 64, p: float = 2.0, alpha: float = None) -> WitnessBundle:
-    """Registry entry: witness bundle with the system attached."""
-    system, bundle = triangular_basis(n, p, alpha)
-    bundle.extras["system"] = system
-    return bundle
 
 
 # ----------------------------------------------------------- trace duality
@@ -217,7 +212,7 @@ def trace_dual_certificate(n: int) -> WitnessBundle:
     which telescopes to a harmonic double sum; dividing by the kernel's
     uniform spectral bound pi floors ||tau||_nuclear from below.  The
     floor sits well under the actual nuclear norm (both grow like
-    n log n), and the function asserts the inequality before returning.
+    n log n), and the function checks the inequality before returning.
 
     Two pairing totals are reported: the double sum of H_1..H_n, and the
     strict entrywise sum, which stops one harmonic number earlier at
@@ -231,7 +226,8 @@ def trace_dual_certificate(n: int) -> WitnessBundle:
     sigma = tau_singular_values(n)
     nuclear = float(sigma.sum())
     floor = double_sum / math.pi
-    assert nuclear >= floor - 1e-6
+    if not nuclear >= floor - 1e-6:
+        raise RuntimeError(f"nuclear norm {nuclear!r} below the floor {floor!r}")
 
     bundle = WitnessBundle(space=LpBlock(n, 2.0))
     bundle.expect("harmonic_double_sum", double_sum, "closed_form")

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import FramePair, WitnessBundle
+from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.haar import haar_matrices
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import BiorthogonalSystem
+from latmax.systems import BiorthogonalSystem, _prefix_blocks
 
 _DEPTH_LIMIT = 12
 
@@ -44,13 +44,14 @@ def indicator_blocks(J: int) -> np.ndarray:
     return rows
 
 
-def typewriter_frame(J: int, p: float) -> FramePair:
+def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
     """The woven expansion as a redundant system over the dyadic grid.
 
     Slots 3i hold the i-th wavelet with its true dual; slots 3i+1 and
     3i+2 hold +/- the i-th indicator, both paired with integration
     against the constant.  The trailing wavelets (there are 2^J of them
-    against 2^J - 1 indicators) close the weave.
+    against 2^J - 1 indicators) close the weave.  The family is
+    redundant, so the system is built with the gram check off.
     """
     if not 1 <= J <= _DEPTH_LIMIT:
         raise ValueError(f"J must be in 1..{_DEPTH_LIMIT}")
@@ -69,8 +70,7 @@ def typewriter_frame(J: int, p: float) -> FramePair:
         V[3 * i + 1], F[3 * i + 1] = T[i], mean
         V[3 * i + 2], F[3 * i + 2] = -T[i], mean
     V[-1], F[-1] = W[m - 1], Wdual[m - 1]
-    system = BiorthogonalSystem(dyadic_lp(J, p), V, F, check=False)
-    return FramePair(system=system, frame=True)
+    return BiorthogonalSystem(dyadic_lp(J, p), V, F, check=False)
 
 
 def pass_profile(J: int, p: float) -> WitnessBundle:
@@ -81,29 +81,20 @@ def pass_profile(J: int, p: float) -> WitnessBundle:
     The marks pin the oscillation at exactly 1 everywhere while the join
     norm lands on 2.
     """
-    pair = typewriter_frame(J, p)
-    system = pair.system
-    ones = np.ones(system.space.dim)
-    coeffs = system.functionals @ ones
-    running = np.zeros(system.space.dim)
-    join = np.zeros(system.space.dim)
-    high = np.full(system.space.dim, -np.inf)
-    low = np.full(system.space.dim, np.inf)
-    for k in range(len(system)):
-        running = running + coeffs[k] * system.vectors[k]
-        np.maximum(join, np.abs(running), out=join)
-        np.maximum(high, running, out=high)
-        np.minimum(low, running, out=low)
+    system = typewriter_frame(J, p)
+    dim = system.space.dim
+    coeffs = system.functionals @ np.ones(dim)
+    high = np.full(dim, -np.inf)
+    low = np.full(dim, np.inf)
+    for rows in _prefix_blocks(system, coeffs, np.arange(len(system))):
+        np.maximum(high, np.max(rows, axis=0), out=high)
+        np.minimum(low, np.min(rows, axis=0), out=low)
 
     bundle = WitnessBundle(space=system.space)
-    bundle.vectors["join"] = Element(system.space, join)
+    # the running join of moduli is max(high, -low), exactly
+    bundle.vectors["join"] = Element(system.space, np.maximum(high, -low))
     bundle.expect("join_norm", 2.0, "closed_form")
     bundle.expect("oscillation", 1.0, "closed_form")
     bundle.extras.update(J=J, p=p, oscillation=high - low,
-                         terms=len(system), frame=pair)
+                         terms=len(system), system=system)
     return bundle
-
-
-def build(J: int = 6, p: float = 2.0) -> WitnessBundle:
-    """Registry entry: one full pass at the default depth."""
-    return pass_profile(J, p)

@@ -255,6 +255,10 @@ def _run_lindenstrauss(params, seed):
     depth, ambient = params["depth"], params["ambient"]
     if not 1 <= depth <= 20:
         raise UsageError("depth must lie in 1..20")
+    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
+    if ambient != 0 and ambient < need:
+        raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
+                         f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
     columns = ("m", "witness_norm", "running_join_norm")
     rows = []
@@ -337,6 +341,9 @@ def _run_rademacher(params, seed):
         raise UsageError("trials must be positive")
     if params["m_max"] < 8:
         raise UsageError("m_max must be at least 8 (the fit needs four even sizes)")
+    if params["m_max"] > 1019:
+        raise UsageError("m_max must be at most 1019 (the exact mean at "
+                         "m = 1020 overflows float64)")
     sysm = _rademacher.rademacher_l1(n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((trials, n))

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from latmax.spaces import Element
-from latmax.systems import (BiorthogonalSystem, ConstantReport, coefficients,
-                            maximal_partial)
+from latmax.systems import (BiorthogonalSystem, ConstantReport,
+                            _modulus_sum_ratio, _ordered_join, _prefix_blocks,
+                            _prefix_join_ratio, _prefix_norm_ratio,
+                            _ratio_search, coefficients)
 
 
 @dataclass(frozen=True)
@@ -86,19 +88,12 @@ def greedy_sum(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
                    np.zeros(sys.space.dim))
 
 
-def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    rows = np.cumsum(a[perm][:, None] * sys.vectors[perm], axis=0)
-    return np.max(np.abs(rows), axis=0)
-
-
 def greedy_maximal(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
     """G^v_m(x) = join of |G_1(x)|, ..., |G_m(x)|; coordinatewise
     nondecreasing in m by construction."""
     a = coefficients(sys, x)
     if not 0 <= m <= len(sys):
         raise ValueError("m out of range")
-    if m == 0:
-        return Element(sys.space, np.zeros(sys.space.dim))
     perm = _resolve_ordering(a, ordering)[:m]
     return Element(sys.space, _ordered_join(sys, a, perm))
 
@@ -125,30 +120,42 @@ def strictify(coeffs, ordering: GreedyOrdering, scale: float = 1e-13):
     return a
 
 
-def _support_size(a: np.ndarray) -> int:
-    return int(np.sum(a != 0))
+def _greedy_setup(sys: BiorthogonalSystem, a: np.ndarray):
+    """(coefficients of x, support size, ||x||) for x = sum a_k x_k."""
+    x = Element(sys.space, a @ sys.vectors[: len(a)])
+    av = coefficients(sys, x)
+    return av, int(np.sum(av != 0)), sys.space.norm(x)
+
+
+def _quasi_greedy_ratio(sys, a):
+    """(max_m ||G_m(x)|| / ||x||, support size), natural ordering."""
+    av, supp, nx = _greedy_setup(sys, a)
+    if not supp:
+        return 0.0, 0
+    perm = np.asarray(natural_greedy_ordering(av).permutation[:supp])
+    peak = np.max([sys.space.norms(rows).max()
+                   for rows in _prefix_blocks(sys, av, perm)])
+    return peak / nx, supp
+
+
+def _uqg_ratio(sys, a, enumerate_orderings=False, ordering_limit=40320):
+    """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size)."""
+    av, supp, nx = _greedy_setup(sys, a)
+    if not supp:
+        return 0.0, 0
+    if enumerate_orderings:
+        orderings = all_greedy_orderings(av, limit=ordering_limit)
+    else:
+        orderings = [natural_greedy_ordering(av)]
+    r = max(sys.space.norm(
+        _ordered_join(sys, av, np.asarray(o.permutation[:supp], dtype=int)))
+        for o in orderings) / nx
+    return r, supp
 
 
 def quasi_greedy_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
     """max over witnesses and m of ||G_m(x)|| / ||x||, natural ordering."""
-    best, best_w, rows = -np.inf, None, []
-    for wid, w in enumerate(witnesses):
-        a = np.asarray(w, dtype=float)
-        x = Element(sys.space, a @ sys.vectors[: len(a)])
-        av = coefficients(sys, x)
-        perm = natural_greedy_ordering(av).permutation
-        supp = _support_size(av)
-        nx = sys.space.norm(x)
-        prefix = np.cumsum(av[np.asarray(perm[:supp])][:, None]
-                           * sys.vectors[np.asarray(perm[:supp])], axis=0)
-        r = sys.space.norms(prefix).max() / nx if supp else 0.0
-        rows.append((wid, float(r), supp))
-        if r > best:
-            best, best_w = r, a
-    if best_w is None:
-        raise ValueError("empty witness family")
-    return ConstantReport("quasi_greedy", float(best), best_w,
-                          "structured_family", len(rows), rows=tuple(rows))
+    return _ratio_search(sys, witnesses, _quasi_greedy_ratio, "quasi_greedy")
 
 
 def uqg_constant(sys: BiorthogonalSystem, witnesses,
@@ -160,30 +167,10 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
     of each witness (tie groups permuted; feasible for support <= 12), which
     makes the tie-independence of the supremum checkable exactly.
     """
-    best, best_w, rows = -np.inf, None, []
-    for wid, w in enumerate(witnesses):
-        a = np.asarray(w, dtype=float)
-        x = Element(sys.space, a @ sys.vectors[: len(a)])
-        av = coefficients(sys, x)
-        supp = _support_size(av)
-        if supp == 0:
-            rows.append((wid, 0.0, 0))
-            continue
-        nx = sys.space.norm(x)
-        if enumerate_orderings:
-            orderings = all_greedy_orderings(av, limit=ordering_limit)
-        else:
-            orderings = [natural_greedy_ordering(av)]
-        r = max(sys.space.norm(
-            _ordered_join(sys, av, np.asarray(o.permutation[:supp], dtype=int)))
-            for o in orderings) / nx
-        rows.append((wid, float(r), supp))
-        if r > best:
-            best, best_w = r, a
-    if best_w is None:
-        raise ValueError("empty witness family")
-    return ConstantReport("uniform_quasi_greedy", float(best), best_w,
-                          "structured_family", len(rows), rows=tuple(rows))
+    return _ratio_search(
+        sys, witnesses,
+        lambda s, a: _uqg_ratio(s, a, enumerate_orderings, ordering_limit),
+        "uniform_quasi_greedy")
 
 
 def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
@@ -244,21 +231,20 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
                           state["evals"], indices=A)
 
 
+# constant name -> witness ratio (sys, a) -> (ratio, support size); kvee
+# re-walks its stored index set instead
+_RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _prefix_join_ratio,
+           "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
+           "uniform_quasi_greedy": _uqg_ratio}
+
+
 def recompute_greedy_constant(sys: BiorthogonalSystem, report: ConstantReport) -> float:
-    a = np.asarray(report.witness, dtype=float)
-    x = Element(sys.space, a @ sys.vectors[: len(a)])
-    av = coefficients(sys, x)
-    supp = _support_size(av)
-    nx = sys.space.norm(x)
-    if report.constant_name == "quasi_greedy":
-        perm = np.asarray(natural_greedy_ordering(av).permutation[:supp], dtype=int)
-        prefix = np.cumsum(av[perm][:, None] * sys.vectors[perm], axis=0)
-        return float(sys.space.norms(prefix).max() / nx)
-    if report.constant_name == "uniform_quasi_greedy":
-        return float(sys.space.norm(greedy_maximal(sys, x, supp)) / nx)
+    """Re-evaluate the stored witness of any report; systems.recompute_constant
+    delegates here."""
     if report.constant_name == "kvee":
+        av, _supp, nx = _greedy_setup(sys, report.witness)
         return float(sys.space.norm(_ordered_join(sys, av, report.indices)) / nx)
-    raise ValueError(f"not a greedy constant: {report.constant_name!r}")
+    return float(_RATIOS[report.constant_name](sys, report.witness)[0])
 
 
 @dataclass

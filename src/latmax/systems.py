@@ -31,6 +31,7 @@ CONSTANT_NAMES = (
 SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _CHECK_CUTOFF = 512  # full gram validation below, sampled above
+_SCAN_BLOCK = 64  # rows per prefix-scan block; small blocks stay in cache
 
 
 class BiorthogonalSystem:
@@ -103,16 +104,35 @@ def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
     return Element(sys.space, a @ sys.vectors[: len(a)])
 
 
-def _prefix_rows(sys: BiorthogonalSystem, a: np.ndarray, order=None) -> np.ndarray:
-    """Cumulative rows sum_{k<=i} a_{o_k} x_{o_k}, one row per prefix."""
-    if order is None:
-        cols = sys.vectors[: len(a)]
-        coef = a
-    else:
-        order = np.asarray(order, dtype=int)
-        cols = sys.vectors[order]
-        coef = a[order] if len(a) == len(sys) else np.asarray(a, dtype=float)
-    return np.cumsum(coef[:, None] * cols, axis=0)
+def _prefix_blocks(sys: BiorthogonalSystem, a: np.ndarray, perm):
+    """Prefix sums sum_{j<=i} a_{perm_j} x_{perm_j}, yielded in row blocks.
+
+    The previous block's last sum is added into each block's first row,
+    then each row adds the one before it: the same additions in the same
+    order as one np.cumsum(axis=0), so the sums agree bit for bit, while
+    only a block of rows is ever held.  (np.cumsum runs axis 0 of a
+    C-ordered block as a strided inner loop, several times slower.)  This
+    is the one prefix scan; every caller reduces the blocks to what it
+    needs.
+    """
+    carry = None
+    for start in range(0, len(perm), _SCAN_BLOCK):
+        idx = perm[start : start + _SCAN_BLOCK]
+        rows = a[idx][:, None] * sys.vectors[idx]
+        if carry is not None:
+            rows[0] += carry
+        for i in range(1, len(rows)):
+            rows[i] += rows[i - 1]
+        carry = rows[-1]
+        yield rows
+
+
+def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
+    """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
+    join = np.zeros(sys.space.dim)
+    for rows in _prefix_blocks(sys, a, perm):
+        np.maximum(join, np.max(np.abs(rows), axis=0), out=join)
+    return join
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -128,8 +148,7 @@ def maximal_partial(sys: BiorthogonalSystem, x, m: int) -> Element:
     if not 1 <= m <= len(sys):
         raise ValueError("m out of range")
     a = coefficients(sys, x)
-    rows = _prefix_rows(sys, a[:m])
-    return Element(sys.space, np.max(np.abs(rows), axis=0))
+    return Element(sys.space, _ordered_join(sys, a, np.arange(m)))
 
 
 @dataclass
@@ -176,72 +195,69 @@ def report_from_json(obj) -> ConstantReport:
                           np.asarray(obj["indices"], dtype=int) if "indices" in obj else None)
 
 
-def _ratio_search(sys, witnesses, ratio_fn, name, search="structured_family"):
+def _ratio_search(sys, witnesses, ratio_fn, name):
+    """Best witness under ratio_fn(sys, a) -> (ratio, support size).
+
+    Every witness is traced as (id, ratio, m); a zero-support witness
+    is traced with m = 0 but never kept.
+    """
     best_val, best_wit = -np.inf, None
     rows = []
-    count = 0
     for wid, w in enumerate(witnesses):
         a = np.asarray(w, dtype=float)
-        r = ratio_fn(a)
-        rows.append((wid, float(r), int(len(a))))
-        count += 1
-        if r > best_val:
+        r, m = ratio_fn(sys, a)
+        rows.append((wid, float(r), int(m)))
+        if m and r > best_val:
             best_val, best_wit = r, a
     if best_wit is None:
-        raise ValueError("empty witness family")
-    return ConstantReport(name, float(best_val), best_wit, search, count,
-                          rows=tuple(rows))
+        raise ValueError("no witness with nonzero support")
+    return ConstantReport(name, float(best_val), best_wit, "structured_family",
+                          len(rows), rows=tuple(rows))
 
 
 def _prefix_norm_ratio(sys, a):
-    rows = _prefix_rows(sys, a)
-    norms = sys.space.norms(rows)
-    return norms.max() / norms[-1]
+    peak = -np.inf
+    for rows in _prefix_blocks(sys, a, np.arange(len(a))):
+        norms = sys.space.norms(rows)
+        peak = np.maximum(peak, norms.max())
+    return peak / norms[-1], len(a)
 
 
 def _prefix_join_ratio(sys, a):
-    rows = _prefix_rows(sys, a)
-    peak = np.maximum.accumulate(np.abs(rows), axis=0)[-1]
-    return sys.space.norm(peak) / sys.space.norms(rows[-1:])[0]
+    join = np.zeros(sys.space.dim)
+    for rows in _prefix_blocks(sys, a, np.arange(len(a))):
+        np.maximum(join, np.max(np.abs(rows), axis=0), out=join)
+    return sys.space.norm(join) / sys.space.norms(rows[-1:])[0], len(a)
 
 
 def _modulus_sum_ratio(sys, a):
     m = len(a)
     total = np.abs(a) @ np.abs(sys.vectors[:m])
-    return sys.space.norm(total) / sys.space.norm(a @ sys.vectors[:m])
+    return sys.space.norm(total) / sys.space.norm(a @ sys.vectors[:m]), m
 
 
 def basis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
     """max over witnesses of max_n ||P_n|| / ||full sum||, a lower bound for
     the partial-sum constant."""
-    return _ratio_search(sys, witnesses, lambda a: _prefix_norm_ratio(sys, a),
-                         "basis")
+    return _ratio_search(sys, witnesses, _prefix_norm_ratio, "basis")
 
 
 def bibasis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
     """max over witnesses of ||join of |P_n||| / ||full sum||."""
-    return _ratio_search(sys, witnesses, lambda a: _prefix_join_ratio(sys, a),
-                         "bibasis")
+    return _ratio_search(sys, witnesses, _prefix_join_ratio, "bibasis")
 
 
 def absolute_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
     """max over witnesses of ||sum |a_k x_k||| / ||sum a_k x_k||."""
-    return _ratio_search(sys, witnesses, lambda a: _modulus_sum_ratio(sys, a),
-                         "absolute")
+    return _ratio_search(sys, witnesses, _modulus_sum_ratio, "absolute")
 
 
 def recompute_constant(sys: BiorthogonalSystem, report: ConstantReport) -> float:
     """Re-evaluate a stored witness; used to audit report round-trips."""
-    a = report.witness
-    if report.constant_name == "basis":
-        return float(_prefix_norm_ratio(sys, a))
-    if report.constant_name == "bibasis":
-        return float(_prefix_join_ratio(sys, a))
-    if report.constant_name == "absolute":
-        return float(_modulus_sum_ratio(sys, a))
-    # greedy-flavored reports are recomputed by the greedy module
-    from latmax import greedy
-    return greedy.recompute_greedy_constant(sys, report)
+    # the name -> ratio table lives with the greedy ratios, which build on
+    # this module
+    from latmax.greedy import recompute_greedy_constant
+    return recompute_greedy_constant(sys, report)
 
 
 def witness_rows_csv(report: ConstantReport) -> str:

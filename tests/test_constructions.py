@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from latmax import constructions
 from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import triangular as tri
 from latmax.estimation import nuclear_norm
@@ -121,6 +120,19 @@ def test_witness_bundle_exact_values():
 def test_witness_requires_room():
     with pytest.raises(ValueError):
         lind.lindenstrauss_witness(5, 64)
+
+
+def test_witness_certification_raises_on_a_wrong_norm(monkeypatch):
+    # the check must hold under python -O, so it cannot be an assert
+    real = lind.chain_prefix_join
+
+    def off_by_one(depth, n):
+        join, join_l1, x_l1 = real(depth, n)
+        return join, join_l1 + 1.0, x_l1
+
+    monkeypatch.setattr(lind, "chain_prefix_join", off_by_one)
+    with pytest.raises(RuntimeError):
+        lind.lindenstrauss_witness(3, 64)
 
 
 def test_streaming_scales_to_deep_chains():
@@ -259,19 +271,16 @@ def test_trace_dual_floor_and_growth_window():
         assert 1 / math.pi - 0.05 <= ratio <= 2.0
 
 
-# ---------------------------------------------------------------- registry
+# ---------------------------------------------------------------- entry functions
 
 
 def test_registry_knows_lindenstrauss():
-    assert "lindenstrauss" in constructions.names()
-    bundle = constructions.build("lindenstrauss", n=64, m=3)
+    bundle = lind.lindenstrauss_witness(3, 64)
     assert bundle.value("join_norm") == 5.0
-    assert len(bundle.extras["system"]) == 64
-    with pytest.raises(KeyError):
-        constructions.build("no-such-thing")
+    assert len(lind.lindenstrauss(64)) == 64
 
 
 def test_registry_knows_triangular():
-    bundle = constructions.build("triangular", n=16)
+    system, bundle = tri.triangular_basis(16)
     assert bundle.value("prefix_ratio") > 1.0
-    assert len(bundle.extras["system"]) == 32
+    assert len(system) == 32

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from latmax import constructions
 from latmax.constructions import hadamard as had
 from latmax.constructions import haar
 from latmax.constructions import lorentz as lor
@@ -211,9 +210,8 @@ def test_indicator_blocks_layout():
 
 
 def test_frame_is_redundant_but_reconstructs():
-    pair = tw.typewriter_frame(5, 2.5)
-    system = pair.system
-    assert pair.frame and len(system) == 3 * 31 + 1
+    system = tw.typewriter_frame(5, 2.5)
+    assert len(system) == 3 * 31 + 1
     with pytest.raises(ValueError):
         BiorthogonalSystem(system.space, system.vectors, system.functionals)
     rng = np.random.default_rng(6)
@@ -224,8 +222,7 @@ def test_frame_is_redundant_but_reconstructs():
 
 
 def test_first_indicator_doubles_the_constant():
-    pair = tw.typewriter_frame(4, 2.0)
-    system = pair.system
+    system = tw.typewriter_frame(4, 2.0)
     c = system.functionals @ np.ones(16)
     p2 = c[0] * system.vectors[0] + c[1] * system.vectors[1]
     assert np.max(np.abs(p2 - 2.0)) < 1e-12
@@ -347,18 +344,14 @@ def test_orderbound_demo_grows():
     assert bundle.value("doubling_at_0.05") == math.exp(10.0)
 
 
-# ---------------------------------------------------------------- registry
+# ---------------------------------------------------------------- entry functions
 
 
 def test_registry_covers_the_gallery():
-    assert constructions.names() == (
-        "haar", "hadamard-mixed", "lindenstrauss", "lorentz", "orlicz",
-        "rademacher-l1", "triangular", "typewriter")
-    for name, kwargs in [("hadamard-mixed", {"n": 3}),
-                         ("rademacher-l1", {"n": 4}),
-                         ("haar", {"J": 4}),
-                         ("typewriter", {"J": 4}),
-                         ("lorentz", {"n": 512}),
-                         ("orlicz", {"K": 32})]:
-        bundle = constructions.build(name, **kwargs)
+    _system, bundle = had.hadamard_mixed(3)
+    assert bundle.expected
+    assert len(rad.rademacher_l1(4)) == 4
+    assert len(haar.haar_system(4, 2.0)) == 16
+    for bundle in (tw.pass_profile(4, 2.0), lor.lorentz_blocking_demo(4.0, 2.0, 512),
+                   orl.orderbound_demo(32)):
         assert bundle.expected or bundle.extras

@@ -186,6 +186,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--experiment", "trace-dual", "--seed", "-3",
                  "--out", str(tmp_path)]) == 2
     assert main([]) == 2
+    # bad sizes are usage errors, not tracebacks: the chain at depth 3 needs
+    # ambient 0 or >= 10, and the exact flat mean overflows past m = 1019
+    for ambient in ("1", "9", "-1"):
+        assert main(["run", "--experiment", "lindenstrauss-witness",
+                     "--param", "depth=3", "--param", f"ambient={ambient}",
+                     "--out", str(tmp_path)]) == 2
+    assert main(["run", "--experiment", "lindenstrauss-witness",
+                 "--param", "depth=3", "--param", "ambient=10",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["run", "--experiment", "rademacher-l1", "--param", "m_max=1020",
+                 "--out", str(tmp_path)]) == 2
     capsys.readouterr()
 
 
