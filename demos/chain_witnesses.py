@@ -22,9 +22,9 @@ AMBIENT = 3 * 2 ** (DEPTH - 1)
 def main():
     print(f"chain witnesses over {AMBIENT} vectors (ambient dim {2 * AMBIENT + 2})")
     print(f"{'m':>3} {'||y_m||_1':>10} {'||join||_1':>11}")
+    _, join_norms, y_norms = chain_prefix_join(DEPTH, AMBIENT)
     for m in range(DEPTH):
-        _, join_norm, y_norm = chain_prefix_join(m + 1, AMBIENT)
-        print(f"{m:>3} {y_norm:>10.1f} {join_norm:>11.1f}")
+        print(f"{m:>3} {y_norms[m]:>10.1f} {join_norms[m]:>11.1f}")
 
     bundle = lindenstrauss_witness(DEPTH - 1, AMBIENT)
     ratio = bundle.reports["uniform_quasi_greedy"].value

@@ -26,8 +26,8 @@ class WitnessBundle:
 
     Every value in `expected` must be recomputable from `vectors` (or the
     closed forms in `series`) by the hosting module; `reports` carries any
-    constant lower bounds with their witnesses, `series` any (n, value)
-    sweeps handed to growth fitting, and `extras` construction-specific data
+    constant lower bounds with their witnesses, `series` any per-size rows
+    (growth-fit sweeps, walk norms), and `extras` construction-specific data
     (index sets, matrices, scaling constants).
     """
 

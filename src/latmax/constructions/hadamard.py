@@ -47,10 +47,8 @@ def fwht_rows(X) -> np.ndarray:
     h = 1
     while h < m:
         X = X.reshape(X.shape[0], -1, 2, h)
-        a = X[:, :, 0, :].copy()
-        b = X[:, :, 1, :].copy()
-        X[:, :, 0, :] = a + b
-        X[:, :, 1, :] = a - b
+        a, b = X[:, :, 0, :], X[:, :, 1, :]
+        X[:, :, 0, :], X[:, :, 1, :] = a + b, a - b
         X = X.reshape(X.shape[0], m)
         h *= 2
     return X

@@ -93,63 +93,65 @@ def chain_coefficients(depth: int, n: int) -> np.ndarray:
 
 
 def chain_prefix_join(depth: int, n: int):
-    """Stream the prefix sums of y_depth's coefficient combination.
+    """Walk the prefix sums of y_depth's coefficients, level by level.
 
     For this coefficient vector the natural greedy ordering and the index
     ordering coincide on the support (coefficients decrease with depth, and
     each depth set is a later index run), so one pass yields both the maximal
-    partial-sum join and the greedy-maximal join.  Each step touches three
-    coordinates, so the walk is linear in the support size.
+    partial-sum join and the greedy-maximal join.  Level d adds 2^{-d} to its
+    nodes and takes half that from their children, all distinct coordinates,
+    so one vectorized update per level is the node-by-node walk exactly.
 
-    Returns (join coordinates, l1 norm of the join, l1 norm of the full sum).
+    Returns (join coordinates, [l1 norm of the join], [l1 norm of the running
+    sum]), one norm per level; after level d the running sum is y_{d+1}.
     """
-    a = chain_coefficients(depth, n)
+    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
+    if n < need:
+        raise ValueError(f"system size {n} too small; need at least {need}")
     dim = 2 * n + 2
-    running = np.zeros(dim)
-    join = np.zeros(dim)
-    for t in np.flatnonzero(a):
-        c = a[t]
-        c1, c2 = children(t)
-        running[t] += c
-        running[c1] -= c / 2.0
-        running[c2] -= c / 2.0
-        for i in (t, c1, c2):
-            join[i] = max(join[i], abs(running[i]))
-    return join, float(np.abs(join).sum()), float(np.abs(running).sum())
+    running, join = np.zeros(dim), np.zeros(dim)
+    join_norms, x_norms = [], []
+    for d in range(depth):
+        lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2  # level d is lo .. hi - 1
+        nodes, kids = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)
+        running[nodes] += 2.0 ** -d
+        running[kids] -= 2.0 ** -d / 2.0
+        for s in (nodes, kids):
+            np.maximum(join[s], np.abs(running[s]), out=join[s])
+        join_norms.append(float(np.abs(join).sum()))
+        x_norms.append(float(np.abs(running).sum()))
+    if not np.array_equal(running, chain_element(depth, dim).coords):
+        raise RuntimeError(f"chain walk does not telescope to y{depth}")
+    return join, join_norms, x_norms
 
 
 def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
     """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
     size n, with the exact norm, join, and lower-bound constants.
+
+    One chain walk certifies everything; `series["chain"]` holds its rows
+    (k, ||y_k||, norm of the running join of y_0..y_k).
     """
     deepest = m + 1
-    need = int(depth_set(deepest - 1)[-1]) + 1 if deepest > 1 else 1
-    if n < need:
-        raise ValueError(f"system size {n} too small; need at least {need}")
-    dim = 2 * n + 2
-    sp = lp_block(dim, 1.0)
+    join, join_norms, x_norms = chain_prefix_join(deepest, n)
+    sp = lp_block(2 * n + 2, 1.0)
     bundle = WitnessBundle(space=sp)
-
-    join = np.zeros(dim)
-    for k in range(m + 1):
-        y = chain_element(k + 1, dim)
-        bundle.vectors[f"y{k}"] = y
-        bundle.extras.setdefault("index_sets", {})[f"I{k}"] = depth_set(k + 1)
-        join = np.maximum(join, np.abs(y.coords))
-        if sp.norm(y.coords) != 2.0:  # dyadic, hence exact
+    bundle.extras["index_sets"] = {f"I{k}": depth_set(k + 1)
+                                   for k in range(deepest)}
+    bundle.series["chain"] = list(zip(range(deepest), x_norms, join_norms))
+    for k, x_norm in enumerate(x_norms):
+        if x_norm != 2.0:  # dyadic, hence exact
             raise RuntimeError(f"chain element y{k} lost its norm 2")
-    join_norm = float(np.abs(join).sum())
     bundle.vectors["join"] = Element(sp, join)
     bundle.expect("chain_norm", 2.0, "closed_form")
     bundle.expect("join_norm", float(m + 2), "closed_form")
-    if join_norm != float(m + 2):
-        raise RuntimeError(f"chain join norm {join_norm!r} is not {m + 2}")
+    if join_norms[-1] != float(m + 2):
+        raise RuntimeError(f"chain join norm {join_norms[-1]!r} is not {m + 2}")
 
-    # one streamed pass certifies both constants: the prefix join of the
-    # deepest chain element revisits every y_d
+    # the prefix join of the deepest chain element revisits every y_k, so the
+    # same walk certifies both constants
+    ratio = join_norms[-1] / x_norms[-1]
     a = chain_coefficients(deepest, n)
-    _, prefix_join_norm, x_norm = chain_prefix_join(deepest, n)
-    ratio = prefix_join_norm / x_norm
     for name in ("bibasis", "uniform_quasi_greedy"):
         bundle.reports[name] = ConstantReport(name, ratio, a,
                                               "structured_family", 1)

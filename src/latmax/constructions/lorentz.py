@@ -12,6 +12,7 @@ themselves grow large.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -22,7 +23,6 @@ from latmax.estimation import growth_fit
 
 _TABLE_LIMIT = 2 ** 21
 _LOG2_LN = math.log(2.0)
-_sigma_tables: dict = {}
 
 
 def _validate(p: float, q: float):
@@ -41,16 +41,18 @@ def lorentz_norm(p: float, q: float, x) -> float:
     return float(np.sum(k ** (q / p - 1.0) * star ** q) ** (1.0 / q))
 
 
-def _sigma_table(e: float, upto: int) -> np.ndarray:
-    """Cumulative sums of k^e, cached per exponent."""
-    cached = _sigma_tables.get(e)
-    if cached is None or len(cached) < upto:
-        size = min(max(upto, 2 ** 16), _TABLE_LIMIT)
-        cached = np.cumsum(np.arange(1, size + 1, dtype=float) ** e)
-        _sigma_tables[e] = cached
-        if len(_sigma_tables) > 4:
-            _sigma_tables.pop(next(iter(_sigma_tables)))
-    return cached
+@functools.lru_cache(maxsize=4)
+def _sigma_table(e: float) -> np.ndarray:
+    """Read-only cumulative sums of k^e, k up to the table limit, per exponent
+    (np.cumsum adds left to right: a prefix is bitwise the shorter cumsum)."""
+    table = np.cumsum(np.arange(1, _TABLE_LIMIT + 1, dtype=float) ** e)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _zeta(e: float) -> float:
+    return float(mpmath.zeta(-e))
 
 
 def weight_sum_log2(log2N: float, p: float, q: float) -> float:
@@ -66,10 +68,10 @@ def weight_sum_log2(log2N: float, p: float, q: float) -> float:
         raise ValueError("need N >= 1")
     if log2N <= 21:
         N = int(round(2.0 ** log2N))
-        return float(_sigma_table(e, N)[N - 1])
+        return float(_sigma_table(e)[N - 1])
     if log2N * (1.0 + e) > 1000.0:
         raise ValueError("sigma itself would overflow float64")
-    zeta = float(mpmath.zeta(-e))
+    zeta = _zeta(e)
     lead = 2.0 ** (log2N * (1.0 + e)) / (1.0 + e)
     half = 2.0 ** (log2N * e) / 2.0
     deriv = e * 2.0 ** (log2N * (e - 1.0)) / 12.0
@@ -81,7 +83,7 @@ def _sigma_int(N: int, p: float, q: float) -> float:
         return 0.0
     if N <= _TABLE_LIMIT:
         e = q / p - 1.0
-        return float(_sigma_table(e, N)[N - 1])
+        return float(_sigma_table(e)[N - 1])
     return weight_sum_log2(math.log2(N), p, q)
 
 

@@ -58,36 +58,41 @@ def _rowsum_norm(M):
     return float(np.abs(M).sum(axis=1).max())
 
 
-def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
-                 seed: int = 0) -> OperatorNormBounds:
-    """Enclose the l_p operator norm of a square matrix.
-
-    p = 1, 2, inf are exact (column sums, SVD, row sums).  Otherwise the upper
-    bound interpolates between the exact endpoints (||M||_p lies below
-    ||M||_1^(2/p-1) ||M||_2^(2-2/p) for p < 2, dually above 2), and the lower
-    bound comes from a seeded random-ascent witness search on ||Mx||_p/||x||_p.
-    """
+def pnorm_upper(M: np.ndarray, p: float) -> float:
+    """l_p operator norm bound: exact for p = 1, 2, inf (column sums, SVD, row
+    sums), else Riesz-Thorin interpolation of the exact endpoints (||M||_p lies
+    below ||M||_1^(2/p-1) ||M||_2^(2-2/p) for p < 2, dually above 2)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("square matrix required")
     if p == 2:
-        s = spectral_norm(M)
-        return OperatorNormBounds(2.0, s, s)
+        return spectral_norm(M)
     if p == 1:
-        v = _colsum_norm(M)
-        return OperatorNormBounds(1.0, v, v)
+        return _colsum_norm(M)
     if math.isinf(p):
-        v = _rowsum_norm(M)
-        return OperatorNormBounds(p, v, v)
+        return _rowsum_norm(M)
     if not 1 < p < math.inf:
         raise ValueError("p must lie in [1, inf]")
     s2 = spectral_norm(M)
     if p < 2:
         theta = 2.0 - 2.0 / p          # 1/p = (1-theta)/1 + theta/2
-        upper = _colsum_norm(M) ** (1.0 - theta) * s2 ** theta
-    else:
-        theta = 2.0 / p                # 1/p = theta/2 + (1-theta)/inf
-        upper = s2 ** theta * _rowsum_norm(M) ** (1.0 - theta)
+        return float(_colsum_norm(M) ** (1.0 - theta) * s2 ** theta)
+    theta = 2.0 / p                    # 1/p = theta/2 + (1-theta)/inf
+    return float(s2 ** theta * _rowsum_norm(M) ** (1.0 - theta))
+
+
+def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
+                 seed: int = 0) -> OperatorNormBounds:
+    """Enclose the l_p operator norm of a square matrix.
+
+    The upper bound is `pnorm_upper`; it is also the lower bound where exact
+    (p = 1, 2, inf), else a seeded random-ascent witness search on
+    ||Mx||_p/||x||_p gives the lower bound.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("square matrix required")
+    upper = pnorm_upper(M, p)
+    if p in (1, 2) or math.isinf(p):
+        return OperatorNormBounds(float(p), upper, upper)
 
     def ratio(w):
         w = np.asarray(w, dtype=float)
@@ -98,7 +103,7 @@ def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
                         seed=seed)
     res = sup_search(ratio, fam, budget)
     lower = min(res.value, upper)  # ascent numerics must not cross the certificate
-    return OperatorNormBounds(float(p), lower, float(upper), res.witness)
+    return OperatorNormBounds(float(p), lower, upper, res.witness)
 
 
 @dataclass
@@ -129,14 +134,15 @@ class SearchResult:
     evaluations: int
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximization on [lo, hi]; returns (arg, value, evals)."""
+def _golden_max(f, lo: float, hi: float, max_evals: int, tol: float = 1e-10):
+    """Golden-section maximization on [lo, hi] with at most max_evals (>= 2)
+    evaluations of f; returns (arg, value, evals)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     evals = 2
-    while (b - a) > tol:
+    while (b - a) > tol and evals < max_evals:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
@@ -152,7 +158,7 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10):
 
 
 def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
-    """Maximize objective(coeffs) over the family within an evaluation budget.
+    """Maximize objective(coeffs) over the family in <= budget evaluations.
 
     Candidates are consumed in a fixed order (structured, sign cube, random),
     then the leaders are polished by coordinate ascent, so enlarging the
@@ -208,10 +214,8 @@ def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
         for start in seeds:
             x = np.array(start, dtype=float)
             for _ in range(family.ascent_sweeps):
-                if evals >= budget:
-                    break
                 for i in range(len(x)):
-                    if evals >= budget:
+                    if budget - evals < 2:  # a line search needs two points
                         break
                     radius = max(1.0, 2.0 * abs(x[i]))
 
@@ -220,7 +224,8 @@ def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
                         y[i] = t
                         return float(objective(y))
 
-                    t, v, used = _golden_max(axis_obj, x[i] - radius, x[i] + radius)
+                    t, v, used = _golden_max(axis_obj, x[i] - radius,
+                                             x[i] + radius, budget - evals)
                     evals += used
                     if v > leader_val:
                         leader_val = v

@@ -260,11 +260,9 @@ def _run_lindenstrauss(params, seed):
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
+    bundle = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
     columns = ("m", "witness_norm", "running_join_norm")
-    rows = []
-    for m in range(depth):
-        _join, join_norm, y_norm = _lindenstrauss.chain_prefix_join(m + 1, n)
-        rows.append((m, y_norm, join_norm))
+    rows = bundle.series["chain"]
     checks = []
     _push(checks, "witness_norms_equal_two",
           max(abs(r[1] - 2.0) for r in rows) < 1e-9, "exact telescopes")
@@ -273,7 +271,6 @@ def _run_lindenstrauss(params, seed):
           f"{rows[-1][2]!r} vs {depth + 1}")
     _push(checks, "join_grows_by_one_each_step",
           max(abs(r[2] - (r[0] + 2.0)) for r in rows) < 1e-9, "m + 2 at row m")
-    bundle = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
     derived = {}
     for name in ("bibasis", "uniform_quasi_greedy"):
         rep = bundle.reports[name]

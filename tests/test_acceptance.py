@@ -56,10 +56,10 @@ def test_tree_chain_witness_exact_values():
         assert abs(bundle.value("chain_norm") - 2.0) < 1e-9
         for name in ("bibasis", "uniform_quasi_greedy"):
             assert bundle.reports[name].value >= (N + 1) / 2.0 - 1e-9
+        _, join_norms, y_norms = chain_prefix_join(N, n)
         for m in range(N):
-            _, join_norm, y_norm = chain_prefix_join(m + 1, n)
-            assert abs(y_norm - 2.0) < 1e-9
-            assert abs(join_norm - (m + 2.0)) < 1e-9
+            assert abs(y_norms[m] - 2.0) < 1e-9
+            assert abs(join_norms[m] - (m + 2.0)) < 1e-9
     assert time.perf_counter() - start < 10.0
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import triangular as tri
-from latmax.estimation import nuclear_norm
+from latmax.estimation import nuclear_norm, pnorm_bounds
 from latmax.greedy import greedy_maximal, natural_greedy_ordering
 from latmax.systems import coefficients, maximal_partial, partial_sum, reconstruct
 
@@ -90,8 +90,8 @@ def test_prefix_join_matches_dense_machinery():
     a = lind.chain_coefficients(depth, n)
     x = reconstruct(sys, a)
     join, join_l1, x_l1 = lind.chain_prefix_join(depth, n)
-    assert x_l1 == 2.0
-    assert join_l1 == depth + 1.0
+    assert x_l1[-1] == 2.0
+    assert join_l1[-1] == depth + 1.0
     # index-order prefixes: zero coefficients do not move the running sum
     dense = maximal_partial(sys, x, n)
     assert np.array_equal(dense.coords, join)
@@ -128,7 +128,7 @@ def test_witness_certification_raises_on_a_wrong_norm(monkeypatch):
 
     def off_by_one(depth, n):
         join, join_l1, x_l1 = real(depth, n)
-        return join, join_l1 + 1.0, x_l1
+        return join, [v + 1.0 for v in join_l1], x_l1
 
     monkeypatch.setattr(lind, "chain_prefix_join", off_by_one)
     with pytest.raises(RuntimeError):
@@ -139,7 +139,54 @@ def test_streaming_scales_to_deep_chains():
     # depth 10 over the minimal system size, still exact
     n = 3 * 2 ** 9
     join, join_l1, x_l1 = lind.chain_prefix_join(10, n)
-    assert (join_l1, x_l1) == (11.0, 2.0)
+    assert (join_l1[-1], x_l1[-1]) == (11.0, 2.0)
+
+
+def _node_by_node_walk(depth, n):
+    """Reference: the chain walk one node at a time, with the l1 norms of the
+    join and of the running sum taken as each tree level ends."""
+    a = lind.chain_coefficients(depth, n)
+    level_ends = {0} | {int(lind.depth_set(d)[-1]) for d in range(1, depth)}
+    running = np.zeros(2 * n + 2)
+    join = np.zeros(2 * n + 2)
+    join_norms, x_norms = [], []
+    for t in np.flatnonzero(a):
+        c = a[t]
+        c1, c2 = lind.children(t)
+        running[t] += c
+        running[c1] -= c / 2.0
+        running[c2] -= c / 2.0
+        for i in (t, c1, c2):
+            join[i] = max(join[i], abs(running[i]))
+        if t in level_ends:
+            join_norms.append(float(np.abs(join).sum()))
+            x_norms.append(float(np.abs(running).sum()))
+    return join, join_norms, x_norms
+
+
+def test_level_walk_matches_node_by_node_walk():
+    cases = [(depth, 3 * 2 ** (depth - 1) - 2) for depth in range(1, 13)]
+    cases.append((5, 100))  # a system larger than the chain needs
+    for depth, n in cases:
+        join, join_norms, x_norms = lind.chain_prefix_join(depth, n)
+        ref_join, ref_join_norms, ref_x_norms = _node_by_node_walk(depth, n)
+        assert np.array_equal(join, ref_join)
+        assert join_norms == ref_join_norms
+        assert x_norms == ref_x_norms
+        assert len(join_norms) == depth
+
+
+def test_witness_join_is_the_dense_chain_join():
+    for m in (0, 2, 6):  # chain depths 1, 3 and 7
+        n = 3 * 2 ** m
+        bundle = lind.lindenstrauss_witness(m, n)
+        dense = np.zeros(2 * n + 2)
+        for k in range(m + 1):
+            y = lind.chain_element(k + 1, 2 * n + 2)
+            dense = np.maximum(dense, np.abs(y.coords))
+        assert np.array_equal(bundle.vectors["join"].coords, dense)
+        rows = [(k, 2.0, k + 2.0) for k in range(m + 1)]
+        assert bundle.series["chain"] == rows
 
 
 # ---------------------------------------------------------------- kernel
@@ -161,6 +208,13 @@ def test_kernel_spectral_ladder():
         assert abs(got - val) < 1e-9
         assert got <= math.pi + 1e-6
     assert abs(tri.kernel_gauge(1024) - 3.130858555124935) < 1e-6
+
+
+def test_kernel_gauge_is_the_pnorm_bounds_upper_bound():
+    for n in (16, 64):
+        T = tri.hilbert_kernel(n)
+        for p in (1.5, 2.0, 3.0):
+            assert tri.kernel_gauge(n, p) == pnorm_bounds(T, p).upper
 
 
 def test_harmonic_numbers():

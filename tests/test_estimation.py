@@ -127,6 +127,20 @@ def test_sup_search_deterministic_and_budget_monotone():
     assert small.value <= r1.value + 1e-15
 
 
+def test_sup_search_budget_is_a_hard_cap():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((4, 4))
+
+    def obj(w):
+        nrm = np.linalg.norm(w, ord=3)
+        return float(np.linalg.norm(M @ w, ord=3) / nrm) if nrm > 0 else 0.0
+
+    fam = WitnessFamily(random_dim=4, random_count=8, seed=0)
+    for budget in (5, 20, 57, 100):
+        res = sup_search(obj, fam, budget)
+        assert res.evaluations <= budget
+
+
 def test_sup_search_sign_cube_dimension_guard():
     fam = WitnessFamily(sign_dim=21)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -253,6 +254,22 @@ def test_lorentz_norm_basics():
         lor.lorentz_norm(2, 2, [1])
     with pytest.raises(ValueError):
         lor.lorentz_norm(2, 0.5, [1])
+
+
+def test_weight_sums_match_a_direct_cumsum():
+    for p, q in ((4.0, 2.0), (3.0, 2.0)):
+        e = q / p - 1.0
+        direct = np.cumsum(np.arange(1, 2 ** 21 + 1, dtype=float) ** e)
+        for N in (1, 2 ** 16, 2 ** 16 + 1, 2 ** 21):
+            assert lor._sigma_int(N, p, q) == direct[N - 1]
+            assert lor.weight_sum_log2(math.log2(N), p, q) == direct[N - 1]
+        # beyond the table: the Euler-Maclaurin tail, zeta taken directly
+        log2N = 30.0
+        tail = (2.0 ** (log2N * (1.0 + e)) / (1.0 + e)
+                + float(mpmath.zeta(-e))
+                + 2.0 ** (log2N * e) / 2.0
+                + e * 2.0 ** (log2N * (e - 1.0)) / 12.0)
+        assert lor.weight_sum_log2(log2N, p, q) == tail
 
 
 def test_unit_fundamental_matches_direct_norm():
