@@ -17,12 +17,14 @@ import numpy as np
 from scipy.linalg import hadamard as _sylvester
 
 from latmax.constructions.bundles import WitnessBundle
+from latmax.constructions.rademacher import sign_matrix
 from latmax.spaces import DirectSum, Element, LpBlock, SupBlock
 from latmax.systems import BiorthogonalSystem
 
 _MATRIX_LIMIT = 10  # largest n whose 2^n x 2^n matrix we will hold
 _SIZE_LIMIT = 14
 _EXHAUSTIVE_LIMIT = 4  # 2^(2^4) = 65536 patterns is still enumerable
+_CHUNK = 512  # sign patterns drawn and evaluated per batch
 
 
 def walsh_matrix(n: int) -> np.ndarray:
@@ -71,24 +73,29 @@ def mixed_sum_norms(n: int, rows) -> np.ndarray:
 def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     """Largest and smallest signed-sum norm over sign patterns.
 
-    n <= 4 enumerates every pattern, larger n draws `samples` of them;
-    either way the norms land exactly on 1 because the Walsh rows are
-    orthogonal, so max == min == 1.0 is the expected outcome.
+    n <= 4 enumerates every pattern, larger n draws `samples` of them, one
+    batch at a time (a seeded generator yields the same stream however the
+    rows are split into draws); either way the norms land exactly on 1
+    because the Walsh rows are orthogonal, so max == min == 1.0 is the
+    expected outcome.
     """
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     if n <= _EXHAUSTIVE_LIMIT:
-        idx = np.arange(2 ** m, dtype=np.uint32)
-        patterns = (((idx[:, None] >> np.arange(m)) & 1) * 2.0 - 1.0)
+        # row w of the cube takes sign +1 in column k when bit k of w is set
+        cube = sign_matrix(m).T
+        cube *= -1.0
+        batches = (cube[s : s + _CHUNK] for s in range(0, len(cube), _CHUNK))
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
-        patterns = rng.integers(0, 2, size=(samples, m)) * 2.0 - 1.0
+        batches = (rng.integers(0, 2, size=(min(_CHUNK, samples - s), m)) * 2.0 - 1.0
+                   for s in range(0, samples, _CHUNK))
         mode = "sampled"
     worst, best, count = -np.inf, np.inf, 0
-    for start in range(0, len(patterns), 512):
-        norms = mixed_sum_norms(n, patterns[start : start + 512])
+    for batch in batches:
+        norms = mixed_sum_norms(n, batch)
         worst = max(worst, float(norms.max()))
         best = min(best, float(norms.min()))
         count += len(norms)

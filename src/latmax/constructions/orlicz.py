@@ -20,12 +20,13 @@ from latmax.constructions.bundles import WitnessBundle
 
 _KNOT = 0.5
 _GRID = np.linspace(1e-4, 2.0, 400)
+_BISECT_TOL = 1e-10  # relative bracket width that ends luxemburg_norm
 
 
 class OrliczFunction:
     """Spliced convex modular generator, normalized to phi(1) = 1."""
 
-    def __init__(self, knot: float = _KNOT, normalized: bool = True):
+    def __init__(self, knot: float = _KNOT):
         if not 0 < knot <= 0.5:
             # exp(1 - 1/t) stops being convex past 1/2
             raise ValueError("knot must lie in (0, 1/2]")
@@ -33,7 +34,7 @@ class OrliczFunction:
         g = math.exp(1.0 - 1.0 / self.knot)
         self._slope = g / self.knot ** 2
         self._offset = g - self._slope * self.knot
-        self.scale = 1.0 / self._raw(1.0) if normalized else 1.0
+        self.scale = 1.0 / self._raw(1.0)
         self._convexity_check()
 
     def _raw(self, t):
@@ -68,8 +69,9 @@ def modular(phi: OrliczFunction, x) -> float:
     return float(np.sum(phi(np.abs(x[x != 0]))))
 
 
-def luxemburg_norm(phi: OrliczFunction, x, tol: float = 1e-10) -> float:
-    """inf{lambda > 0 : I(x/lambda) <= 1} by bisection.
+def luxemburg_norm(phi: OrliczFunction, x) -> float:
+    """inf{lambda > 0 : I(x/lambda) <= 1} by bisection, to a relative
+    bracket width of 1e-10 (the upper end is returned).
 
     The modular is strictly decreasing in lambda on the support, and
     phi(1) = 1 makes max|x| a valid lower bracket.
@@ -84,7 +86,7 @@ def luxemburg_norm(phi: OrliczFunction, x, tol: float = 1e-10) -> float:
     hi = lo
     while modular(phi, x / hi) > 1.0:
         hi *= 2.0
-    while hi - lo > tol * hi:
+    while hi - lo > _BISECT_TOL * hi:
         mid = 0.5 * (lo + hi)
         if modular(phi, x / mid) > 1.0:
             lo = mid
@@ -93,17 +95,18 @@ def luxemburg_norm(phi: OrliczFunction, x, tol: float = 1e-10) -> float:
     return hi
 
 
-def orderbound_demo(K: int, phi: OrliczFunction = None) -> WitnessBundle:
+def orderbound_demo(K: int) -> WitnessBundle:
     """Norms of the running coordinatewise upper bounds of admissible
     singletons x_k e_k with x_k = 1/log log(k + e^e).
 
     Each singleton has norm x_k < 1, but the upper bound over the first K
     of them is the whole truncated tail, whose norm climbs without
     levelling off; the series records that climb on a dyadic K-grid.
+    The modular is the default OrliczFunction().
     """
     if K < 4:
         raise ValueError("K must be >= 4")
-    phi = phi or OrliczFunction()
+    phi = OrliczFunction()
     ee = math.exp(math.e)
     tail = 1.0 / np.log(np.log(np.arange(1, K + 1) + ee))
     grid = [2 ** j for j in range(2, int(math.log2(K)) + 1)]

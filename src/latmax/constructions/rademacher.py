@@ -26,8 +26,13 @@ def sign_matrix(n: int) -> np.ndarray:
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     omega = np.arange(2 ** n, dtype=np.uint32)
-    bits = (omega[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1
-    return 1.0 - 2.0 * bits
+    bits = omega[None, :] >> np.arange(n, dtype=np.uint32)[:, None]
+    bits &= 1
+    # 1 - 2 * bit, in place: one float copy of the bit table, no temporaries
+    signs = bits.astype(float)
+    signs *= -2.0
+    signs += 1.0
+    return signs
 
 
 def rademacher_l1(n: int) -> BiorthogonalSystem:

@@ -21,11 +21,13 @@ import numpy as np
 
 from latmax.constructions.bundles import WitnessBundle
 # spectral_norm stays bound here: benchmarks/tests checks the tracer rewraps it
-from latmax.estimation import nuclear_norm, pnorm_upper, spectral_norm
+from latmax.estimation import pnorm_upper, spectral_norm
 from latmax.spaces import DirectSum, Element, LpBlock
 from latmax.systems import BiorthogonalSystem
 
 _DENSE_LIMIT = 512
+_NEUMANN_TOL = 1e-12  # max-norm residual of A X - I that ends the iteration
+_NEUMANN_MAX_ITER = 200
 
 
 def harmonic_numbers(n: int) -> np.ndarray:
@@ -53,25 +55,25 @@ def kernel_gauge(n: int, p: float = 2.0) -> float:
     return pnorm_upper(hilbert_kernel(n), p)
 
 
-def neumann_blocks(S: np.ndarray, tol: float = 1e-12, max_iter: int = 200):
+def neumann_blocks(S: np.ndarray):
     """Invert I + [[0, -S], [S, 0]] by the fixed-point iteration X <- I - BX.
 
     The inverse inherits the block shape [[E, F], [-F, E]], so only the two
     n x n blocks are iterated.  Converges geometrically at rate ||S|| (< 1/2
     by construction); returns (E, F, iterations, residual) where residual is
-    the max-norm of A X - I at exit.
+    the max-norm of A X - I at exit, below 1e-12.
 
-    Raises RuntimeError if the tolerance is not reached, which for a
-    half-contraction S would indicate a broken scaling upstream.
+    Raises RuntimeError if that is not reached within 200 iterations, which
+    for a half-contraction S would indicate a broken scaling upstream.
     """
     n = len(S)
     eye = np.eye(n)
     E, F = eye.copy(), np.zeros((n, n))
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEUMANN_MAX_ITER + 1):
         E, F = eye - S @ F, S @ E
         residual = max(np.max(np.abs(E + S @ F - eye)),
                        np.max(np.abs(F - S @ E)))
-        if residual < tol:
+        if residual < _NEUMANN_TOL:
             return E, F, it, residual
     raise RuntimeError(f"Neumann iteration stalled at residual {residual:.3e}")
 
@@ -114,27 +116,26 @@ def witness_norm(n: int, p: float, alpha: float) -> float:
     return _shadow_profiles(n, alpha, p)[2]
 
 
-def certificate_series(ns, p: float = 2.0, alpha0: float = None):
+def certificate_series(ns, p: float = 2.0):
     """Lower-bound series alpha0*(sum_{j<n} H_j^p)^{1/p}, one value per n.
 
-    Each term bounds the corresponding prefix-join norm from below whenever
-    alpha0 is at most every per-n scaling, which the default guarantees:
-    the p = 2 kernel norms increase to pi, so 1/(2 pi) under-scales them
-    all.  For p != 2 the admissible constant is computed from the largest
-    requested n.  A fixed alpha0 keeps the series clean of the drift the
-    per-n scaling would add, which matters when fitting its growth.
+    Each term bounds the corresponding prefix-join norm from below because
+    alpha0 is at most every per-n scaling: the p = 2 kernel norms increase
+    to pi, so alpha0 = 1/(2 pi) under-scales them all.  For p != 2 alpha0
+    is 1/2 over the kernel gauge of the largest requested n.  A fixed
+    alpha0 keeps the series clean of the drift the per-n scaling would
+    add, which matters when fitting its growth.
     """
     ns = sorted(int(n) for n in ns)
     if not ns or ns[0] < 2:
         raise ValueError("need sizes >= 2")
-    if alpha0 is None:
-        alpha0 = 1.0 / (2.0 * math.pi) if p == 2.0 else 0.5 / kernel_gauge(ns[-1], p)
+    alpha0 = 1.0 / (2.0 * math.pi) if p == 2.0 else 0.5 / kernel_gauge(ns[-1], p)
     H = harmonic_numbers(ns[-1])
     powers = np.cumsum(H[: ns[-1]] ** p)
     return [(n, float(alpha0 * powers[n - 1] ** (1.0 / p))) for n in ns]
 
 
-def triangular_basis(n: int, p: float = 2.0, alpha: float = None):
+def triangular_basis(n: int, p: float = 2.0):
     """Build the perturbed basis over l_p^n + l_p^n with its witness data.
 
     Vectors: v_i = e_i + (shadow S e_i), then w_j = (shadow -S e_j) + e_j.
@@ -150,9 +151,8 @@ def triangular_basis(n: int, p: float = 2.0, alpha: float = None):
         raise ValueError(f"dense build capped at n = {_DENSE_LIMIT}")
     T = hilbert_kernel(n)
     gauge = kernel_gauge(n, p)
-    if alpha is None:
-        # shave the certified gauge so ||S|| < 1/2 holds strictly
-        alpha = 0.5 / (gauge * (1.0 + 1e-9))
+    # shave the certified gauge so ||S|| < 1/2 holds strictly
+    alpha = 0.5 / (gauge * (1.0 + 1e-9))
     S = alpha * T
 
     rng = np.random.default_rng(0)

@@ -15,6 +15,8 @@ import scipy.sparse.linalg
 
 _DENSE_SVD_CUTOFF = 768
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10  # bracket width at which a line search stops
+_ASCENT_SWEEPS = 3  # coordinate sweeps over the leader
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -85,7 +87,9 @@ def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
 
     The upper bound is `pnorm_upper`; it is also the lower bound where exact
     (p = 1, 2, inf), else a seeded random-ascent witness search on
-    ||Mx||_p/||x||_p gives the lower bound.
+    ||Mx||_p/||x||_p gives the lower bound.  Raises RuntimeError when that
+    witness lands above the upper bound beyond rounding, since one of the
+    two certificates is then wrong.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -102,8 +106,10 @@ def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
     fam = WitnessFamily(random_dim=M.shape[1], random_count=max(8, budget // 40),
                         seed=seed)
     res = sup_search(ratio, fam, budget)
-    lower = min(res.value, upper)  # ascent numerics must not cross the certificate
-    return OperatorNormBounds(float(p), lower, upper, res.witness)
+    if res.value > upper * (1.0 + 1e-9):
+        raise RuntimeError(f"witness ratio {res.value!r} above the upper "
+                           f"bound {upper!r}")
+    return OperatorNormBounds(float(p), res.value, upper, res.witness)
 
 
 @dataclass
@@ -113,7 +119,7 @@ class WitnessFamily:
     structured: explicit coefficient vectors tried first, in order.
     sign_dim: when set (and <= 20), the full sign cube {-1,+1}^sign_dim.
     random_dim / random_count: unit-sphere samples from a seeded generator.
-    ascent: refine the best candidates by coordinatewise golden-section ascent.
+    ascent: refine the leader by coordinatewise golden-section ascent.
     """
 
     structured: tuple = ()
@@ -122,8 +128,6 @@ class WitnessFamily:
     random_count: int = 0
     seed: int = 0
     ascent: bool = True
-    ascent_sweeps: int = 3
-    ascent_top: int = 3
 
 
 @dataclass
@@ -134,7 +138,7 @@ class SearchResult:
     evaluations: int
 
 
-def _golden_max(f, lo: float, hi: float, max_evals: int, tol: float = 1e-10):
+def _golden_max(f, lo: float, hi: float, max_evals: int):
     """Golden-section maximization on [lo, hi] with at most max_evals (>= 2)
     evaluations of f; returns (arg, value, evals)."""
     a, b = lo, hi
@@ -142,7 +146,7 @@ def _golden_max(f, lo: float, hi: float, max_evals: int, tol: float = 1e-10):
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     evals = 2
-    while (b - a) > tol and evals < max_evals:
+    while (b - a) > _GOLDEN_TOL and evals < max_evals:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
@@ -161,7 +165,7 @@ def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
     """Maximize objective(coeffs) over the family in <= budget evaluations.
 
     Candidates are consumed in a fixed order (structured, sign cube, random),
-    then the leaders are polished by coordinate ascent, so enlarging the
+    then the leader is polished by coordinate ascent, so enlarging the
     budget never loses a previously found witness.
     """
     best_val = -math.inf
@@ -193,7 +197,6 @@ def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
             if not consider(eps, "exhaustive_signs"):
                 break
 
-    pool = []
     if family.random_dim and family.random_count:
         rng = np.random.default_rng(family.seed)
         for _ in range(family.random_count):
@@ -203,36 +206,26 @@ def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
                 w = w / nrm
             if not consider(w, "random_ascent"):
                 break
-            pool.append(w)
 
     if family.ascent and best_wit is not None and evals < budget:
-        # polish the current leader (and a couple of random runners-up)
-        seeds = [best_wit]
-        for w in pool[: max(0, family.ascent_top - 1)]:
-            seeds.append(w)
-        leader_val, leader = best_val, best_wit.copy()
-        for start in seeds:
-            x = np.array(start, dtype=float)
-            for _ in range(family.ascent_sweeps):
-                for i in range(len(x)):
-                    if budget - evals < 2:  # a line search needs two points
-                        break
-                    radius = max(1.0, 2.0 * abs(x[i]))
+        x = best_wit.copy()
+        for _ in range(_ASCENT_SWEEPS):
+            for i in range(len(x)):
+                if budget - evals < 2:  # a line search needs two points
+                    break
+                radius = max(1.0, 2.0 * abs(x[i]))
 
-                    def axis_obj(t, i=i, x=x):
-                        y = x.copy()
-                        y[i] = t
-                        return float(objective(y))
+                def axis_obj(t, i=i, x=x):
+                    y = x.copy()
+                    y[i] = t
+                    return float(objective(y))
 
-                    t, v, used = _golden_max(axis_obj, x[i] - radius,
-                                             x[i] + radius, budget - evals)
-                    evals += used
-                    if v > leader_val:
-                        leader_val = v
-                        x[i] = t
-                        leader = x.copy()
-            if leader_val > best_val:
-                best_val, best_wit, best_src = leader_val, leader.copy(), "random_ascent"
+                t, v, used = _golden_max(axis_obj, x[i] - radius,
+                                         x[i] + radius, budget - evals)
+                evals += used
+                if v > best_val:
+                    x[i] = t
+                    best_val, best_wit, best_src = v, x.copy(), "random_ascent"
 
     if best_wit is None:
         raise ValueError("empty witness family or zero budget")

@@ -21,6 +21,9 @@ from latmax.systems import (BiorthogonalSystem, ConstantReport,
                             _prefix_join_ratio, _prefix_norm_ratio,
                             _ratio_search, coefficients)
 
+_STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
+_ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
+
 
 @dataclass(frozen=True)
 class GreedyOrdering:
@@ -107,16 +110,16 @@ def ordered_projection_maximal(sys: BiorthogonalSystem, x, A) -> Element:
     return Element(sys.space, _ordered_join(sys, a, A))
 
 
-def strictify(coeffs, ordering: GreedyOrdering, scale: float = 1e-13):
+def strictify(coeffs, ordering: GreedyOrdering):
     """Nudge moduli so the given greedy ordering becomes the unique natural
-    one.  The bump at permutation position j is (K - j) * scale, small enough
+    one.  The bump at permutation position j is (K - j) * 1e-13, small enough
     to preserve every strict modulus gap but break all exact ties."""
     a = np.asarray(coeffs, dtype=float).copy()
     perm = np.asarray(ordering.permutation, dtype=int)
     K = len(perm)
     for j, idx in enumerate(perm):
         if a[idx] != 0:
-            a[idx] += math.copysign((K - j) * scale, a[idx])
+            a[idx] += math.copysign((K - j) * _STRICTIFY_SCALE, a[idx])
     return a
 
 
@@ -138,13 +141,13 @@ def _quasi_greedy_ratio(sys, a):
     return peak / nx, supp
 
 
-def _uqg_ratio(sys, a, enumerate_orderings=False, ordering_limit=40320):
+def _uqg_ratio(sys, a, enumerate_orderings=False):
     """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size)."""
     av, supp, nx = _greedy_setup(sys, a)
     if not supp:
         return 0.0, 0
     if enumerate_orderings:
-        orderings = all_greedy_orderings(av, limit=ordering_limit)
+        orderings = all_greedy_orderings(av, limit=_ORDERING_LIMIT)
     else:
         orderings = [natural_greedy_ordering(av)]
     r = max(sys.space.norm(
@@ -159,17 +162,17 @@ def quasi_greedy_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
 
 
 def uqg_constant(sys: BiorthogonalSystem, witnesses,
-                 enumerate_orderings: bool = False,
-                 ordering_limit: int = 40320) -> ConstantReport:
+                 enumerate_orderings: bool = False) -> ConstantReport:
     """max over witnesses of ||G^v_supp(x)|| / ||x||.
 
     With enumerate_orderings the maximum also runs over every greedy ordering
-    of each witness (tie groups permuted; feasible for support <= 12), which
-    makes the tie-independence of the supremum checkable exactly.
+    of each witness (tie groups permuted, at most 8! = 40320 orderings per
+    witness, else ValueError), which makes the tie-independence of the
+    supremum checkable exactly.
     """
     return _ratio_search(
         sys, witnesses,
-        lambda s, a: _uqg_ratio(s, a, enumerate_orderings, ordering_limit),
+        lambda s, a: _uqg_ratio(s, a, enumerate_orderings),
         "uniform_quasi_greedy")
 
 
@@ -210,25 +213,21 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 
     # coordinate ascent polishes the incumbent: sign flips, then halvings
     # and doublings of single coefficients, keeping improvements
-    r0, a0, A0, src0 = state["best"]
+    a0, A0, src0 = state["best"][1:]
     if a0 is not None:
         for factor in (-1.0, 0.5, 2.0):
             for idx in A0:
                 if state["evals"] >= budget:
                     break
-                trial = a0.copy()
+                trial = state["best"][1].copy()
                 trial[idx] *= factor
-                consider(trial, A0, "random_ascent" if src0 != "structured_family"
-                         else "structured_family")
-                if state["best"][0] > r0:
-                    r0, a0 = state["best"][0], state["best"][1]
+                consider(trial, A0, src0)
 
     value, wit, A, source = state["best"]
     if wit is None:
         raise ValueError("budget too small to evaluate any witness")
-    return ConstantReport("kvee", float(value), wit,
-                          source if source == "structured_family" else "random_ascent",
-                          state["evals"], indices=A)
+    return ConstantReport("kvee", float(value), wit, source, state["evals"],
+                          indices=A)
 
 
 # constant name -> witness ratio (sys, a) -> (ratio, support size); kvee

@@ -135,9 +135,6 @@ class DirectSum(SpaceDescriptor):
         offs = np.cumsum([0] + [part.dim for part in parts])
         self._slices = [slice(int(a), int(b)) for a, b in zip(offs[:-1], offs[1:])]
 
-    def part_slices(self):
-        return list(self._slices)
-
     def norms(self, rows: np.ndarray) -> np.ndarray:
         per = np.stack(
             [part.norms(rows[:, sl]) for part, sl in zip(self.parts, self._slices)],

@@ -31,6 +31,7 @@ CONSTANT_NAMES = (
 SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _CHECK_CUTOFF = 512  # full gram validation below, sampled above
+_GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
 _SCAN_BLOCK = 64  # rows per prefix-scan block; small blocks stay in cache
 
 
@@ -56,7 +57,7 @@ class BiorthogonalSystem:
         if check:
             self._check_gram()
 
-    def _check_gram(self, tol: float = 1e-9):
+    def _check_gram(self):
         n = len(self)
         if n <= _CHECK_CUTOFF:
             gram = self.functionals @ self.vectors.T
@@ -70,17 +71,11 @@ class BiorthogonalSystem:
             eye = np.zeros((len(rows), n))
             eye[np.arange(len(rows)), rows] = 1.0
             err = np.abs(gram - eye).max()
-        if err > tol:
+        if err > _GRAM_TOL:
             raise ValueError(f"biorthogonality violated: max error {err:.3e}")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    def vector(self, k: int) -> Element:
-        return Element(self.space, self.vectors[k])
-
-    def functional(self, k: int) -> Element:
-        return Element(self.space, self.functionals[k])
 
 
 def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latmax import estimation
 from latmax.estimation import (GrowthFit, WitnessFamily, growth_fit,
                                growth_fit_residual, nuclear_norm,
                                spectral_norm, sup_search)
@@ -141,6 +144,31 @@ def test_sup_search_budget_is_a_hard_cap():
         assert res.evaluations <= budget
 
 
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 6), mseed=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(0, 2 ** 32 - 1), random_count=st.integers(1, 40),
+       extra=st.integers(0, 200))
+def test_sup_search_properties_on_random_matrices(dim, mseed, seed,
+                                                  random_count, extra):
+    M = np.random.default_rng(mseed).standard_normal((dim, dim))
+
+    def obj(w):
+        nrm = np.linalg.norm(w, ord=3)
+        return float(np.linalg.norm(M @ w, ord=3) / nrm) if nrm > 0 else 0.0
+
+    budget = random_count + extra
+    fam = WitnessFamily(random_dim=dim, random_count=random_count, seed=seed)
+    res = sup_search(obj, fam, budget)
+    assert res.evaluations <= budget
+    again = sup_search(obj, fam, budget)
+    assert again.value == res.value
+    assert np.array_equal(again.witness, res.witness)
+    # same candidates either way; the ascent only replaces an improved leader
+    flat = sup_search(obj, WitnessFamily(random_dim=dim, random_count=random_count,
+                                         seed=seed, ascent=False), budget)
+    assert res.value >= flat.value
+
+
 def test_sup_search_sign_cube_dimension_guard():
     fam = WitnessFamily(sign_dim=21)
     with pytest.raises(ValueError):
@@ -177,3 +205,11 @@ def test_pnorm_bounds_interpolated_encloses_truth():
         b = pnorm_bounds(D, p, budget=3000, seed=0)
         assert b.upper >= 4.0 - 1e-9
         assert b.lower <= 4.0 + 1e-9
+
+
+def test_pnorm_bounds_raises_when_the_witness_beats_the_upper_bound(monkeypatch):
+    exact = estimation.pnorm_upper
+    monkeypatch.setattr(estimation, "pnorm_upper", lambda M, p: 0.5 * exact(M, p))
+    M = np.random.default_rng(2).standard_normal((5, 5))
+    with pytest.raises(RuntimeError):
+        estimation.pnorm_bounds(M, 3.0, budget=200)
