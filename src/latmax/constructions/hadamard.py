@@ -7,11 +7,13 @@ all 2^(2^n) sign patterns, while the modulus sum fills both blocks with
 ones and costs 2^{n/2}.  The gap between those two numbers is the whole
 point of the construction.
 
-Large n never materializes the 2^n x 2^n sign matrix; batch Walsh
-transforms evaluate the l2 block row by row.
+Large n never materializes the 2^n x 2^n sign matrix; batch Walsh transforms,
+two small Sylvester products by the Kronecker split, evaluate the l2 block.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg import hadamard as _sylvester
@@ -34,26 +36,31 @@ def walsh_matrix(n: int) -> np.ndarray:
     return _sylvester(2 ** n).astype(float)
 
 
+@functools.lru_cache(maxsize=None)
+def _factor(k: int) -> np.ndarray:
+    """Read-only walsh_matrix(k), built once per order."""
+    H = walsh_matrix(k)
+    H.flags.writeable = False
+    return H
+
+
 def fwht_rows(X) -> np.ndarray:
     """Walsh transform of each row (multiplication by the Sylvester matrix).
 
-    In-place butterflies, n passes over the batch; exact in float64 for
+    H_n = H_lo (x) H_hi with lo = n // 2 maps a row, viewed as a 2^lo x 2^hi
+    array, to H_lo @ row @ H_hi: one GEMM by H_hi, one stacked product by
+    H_lo, rows up to 2^(2 * _MATRIX_LIMIT) wide.  Exact in float64 for
     integer inputs of modest size since every intermediate is an integer.
     """
-    X = np.array(X, dtype=float, copy=True)
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("expected a batch of rows")
     m = X.shape[1]
-    if m & (m - 1):
+    if m < 1 or m & (m - 1):
         raise ValueError("row length must be a power of two")
-    h = 1
-    while h < m:
-        X = X.reshape(X.shape[0], -1, 2, h)
-        a, b = X[:, :, 0, :], X[:, :, 1, :]
-        X[:, :, 0, :], X[:, :, 1, :] = a + b, a - b
-        X = X.reshape(X.shape[0], m)
-        h *= 2
-    return X
+    lo, hi = (m.bit_length() - 1) // 2, m.bit_length() // 2  # lo + hi = n
+    Y = (X.reshape(-1, 2 ** hi) @ _factor(hi)).reshape(len(X), 2 ** lo, 2 ** hi)
+    return np.matmul(_factor(lo), Y).reshape(len(X), m)
 
 
 def mixed_sum_norms(n: int, rows) -> np.ndarray:

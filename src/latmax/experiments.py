@@ -344,8 +344,9 @@ def _run_rademacher(params, seed):
     sysm = _rademacher.rademacher_l1(n)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((trials, n))
-    sums = np.abs(A) @ np.abs(sysm.vectors)
-    norms = sysm.space.norms(sums)
+    V = np.abs(sysm.vectors)  # modulus sums 64 trials at a time, not trials x 2^n
+    norms = np.concatenate([sysm.space.norms(np.abs(A[s:s + 64]) @ V)
+                            for s in range(0, trials, 64)])
     target = np.abs(A).sum(axis=1)
     worst = float(np.max(np.abs(norms / target - 1.0)))
     ms = list(range(2, params["m_max"] + 1, 2))
@@ -399,6 +400,8 @@ def _run_triangular(params, seed):
     ns = _pow2_grid(params["n_min"], params["n_max"])
     if params["n_max"] > 2048:
         raise UsageError("n_max above 2048 is out of range")
+    if params["extremes_at"] < 2:
+        raise UsageError("extremes_at must be at least 2")
     columns = ("n", "kernel_gauge", "alpha", "witness_norm", "join_norm",
                "ratio_to_scale")
     rows, checks = [], []

@@ -28,6 +28,50 @@ def test_fwht_matches_matrix_multiply():
         assert np.max(np.abs(had.fwht_rows(X) - X @ H)) < 1e-10
 
 
+def _butterfly_fwht(X):
+    """The n-pass in-place butterfly transform, kept as the reference."""
+    X = np.array(X, dtype=float, copy=True)
+    m = X.shape[1]
+    h = 1
+    while h < m:
+        X = X.reshape(X.shape[0], -1, 2, h)
+        a, b = X[:, :, 0, :], X[:, :, 1, :]
+        X[:, :, 0, :], X[:, :, 1, :] = a + b, a - b
+        X = X.reshape(X.shape[0], m)
+        h *= 2
+    return X
+
+
+def test_kronecker_fwht_is_bitwise_the_butterfly():
+    # every intermediate is an integer below 2^53, so summation order is moot
+    rng = np.random.default_rng(11)
+    for n in range(1, 15):
+        for rows in (1, 3, 513):
+            signs = rng.integers(0, 2, size=(rows, 2 ** n)) * 2.0 - 1.0
+            small = rng.integers(-7, 8, size=(rows, 2 ** n)).astype(float)
+            for X in (signs, small):
+                out = had.fwht_rows(X)
+                assert out.shape == X.shape
+                assert np.array_equal(out, _butterfly_fwht(X)), (n, rows)
+
+
+def test_fwht_matches_the_dense_product_on_gaussian_rows():
+    rng = np.random.default_rng(5)
+    for n in range(1, 11):
+        X = rng.standard_normal((7, 2 ** n))
+        assert np.max(np.abs(had.fwht_rows(X) - X @ had.walsh_matrix(n))) < 1e-10
+
+
+def test_fwht_factors_are_cached_read_only():
+    had.fwht_rows(np.ones((2, 2 ** 9)))
+    for k in (4, 5):
+        H = had._factor(k)
+        assert H is had._factor(k)
+        assert np.array_equal(H, had.walsh_matrix(k))
+        with pytest.raises(ValueError):
+            H[0, 0] = 0.0
+
+
 def test_walsh_rows_orthogonal():
     for n in (2, 6):
         H = had.walsh_matrix(n)

@@ -197,6 +197,29 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     assert main(["run", "--experiment", "rademacher-l1", "--param", "m_max=1020",
                  "--out", str(tmp_path)]) == 2
+    # the perturbation extremes need a kernel of size 2 or more
+    for extremes_at in ("1", "0", "-1"):
+        assert main(["run", "--experiment", "triangular",
+                     "--param", f"extremes_at={extremes_at}",
+                     "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+
+
+def test_every_integer_parameter_rejects_zero_and_negative(tmp_path, capsys):
+    # ambient=0 is the documented automatic value, not a size
+    allowed = {("lindenstrauss-witness", "ambient", 0)}
+    swept = 0
+    for name, _, defaults in list_experiments():
+        for key, default in defaults.items():
+            if type(default) is not int:
+                continue
+            for value in (0, -1):
+                code = main(["run", "--experiment", name,
+                             "--param", f"{key}={value}", "--out", str(tmp_path)])
+                expected = 0 if (name, key, value) in allowed else 2
+                assert code == expected, (name, key, value, code)
+                swept += 1
+    assert swept >= 2 * 12
     capsys.readouterr()
 
 
