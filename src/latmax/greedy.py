@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from latmax.spaces import Element
-from latmax.systems import (BiorthogonalSystem, ConstantReport,
-                            _modulus_sum_ratio, _ordered_join, _prefix_blocks,
-                            _prefix_join_ratio, _prefix_norm_ratio,
-                            _ratio_search, coefficients)
+from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
+                            _column_scan, _modulus_sum_ratio, _ordered_join,
+                            _prefix_blocks, _prefix_join_ratio,
+                            _prefix_norm_ratio, _ratio_search, coefficients)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -185,7 +185,7 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best": (-np.inf, None, None, None)}
 
-    def consider(a, A, source):
+    def consider(a, A, source, join=None):
         if state["evals"] >= budget:
             return
         a = np.asarray(a, dtype=float)
@@ -195,7 +195,9 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
         if nx == 0:
             return
         state["evals"] += 1
-        r = sys.space.norm(_ordered_join(sys, a, A)) / nx
+        if join is None:
+            join = _ordered_join(sys, a, A)
+        r = sys.space.norm(join) / nx
         if r > state["best"][0]:
             state["best"] = (r, a, A, source)
 
@@ -203,13 +205,20 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
         if len(A) <= m:
             consider(a, A, "structured_family")
 
-    n = len(sys)
-    while state["evals"] < max(0, budget - 2 * m):
-        size = int(rng.integers(1, m + 1))
-        A = rng.permutation(n)[:size]
-        a = np.zeros(n)
-        a[A] = rng.standard_normal(size)
-        consider(a, A, "random_ascent")
+    # random ordered subsets, joined _SCAN_BLOCK at a time; never more draws
+    # than the one-by-one loop makes, since each batch needs that many evals
+    n, limit = len(sys), max(0, budget - 2 * m)
+    while state["evals"] < limit:
+        batch = []
+        for _ in range(min(_SCAN_BLOCK, limit - state["evals"])):
+            size = int(rng.integers(1, m + 1))
+            A = rng.permutation(n)[:size]
+            a = np.zeros(n)
+            a[A] = rng.standard_normal(size)
+            batch.append((a, A))
+        joins = np.abs(_column_scan(sys, *zip(*batch))).max(axis=2)
+        for (a, A), join in zip(batch, joins):
+            consider(a, A, "random_ascent", join)
 
     # coordinate ascent polishes the incumbent: sign flips, then halvings
     # and doublings of single coefficients, keeping improvements

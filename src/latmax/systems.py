@@ -3,7 +3,8 @@
 A system pairs vectors x_k with coefficient functionals f_k, both stored as
 dense coordinate rows over one host space.  Functionals pair with elements by
 the plain (unweighted) dot product; constructions over weighted hosts bake
-their weights into the functional coordinates.
+their weights into the functional coordinates.  Ordered joins scan only the
+nonzeros of the vector rows, column by column (``_column_scan``).
 
 Constants (basis, bidemocracy-style joins, absolute bounds, greedy variants)
 are always reported as certified lower bounds together with the witness that
@@ -12,6 +13,7 @@ attained them.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -32,7 +34,7 @@ SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _CHECK_CUTOFF = 512  # full gram validation below, sampled above
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
-_SCAN_BLOCK = 64  # rows per prefix-scan block; small blocks stay in cache
+_SCAN_BLOCK = 64  # rows per dense scan block, candidates per batched kvee join
 
 
 class BiorthogonalSystem:
@@ -77,6 +79,15 @@ class BiorthogonalSystem:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
+    @functools.cached_property
+    def row_support(self):
+        """Nonzeros of ``vectors`` as CSR (indptr, cols, vals), derived on the
+        first join and cached: a system's arrays must not be mutated."""
+        flat = np.flatnonzero(self.vectors != 0)
+        dim = self.vectors.shape[1]
+        indptr = np.searchsorted(flat, np.arange(len(self) + 1) * dim)
+        return indptr, flat % dim, self.vectors.ravel()[flat]
+
 
 def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:
     if isinstance(x, Element):
@@ -106,9 +117,8 @@ def _prefix_blocks(sys: BiorthogonalSystem, a: np.ndarray, perm):
     then each row adds the one before it: the same additions in the same
     order as one np.cumsum(axis=0), so the sums agree bit for bit, while
     only a block of rows is ever held.  (np.cumsum runs axis 0 of a
-    C-ordered block as a strided inner loop, several times slower.)  This
-    is the one prefix scan; every caller reduces the blocks to what it
-    needs.
+    C-ordered block as a strided inner loop, several times slower.)  Only
+    per-prefix norms need this dense scan; joins use ``_column_scan``.
     """
     carry = None
     for start in range(0, len(perm), _SCAN_BLOCK):
@@ -122,12 +132,38 @@ def _prefix_blocks(sys: BiorthogonalSystem, a: np.ndarray, perm):
         yield rows
 
 
+def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
+    """Every value each coordinate's prefix sum takes, for B pairs (a, perm).
+
+    Row (b, c) of the (B, dim, width) table is the running sum of the terms
+    a_k x_k[c] along perms[b], gathered from the row support, stable-sorted
+    by (pair, coordinate) and zero-padded.  The dense scan adds only exact
+    zeros between these terms and the padding repeats the last value, so
+    the table holds its prefix values bit for bit (up to the sign of zero);
+    the last column is the full sum.  This is the one join kernel.
+    """
+    ptr, cols, vals = sys.row_support
+    dim, B = sys.space.dim, len(perms)
+    perms = [np.asarray(p, dtype=np.intp) for p in perms]
+    rows = np.concatenate(perms)
+    cnt = ptr[rows + 1] - ptr[rows]
+    # positions of the scanned rows' nonzeros, rows in scan order
+    pos = np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+    w = np.concatenate([np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
+    off = np.repeat(np.arange(B) * dim, [len(p) for p in perms])
+    seg = np.repeat(off, cnt) + cols[pos]
+    order = np.argsort(seg, kind="stable")
+    seg = seg[order]
+    seg_len = np.bincount(seg, minlength=B * dim)
+    slot = np.arange(len(seg)) - (np.cumsum(seg_len) - seg_len)[seg]
+    table = np.zeros((B * dim, max(1, seg_len.max())))
+    table[seg, slot] = (np.repeat(w, cnt) * vals[pos])[order]
+    return np.cumsum(table, axis=1, out=table).reshape(B, dim, -1)
+
+
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
-    join = np.zeros(sys.space.dim)
-    for rows in _prefix_blocks(sys, a, perm):
-        np.maximum(join, np.max(np.abs(rows), axis=0), out=join)
-    return join
+    return np.abs(_column_scan(sys, [a], [perm])[0]).max(axis=1)
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -193,14 +229,14 @@ def report_from_json(obj) -> ConstantReport:
 def _ratio_search(sys, witnesses, ratio_fn, name):
     """Best witness under ratio_fn(sys, a) -> (ratio, support size).
 
-    Every witness is traced as (id, ratio, m); a zero-support witness
-    is traced with m = 0 but never kept.
+    Every witness is traced as (id, ratio, m); a zero-support witness,
+    the empty one included, is traced with m = 0 but never kept.
     """
     best_val, best_wit = -np.inf, None
     rows = []
     for wid, w in enumerate(witnesses):
         a = np.asarray(w, dtype=float)
-        r, m = ratio_fn(sys, a)
+        r, m = ratio_fn(sys, a) if len(a) else (0.0, 0)
         rows.append((wid, float(r), int(m)))
         if m and r > best_val:
             best_val, best_wit = r, a
@@ -219,10 +255,9 @@ def _prefix_norm_ratio(sys, a):
 
 
 def _prefix_join_ratio(sys, a):
-    join = np.zeros(sys.space.dim)
-    for rows in _prefix_blocks(sys, a, np.arange(len(a))):
-        np.maximum(join, np.max(np.abs(rows), axis=0), out=join)
-    return sys.space.norm(join) / sys.space.norms(rows[-1:])[0], len(a)
+    table = _column_scan(sys, [a], [np.arange(len(a))])[0]
+    full = sys.space.norms(table[None, :, -1])[0]
+    return sys.space.norm(np.abs(table).max(axis=1)) / full, len(a)
 
 
 def _modulus_sum_ratio(sys, a):

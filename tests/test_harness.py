@@ -202,6 +202,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["run", "--experiment", "triangular",
                      "--param", f"extremes_at={extremes_at}",
                      "--out", str(tmp_path)]) == 2
+    # haar-bibasis goes as deep as haar-branch: J 2..12
+    assert main(["run", "--experiment", "haar-bibasis", "--param", "J=13",
+                 "--out", str(tmp_path)]) == 2
+    assert main(["run", "--experiment", "haar-bibasis", "--param", "J=11",
+                 "--param", "samples=2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
 
 

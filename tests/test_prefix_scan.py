@@ -1,21 +1,29 @@
-"""Property tests for the blocked prefix scan behind every dense prefix join."""
+"""Property tests for the two prefix scans: the column-segmented join kernel
+over each system's row support, and the blocked dense scan behind the
+per-prefix norms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmax.greedy import greedy_maximal
+from latmax.constructions.haar import (branch_coefficients, branch_ordering,
+                                       haar_system)
+from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.spaces import LpBlock
-from latmax.systems import _SCAN_BLOCK, BiorthogonalSystem, _ordered_join
+from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, _column_scan,
+                            _ordered_join, _prefix_blocks)
 
 
 @st.composite
 def systems(draw):
-    """A random dense system of up to two and a half scan blocks.
+    """A random system of up to two and a half scan blocks.
 
     Rounded draws put exact ties, zero coefficients and cancelling partial
-    sums in play; the functionals are arbitrary, since neither the scan
-    nor the greedy join needs biorthogonality.
+    sums in play; a zero mask makes the rows sparse, and the last
+    coordinate may be untouched by every row.  The functionals are
+    arbitrary, since neither scan nor the greedy join needs
+    biorthogonality.
     """
     n = draw(st.integers(1, 2 * _SCAN_BLOCK + _SCAN_BLOCK // 2))
     dim = draw(st.integers(1, 5))
@@ -24,8 +32,19 @@ def systems(draw):
     a = rng.standard_normal(n)
     if draw(st.booleans()):
         V, a = np.round(2 * V), np.round(a)
+    V[rng.random((n, dim)) < draw(st.sampled_from((0.0, 0.5, 0.9)))] = 0.0
+    if draw(st.booleans()):
+        V[:, -1] = 0.0
     F = rng.standard_normal((n, dim))
     return BiorthogonalSystem(LpBlock(dim, 2.0), V, F, check=False), a
+
+
+def _cumsum_oracle(V, a, order):
+    """(join, full sum) from one dense np.cumsum over the ordered rows."""
+    if not len(order):
+        return np.zeros(V.shape[1]), np.zeros(V.shape[1])
+    sums = np.cumsum(a[order][:, None] * V[order], axis=0)
+    return np.max(np.abs(sums), axis=0), sums[-1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,6 +57,36 @@ def test_ordered_join_is_bitwise_the_sequential_cumsum(sys_a, data):
     order = np.asarray(data.draw(st.permutations(range(n)), label="order"))[:length]
     oracle = np.max(np.abs(np.cumsum(a[order][:, None] * V[order], axis=0)), axis=0)
     assert _ordered_join(sys, a, order).tobytes() == oracle.tobytes()
+    # the dense block scan, kept for per-prefix norms, is the same cumsum
+    blocks = np.concatenate(list(_prefix_blocks(sys, a, order)))
+    assert blocks.tobytes() == np.cumsum(a[order][:, None] * V[order], axis=0).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.data())
+def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
+    sys, _ = sys_a
+    n, dim = len(sys), sys.space.dim
+    V = sys.vectors.copy()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 4), label="pairs")):
+        a = rng.standard_normal(n)
+        if data.draw(st.booleans(), label="rounded"):
+            a = np.round(a)
+        length = data.draw(st.integers(0, n), label="length")
+        pairs.append((a, rng.permutation(n)[:length]))
+    # a coordinate untouched by the first scanned row
+    if len(pairs[0][1]):
+        V[pairs[0][1][0], rng.integers(dim)] = 0.0
+    sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
+    table = _column_scan(sys, [a for a, _ in pairs], [p for _, p in pairs])
+    assert table.shape[:2] == (len(pairs), dim)
+    for (a, order), rows in zip(pairs, table):
+        join, full = _cumsum_oracle(V, a, order)
+        assert np.abs(rows).max(axis=1).tobytes() == join.tobytes()
+        # equal up to the sign of zero, which no norm sees
+        assert (rows[:, -1] + 0.0).tobytes() == (full + 0.0).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -50,3 +99,90 @@ def test_greedy_join_is_monotone_in_m(sys_a):
         cur = greedy_maximal(sys, x, m).coords
         assert np.all(cur >= prev)  # exact, no tolerance
         prev = cur
+
+
+def test_haar_join_is_doobs_maximal_function():
+    # along the natural order each Haar partial sum is a conditional
+    # expectation E_j x at every point, so the join is max_j |E_j x|,
+    # here from dyadic block means, sharing no code with either scan
+    rng = np.random.default_rng(2026)
+    for J in range(1, 11):
+        sysm = haar_system(J, 2.0)
+        for _ in range(20):
+            x = rng.standard_normal(2 ** J)
+            doob = np.max([np.abs(np.repeat(x.reshape(2 ** j, -1).mean(axis=1),
+                                            2 ** (J - j)))
+                           for j in range(J + 1)], axis=0)
+            join = ordered_projection_maximal(sysm, x, np.arange(2 ** J)).coords
+            assert np.all(np.abs(join - doob) <= 1e-12 * doob), J
+
+
+def _kvee_reference(sys, m, budget, seed=0, structured=()):
+    """The one-by-one kvee search, each join a dense np.cumsum."""
+    rng = np.random.default_rng(seed)
+    state = {"evals": 0, "best": (-np.inf, None, None, None)}
+
+    def consider(a, A, source):
+        if state["evals"] >= budget:
+            return
+        a = np.asarray(a, dtype=float)
+        A = np.asarray(A, dtype=int)
+        nx = sys.space.norm(a @ sys.vectors[: len(a)])
+        if nx == 0:
+            return
+        state["evals"] += 1
+        r = sys.space.norm(_cumsum_oracle(sys.vectors, a, A)[0]) / nx
+        if r > state["best"][0]:
+            state["best"] = (r, a, A, source)
+
+    for a, A in structured:
+        if len(A) <= m:
+            consider(a, A, "structured_family")
+    n = len(sys)
+    while state["evals"] < max(0, budget - 2 * m):
+        size = int(rng.integers(1, m + 1))
+        A = rng.permutation(n)[:size]
+        a = np.zeros(n)
+        a[A] = rng.standard_normal(size)
+        consider(a, A, "random_ascent")
+    a0, A0, src0 = state["best"][1:]
+    if a0 is not None:
+        for factor in (-1.0, 0.5, 2.0):
+            for idx in A0:
+                if state["evals"] >= budget:
+                    break
+                trial = state["best"][1].copy()
+                trial[idx] *= factor
+                consider(trial, A0, src0)
+    return state["best"], state["evals"]
+
+
+def test_batched_kvee_is_bitwise_the_serial_search():
+    for J in range(3, 7):
+        haar = haar_system(J, 2.0)
+        # zero vectors make some candidates sum to 0: skipped, uncounted
+        gapped = haar.vectors.copy()
+        gapped[1::2] = 0.0
+        order, coeffs = branch_ordering(J), branch_coefficients(J, 2.0)
+        structured = []
+        for k in range(1, len(order) + 1):
+            a = np.zeros(len(haar))
+            a[order[:k]] = coeffs[order[:k]]
+            structured.append((a, np.array(order[:k])))
+        for sysm in (haar, BiorthogonalSystem(haar.space, gapped,
+                                              haar.functionals, check=False)):
+            for budget in (10, 45, 130, 300):
+                for m in (2, 4, 8):
+                    for family in ((), structured):
+                        seed = budget + m
+                        (value, wit, A, source), evals = _kvee_reference(
+                            sysm, m, budget, seed, family)
+                        if wit is None:  # nothing evaluated
+                            with pytest.raises(ValueError, match="budget too small"):
+                                kvee_estimate(sysm, m, budget, seed, family)
+                            continue
+                        rep = kvee_estimate(sysm, m, budget, seed, family)
+                        assert rep.value == value
+                        assert rep.witness.tobytes() == wit.tobytes()
+                        assert rep.indices.tobytes() == A.tobytes()
+                        assert (rep.search, rep.budget) == (source, evals)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latmax.constructions.haar import haar_system
 from latmax.spaces import element, lp_block
 from latmax.systems import (BiorthogonalSystem, ConstantReport,
                             absolute_constant, basis_constant,
@@ -112,6 +113,16 @@ def test_bibasis_dominates_basis_dominates_one():
         bb = bibasis_constant(sys, witnesses).value
         assert bb >= b - 1e-12
         assert b >= 1.0 - 1e-12
+
+
+def test_empty_witness_is_zero_support():
+    sys = haar_system(3, 2.0)
+    for builder in (basis_constant, bibasis_constant, absolute_constant):
+        with pytest.raises(ValueError, match="no witness with nonzero support"):
+            builder(sys, [[]])
+        rep = builder(sys, [[], np.ones(8)])
+        assert rep.rows[0] == (0, 0.0, 0)
+        assert np.array_equal(rep.witness, np.ones(8))
 
 
 def test_absolute_constant_sign_invariant_hosts():
