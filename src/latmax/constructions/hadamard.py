@@ -97,7 +97,8 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
-        batches = (rng.integers(0, 2, size=(min(_CHUNK, samples - s), m)) * 2.0 - 1.0
+        batches = (rng.integers(0, 2, size=(min(_CHUNK, samples - s), m),
+                                dtype=bool) * 2.0 - 1.0
                    for s in range(0, samples, _CHUNK))
         mode = "sampled"
     worst, best, count = -np.inf, np.inf, 0

@@ -79,12 +79,7 @@ def weight_sum_log2(log2N: float, p: float, q: float) -> float:
 
 
 def _sigma_int(N: int, p: float, q: float) -> float:
-    if N == 0:
-        return 0.0
-    if N <= _TABLE_LIMIT:
-        e = q / p - 1.0
-        return float(_sigma_table(e)[N - 1])
-    return weight_sum_log2(math.log2(N), p, q)
+    return weight_sum_log2(math.log2(N), p, q) if N else 0.0
 
 
 def unit_fundamental(p: float, q: float, ns):
@@ -99,8 +94,8 @@ def block_series(p: float, q: float, ms):
     Block i occupies 2^i fresh coordinates at height sigma(2^i)^{-1/q},
     i = 1..m.  Heights decrease with i, so the rearrangement keeps blocks
     in order and the norm^q telescopes over the weight increments between
-    the cumulative lengths N_i = 2^{i+1} - 2.  Large i switches to the
-    log2-addressed tail; every term is a ratio of comparable magnitudes,
+    the cumulative lengths N_i = 2^{i+1} - 2, each sigma(N_i) computed once
+    and addressed by log2 N; every term is a ratio of comparable magnitudes,
     so nothing overflows even when N_m cannot be written down.
     """
     _validate(p, q)
@@ -109,16 +104,11 @@ def block_series(p: float, q: float, ms):
         raise ValueError("need block counts >= 1")
     top = ms[-1]
     terms = np.zeros(top + 1)
+    prev = 0.0  # sigma(N_0) = sigma(0)
     for i in range(1, top + 1):
-        if i <= 20:
-            num = _sigma_int(2 ** (i + 1) - 2, p, q) - _sigma_int(2 ** i - 2, p, q)
-            den = _sigma_int(2 ** i, p, q)
-        else:
-            log2_Ni = (i + 1) + math.log1p(-(2.0 ** -i)) / _LOG2_LN
-            log2_prev = i + math.log1p(-(2.0 ** -(i - 1))) / _LOG2_LN
-            num = weight_sum_log2(log2_Ni, p, q) - weight_sum_log2(log2_prev, p, q)
-            den = weight_sum_log2(float(i), p, q)
-        terms[i] = num / den
+        cur = weight_sum_log2((i + 1) + math.log1p(-(2.0 ** -i)) / _LOG2_LN, p, q)
+        terms[i] = (cur - prev) / weight_sum_log2(float(i), p, q)
+        prev = cur
     partial = np.cumsum(terms)
     return [(m, float(partial[m] ** (1.0 / q))) for m in ms]
 

@@ -15,6 +15,7 @@ algebra; the dense route exists for cross-checking at small n.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ def hilbert_kernel(n: int) -> np.ndarray:
     return T
 
 
+@functools.lru_cache(maxsize=None)
 def kernel_gauge(n: int, p: float = 2.0) -> float:
     """Certified upper bound for the l_p operator norm of the kernel: the
     spectral norm itself at p = 2, else the interpolated row/column-sum bound,
@@ -230,6 +232,4 @@ def trace_dual_certificate(n: int) -> WitnessBundle:
     bundle.expect("nuclear_norm", nuclear, "closed_form")
     bundle.expect("duality_floor", floor, "closed_form")
     bundle.extras["singular_values"] = sigma
-    if n <= _DENSE_LIMIT:
-        bundle.extras["tau"] = tau_matrix(n)
     return bundle

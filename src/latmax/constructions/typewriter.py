@@ -20,7 +20,7 @@ import numpy as np
 from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.haar import haar_matrices
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import BiorthogonalSystem, _prefix_blocks
+from latmax.systems import BiorthogonalSystem, _prefix_blocks, coefficients
 
 _DEPTH_LIMIT = 12
 
@@ -49,8 +49,8 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
 
     Slots 3i hold the i-th wavelet with its true dual; slots 3i+1 and
     3i+2 hold +/- the i-th indicator, both paired with integration
-    against the constant.  The trailing wavelets (there are 2^J of them
-    against 2^J - 1 indicators) close the weave.  The family is
+    against the constant.  There are 2^J wavelets against 2^J - 1
+    indicators, so the last wavelet closes the weave.  The family is
     redundant, so the system is built with the gram check off.
     """
     if not 1 <= J <= _DEPTH_LIMIT:
@@ -58,18 +58,12 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
     m = 2 ** J
-    W, Wdual = haar_matrices(J, p)
-    T = indicator_blocks(J)
-    mean = np.full(m, 2.0 ** -J)  # integration against the constant
-
-    count = 3 * (m - 1) + 1
-    V = np.zeros((count, m))
-    F = np.zeros((count, m))
-    for i in range(m - 1):
-        V[3 * i], F[3 * i] = W[i], Wdual[i]
-        V[3 * i + 1], F[3 * i + 1] = T[i], mean
-        V[3 * i + 2], F[3 * i + 2] = -T[i], mean
-    V[-1], F[-1] = W[m - 1], Wdual[m - 1]
+    V = np.empty((3 * m - 2, m))
+    F = np.empty_like(V)
+    V[0::3], F[0::3] = haar_matrices(J, p)
+    V[1::3] = indicator_blocks(J)
+    V[2::3] = -V[1::3]
+    F[1::3] = F[2::3] = 2.0 ** -J  # integration against the constant
     return BiorthogonalSystem(dyadic_lp(J, p), V, F, check=False)
 
 
@@ -83,7 +77,7 @@ def pass_profile(J: int, p: float) -> WitnessBundle:
     """
     system = typewriter_frame(J, p)
     dim = system.space.dim
-    coeffs = system.functionals @ np.ones(dim)
+    coeffs = coefficients(system, np.ones(dim))
     high = np.full(dim, -np.inf)
     low = np.full(dim, np.inf)
     for rows in _prefix_blocks(system, coeffs, np.arange(len(system))):

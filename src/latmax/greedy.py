@@ -18,8 +18,9 @@ import numpy as np
 from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
                             _column_scan, _modulus_sum_ratio, _ordered_join,
-                            _prefix_blocks, _prefix_join_ratio,
-                            _prefix_norm_ratio, _ratio_search, coefficients)
+                            _peak_prefix_norm, _prefix_join_ratio,
+                            _prefix_norm_ratio, _ratio_search, coefficients,
+                            reconstruct)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -125,7 +126,7 @@ def strictify(coeffs, ordering: GreedyOrdering):
 
 def _greedy_setup(sys: BiorthogonalSystem, a: np.ndarray):
     """(coefficients of x, support size, ||x||) for x = sum a_k x_k."""
-    x = Element(sys.space, a @ sys.vectors[: len(a)])
+    x = reconstruct(sys, a)
     av = coefficients(sys, x)
     return av, int(np.sum(av != 0)), sys.space.norm(x)
 
@@ -136,9 +137,7 @@ def _quasi_greedy_ratio(sys, a):
     if not supp:
         return 0.0, 0
     perm = np.asarray(natural_greedy_ordering(av).permutation[:supp])
-    peak = np.max([sys.space.norms(rows).max()
-                   for rows in _prefix_blocks(sys, av, perm)])
-    return peak / nx, supp
+    return _peak_prefix_norm(sys, av, perm)[0] / nx, supp
 
 
 def _uqg_ratio(sys, a, enumerate_orderings=False):
@@ -179,64 +178,66 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
 def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
                   seed: int = 0, structured=()) -> ConstantReport:
     """Lower bound for sup over ordered A with |A| <= m of ||P_A^v|| via
-    structured witnesses, random ordered subsets, and coordinate ascent."""
+    structured witnesses, random ordered subsets, and coordinate ascent.
+
+    It does not run on estimation.sup_search, which scores bare coefficient
+    vectors one call at a time: kvee searches ordered pairs (a, A), skips
+    zero sums uncounted, joins candidates _SCAN_BLOCK at a time, reserves
+    2m evaluations for the polish, and polishes multiplicatively (sign
+    flips, halvings, doublings) rather than by line search.
+    """
     if not 1 <= m <= len(sys):
         raise ValueError("m out of range")
     rng = np.random.default_rng(seed)
-    state = {"evals": 0, "best": (-np.inf, None, None, None)}
+    evals, best = 0, (-np.inf, None, None, None)
 
-    def consider(a, A, source, join=None):
-        if state["evals"] >= budget:
-            return
-        a = np.asarray(a, dtype=float)
-        A = np.asarray(A, dtype=int)
-        x = a @ sys.vectors[: len(a)]
-        nx = sys.space.norm(x)
-        if nx == 0:
-            return
-        state["evals"] += 1
-        if join is None:
-            join = _ordered_join(sys, a, A)
-        r = sys.space.norm(join) / nx
-        if r > state["best"][0]:
-            state["best"] = (r, a, A, source)
+    def consider(pairs, source):
+        # strict '>': on a tie the earlier candidate stays the incumbent
+        nonlocal evals, best
+        for start in range(0, len(pairs), _SCAN_BLOCK):
+            if evals >= budget:
+                return
+            block = pairs[start : start + _SCAN_BLOCK]
+            joins = np.abs(_column_scan(sys, *zip(*block))).max(axis=2)
+            for (a, A), join in zip(block, joins):
+                nx = sys.space.norm(a @ sys.vectors[: len(a)])
+                if nx == 0:
+                    continue
+                evals += 1
+                r = sys.space.norm(join) / nx
+                if r > best[0]:
+                    best = (r, a, A, source)
+                if evals >= budget:
+                    return
 
-    for a, A in structured:
-        if len(A) <= m:
-            consider(a, A, "structured_family")
+    consider([(np.asarray(a, dtype=float), np.asarray(A, dtype=int))
+              for a, A in structured if len(A) <= m], "structured_family")
 
-    # random ordered subsets, joined _SCAN_BLOCK at a time; never more draws
-    # than the one-by-one loop makes, since each batch needs that many evals
+    # random ordered subsets; a batch never draws more than the evaluations
+    # left before the reserve, so the draws do not depend on the batching
     n, limit = len(sys), max(0, budget - 2 * m)
-    while state["evals"] < limit:
+    while evals < limit:
         batch = []
-        for _ in range(min(_SCAN_BLOCK, limit - state["evals"])):
+        for _ in range(min(_SCAN_BLOCK, limit - evals)):
             size = int(rng.integers(1, m + 1))
             A = rng.permutation(n)[:size]
             a = np.zeros(n)
             a[A] = rng.standard_normal(size)
             batch.append((a, A))
-        joins = np.abs(_column_scan(sys, *zip(*batch))).max(axis=2)
-        for (a, A), join in zip(batch, joins):
-            consider(a, A, "random_ascent", join)
+        consider(batch, "random_ascent")
 
     # coordinate ascent polishes the incumbent: sign flips, then halvings
     # and doublings of single coefficients, keeping improvements
-    a0, A0, src0 = state["best"][1:]
-    if a0 is not None:
-        for factor in (-1.0, 0.5, 2.0):
-            for idx in A0:
-                if state["evals"] >= budget:
-                    break
-                trial = state["best"][1].copy()
-                trial[idx] *= factor
-                consider(trial, A0, src0)
-
-    value, wit, A, source = state["best"]
+    _, wit, A, source = best
     if wit is None:
         raise ValueError("budget too small to evaluate any witness")
-    return ConstantReport("kvee", float(value), wit, source, state["evals"],
-                          indices=A)
+    for factor in (-1.0, 0.5, 2.0):
+        for idx in A:
+            trial = best[1].copy()
+            trial[idx] *= factor
+            consider([(trial, A)], source)
+    value, wit, A, source = best
+    return ConstantReport("kvee", float(value), wit, source, evals, indices=A)
 
 
 # constant name -> witness ratio (sys, a) -> (ratio, support size); kvee
@@ -302,12 +303,12 @@ def constant_coefficient_checks(sys: BiorthogonalSystem, index_sets,
         signed = np.zeros(len(sys)); signed[A] = eps
         a_rand = np.zeros(len(sys))
         a_rand[A] = eps * rng.uniform(0.5, 2.0, size=len(A))
-        flat = sys.space.norm(ones @ sys.vectors)
-        signed_sum = sys.space.norm(signed @ sys.vectors)
+        flat = sys.space.norm(reconstruct(sys, ones))
+        signed_sum = sys.space.norm(reconstruct(sys, signed))
         join_flat = sys.space.norm(_ordered_join(sys, ones, A))
         join_signed = sys.space.norm(_ordered_join(sys, signed, A))
         join_rand = sys.space.norm(_ordered_join(sys, a_rand, A))
-        x_norm = sys.space.norm(a_rand @ sys.vectors)
+        x_norm = sys.space.norm(reconstruct(sys, a_rand))
         amax, amin = np.abs(a_rand[A]).max(), np.abs(a_rand[A]).min()
         ratios = {
             "join_vs_flat": join_flat / (c_qg_vee * flat),

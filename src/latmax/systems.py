@@ -140,12 +140,15 @@ def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
     by (pair, coordinate) and zero-padded.  The dense scan adds only exact
     zeros between these terms and the padding repeats the last value, so
     the table holds its prefix values bit for bit (up to the sign of zero);
-    the last column is the full sum.  This is the one join kernel.
+    the last column is the full sum.  This is the one join kernel, and the
+    one place an index outside [0, n) is rejected (ValueError).
     """
     ptr, cols, vals = sys.row_support
     dim, B = sys.space.dim, len(perms)
     perms = [np.asarray(p, dtype=np.intp) for p in perms]
     rows = np.concatenate(perms)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(sys)):
+        raise ValueError(f"index out of range for {len(sys)} vectors")
     cnt = ptr[rows + 1] - ptr[rows]
     # positions of the scanned rows' nonzeros, rows in scan order
     pos = np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
@@ -170,8 +173,7 @@ def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
     """P_n x = sum_{k<n...} of the first n coefficient terms."""
     if not 1 <= n <= len(sys):
         raise ValueError("n out of range")
-    a = coefficients(sys, x)
-    return Element(sys.space, a[:n] @ sys.vectors[:n])
+    return reconstruct(sys, coefficients(sys, x)[:n])
 
 
 def maximal_partial(sys: BiorthogonalSystem, x, m: int) -> Element:
@@ -246,12 +248,18 @@ def _ratio_search(sys, witnesses, ratio_fn, name):
                           len(rows), rows=tuple(rows))
 
 
-def _prefix_norm_ratio(sys, a):
+def _peak_prefix_norm(sys, a, perm):
+    """(max norm over the prefix sums along perm, norm of the last one)."""
     peak = -np.inf
-    for rows in _prefix_blocks(sys, a, np.arange(len(a))):
+    for rows in _prefix_blocks(sys, a, perm):
         norms = sys.space.norms(rows)
         peak = np.maximum(peak, norms.max())
-    return peak / norms[-1], len(a)
+    return peak, norms[-1]
+
+
+def _prefix_norm_ratio(sys, a):
+    peak, full = _peak_prefix_norm(sys, a, np.arange(len(a)))
+    return peak / full, len(a)
 
 
 def _prefix_join_ratio(sys, a):

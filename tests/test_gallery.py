@@ -273,6 +273,24 @@ def test_first_indicator_doubles_the_constant():
     assert np.max(np.abs(p2 - 2.0)) < 1e-12
 
 
+def test_frame_slots_are_the_haar_and_indicator_rows_bitwise():
+    for J in range(1, 7):
+        system = tw.typewriter_frame(J, 2.5)
+        W, Wdual = haar.haar_matrices(J, 2.5)
+        T = tw.indicator_blocks(J)
+        mean = np.full(2 ** J, 2.0 ** -J).tobytes()
+        V, F = system.vectors, system.functionals
+        assert len(system) == 3 * len(T) + 1
+        for i in range(len(T)):
+            assert V[3 * i].tobytes() == W[i].tobytes()
+            assert F[3 * i].tobytes() == Wdual[i].tobytes()
+            assert V[3 * i + 1].tobytes() == T[i].tobytes()
+            assert V[3 * i + 2].tobytes() == (-T[i]).tobytes()
+            assert F[3 * i + 1].tobytes() == F[3 * i + 2].tobytes() == mean
+        assert V[-1].tobytes() == W[-1].tobytes()
+        assert F[-1].tobytes() == Wdual[-1].tobytes()
+
+
 def test_pass_profile_join_and_oscillation():
     for p in (2.0, 3.0):
         bundle = tw.pass_profile(4, p)
@@ -333,6 +351,25 @@ def test_block_series_matches_dense_evaluation():
         dense = lor.lorentz_norm(p, q, np.concatenate(pieces))
         closed = lor.block_series(p, q, [m])[0][1]
         assert abs(dense - closed) < 1e-9
+
+
+def test_block_series_is_bitwise_the_exact_integer_telescope():
+    # up to 20 blocks every N_i fits the table: the log2 addressing must
+    # land on exactly the integer lookups
+    for p, q in ((4.0, 2.0), (3.0, 2.0), (2.5, 1.5)):
+        table = lor._sigma_table(q / p - 1.0)
+
+        def sigma(N):
+            return float(table[N - 1]) if N else 0.0
+
+        terms = np.zeros(21)
+        for i in range(1, 21):
+            terms[i] = ((sigma(2 ** (i + 1) - 2) - sigma(2 ** i - 2))
+                        / sigma(2 ** i))
+        partial = np.cumsum(terms)
+        ms = list(range(1, 21))
+        for m, value in lor.block_series(p, q, ms):
+            assert value == float(partial[m] ** (1.0 / q)), (p, q, m)
 
 
 def test_weight_sum_tail_matches_brute_force():

@@ -7,9 +7,10 @@ from latmax.greedy import (CheckReport, GreedyOrdering, all_greedy_orderings,
                            natural_greedy_ordering, ordered_projection_maximal,
                            quasi_greedy_constant, recompute_greedy_constant,
                            strictify, uqg_constant)
+from latmax.constructions.haar import haar_system
 from latmax.spaces import element, lp_block
 from latmax.systems import (BiorthogonalSystem, coefficients, maximal_partial,
-                            reconstruct)
+                            reconstruct, report_from_json)
 
 
 def unit_system(dim, p=2.0, weights=None):
@@ -229,3 +230,23 @@ def test_constant_coefficient_checks_disjoint():
     assert all(v <= 1.0 + 1e-12 for v in rep.worst.values())
     d = rep.to_json()
     assert set(d) == {"worst", "passed", "instances"}
+
+
+def test_join_rejects_indices_out_of_range():
+    # a negative index used to pair one row's coefficient with another
+    # row's nonzeros, and n itself ran past the row support
+    sysm = haar_system(3, 2.0)
+    x = np.arange(8.0)
+    for A in ([1, 2, -3], [8], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            ordered_projection_maximal(sysm, x, A)
+    a = np.zeros(8); a[[1, 2]] = 1.0
+    with pytest.raises(ValueError, match="out of range"):
+        kvee_estimate(sysm, 3, budget=20, structured=[(a, [1, 2, -3])])
+    with pytest.raises(ValueError, match="out of range"):
+        constant_coefficient_checks(sysm, [[1, -3]], [[1.0, -1.0]], 1.0, 1.0)
+    rep = kvee_estimate(sysm, 3, budget=20)
+    obj = rep.to_json()
+    obj["indices"] = [-1] + obj["indices"][1:]
+    with pytest.raises(ValueError, match="out of range"):
+        recompute_greedy_constant(sysm, report_from_json(obj))
