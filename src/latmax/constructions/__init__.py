@@ -7,6 +7,6 @@ Each module has one entry function: ``haar.haar_system``,
 ``orlicz.orderbound_demo``.
 """
 
-from latmax.constructions.bundles import Expected, WitnessBundle
+from latmax.constructions.bundles import WitnessBundle
 
-__all__ = ["Expected", "WitnessBundle"]
+__all__ = ["WitnessBundle"]

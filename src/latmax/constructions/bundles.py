@@ -4,21 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# how an expected value was obtained
-VALUE_TAGS = ("closed_form", "enumerated", "sampled", "fitted")
-
-
-@dataclass(frozen=True)
-class Expected:
-    """A named numeric claim: the value and how it was derived."""
-
-    value: float
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in VALUE_TAGS:
-            raise ValueError(f"unknown value tag {self.tag!r}")
-
 
 @dataclass
 class WitnessBundle:
@@ -38,8 +23,8 @@ class WitnessBundle:
     series: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
-    def expect(self, name: str, value: float, tag: str):
-        self.expected[name] = Expected(float(value), tag)
+    def expect(self, name: str, value: float):
+        self.expected[name] = float(value)
 
     def value(self, name: str) -> float:
-        return self.expected[name].value
+        return self.expected[name]

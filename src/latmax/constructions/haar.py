@@ -43,13 +43,15 @@ def haar_matrices(J: int, p: float):
         dual = 2.0 ** (j / q if q != math.inf else 0.0) * 2.0 ** -J
         span = 2 ** (J - j)
         half = span // 2
-        for k in range(2 ** j):
-            row = 2 ** j + k
-            start = k * span
-            V[row, start : start + half] = amp
-            V[row, start + half : start + span] = -amp
-            F[row, start : start + half] = dual
-            F[row, start + half : start + span] = -dual
+        # level j's rows viewed as (k, window, cell): row 2^j + k is nonzero
+        # only on window k, so one diagonal assignment fills the level
+        k = np.arange(2 ** j)
+        Vj = V[2 ** j : 2 ** (j + 1)].reshape(2 ** j, 2 ** j, span)
+        Fj = F[2 ** j : 2 ** (j + 1)].reshape(2 ** j, 2 ** j, span)
+        Vj[k, k, :half] = amp
+        Vj[k, k, half:] = -amp
+        Fj[k, k, :half] = dual
+        Fj[k, k, half:] = -dual
     return V, F
 
 

@@ -146,8 +146,8 @@ def hadamard_mixed(n: int):
     # sum_k |u_k| is ones on both blocks: each l2 column collects 2^n
     # entries of modulus 2^{-n}
     bundle.vectors["modulus_sum"] = Element(host, np.ones(2 * m))
-    bundle.expect("sign_sum_norm", 1.0, "closed_form")
-    bundle.expect("modulus_sum_norm", 2.0 ** (n / 2.0), "closed_form")
-    bundle.expect("modulus_to_sign_ratio", 2.0 ** (n / 2.0), "closed_form")
+    bundle.expect("sign_sum_norm", 1.0)
+    bundle.expect("modulus_sum_norm", 2.0 ** (n / 2.0))
+    bundle.expect("modulus_to_sign_ratio", 2.0 ** (n / 2.0))
     bundle.extras.update(n=n, block=m)
     return system, bundle

@@ -143,8 +143,8 @@ def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
         if x_norm != 2.0:  # dyadic, hence exact
             raise RuntimeError(f"chain element y{k} lost its norm 2")
     bundle.vectors["join"] = Element(sp, join)
-    bundle.expect("chain_norm", 2.0, "closed_form")
-    bundle.expect("join_norm", float(m + 2), "closed_form")
+    bundle.expect("chain_norm", 2.0)
+    bundle.expect("join_norm", float(m + 2))
     if join_norms[-1] != float(m + 2):
         raise RuntimeError(f"chain join norm {join_norms[-1]!r} is not {m + 2}")
 
@@ -155,7 +155,7 @@ def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
     for name in ("bibasis", "uniform_quasi_greedy"):
         bundle.reports[name] = ConstantReport(name, ratio, a,
                                               "structured_family", 1)
-    bundle.expect("lower_bound", (m + 2) / 2.0, "closed_form")
+    bundle.expect("lower_bound", (m + 2) / 2.0)
     if ratio != (m + 2) / 2.0:
         raise RuntimeError(f"prefix-join ratio {ratio!r} is not {(m + 2) / 2.0}")
     return bundle

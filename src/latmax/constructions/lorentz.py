@@ -135,7 +135,7 @@ def lorentz_blocking_demo(p: float, q: float, n: int) -> WitnessBundle:
     bundle = WitnessBundle(space=None)
     bundle.series["unit"] = units
     bundle.series["blocks"] = blocks
-    bundle.expect("unit_exponent", unit_fit.a, "fitted")
-    bundle.expect("block_exponent", block_fit.a, "fitted")
+    bundle.expect("unit_exponent", unit_fit.a)
+    bundle.expect("block_exponent", block_fit.a)
     bundle.extras.update(p=p, q=q, unit_fit=unit_fit, block_fit=block_fit)
     return bundle

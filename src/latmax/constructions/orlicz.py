@@ -116,8 +116,8 @@ def orderbound_demo(K: int) -> WitnessBundle:
 
     bundle = WitnessBundle(space=None)
     bundle.series["upper_bound_norms"] = series
-    bundle.expect("doubling_at_0.05", math.exp(10.0), "closed_form")
-    bundle.expect("singleton_norm", 1.0, "closed_form")  # ||1*e_1||
+    bundle.expect("doubling_at_0.05", math.exp(10.0))
+    bundle.expect("singleton_norm", 1.0)  # ||1*e_1||
     bundle.extras.update(K=K, phi=phi, tail=tail)
     values = [v for _, v in series]
     if not all(b > a for a, b in zip(values, values[1:])):

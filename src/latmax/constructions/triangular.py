@@ -176,12 +176,12 @@ def triangular_basis(n: int, p: float = 2.0):
     bundle = WitnessBundle(space=host)
     bundle.vectors["witness"] = Element(host, np.concatenate([np.ones(n), alpha * s]))
     bundle.vectors["join"] = Element(host, np.concatenate([np.ones(n), alpha * M]))
-    bundle.expect("witness_norm", x_norm, "closed_form")
-    bundle.expect("join_norm", join_norm, "closed_form")
-    bundle.expect("prefix_ratio", join_norm / x_norm, "closed_form")
+    bundle.expect("witness_norm", x_norm)
+    bundle.expect("join_norm", join_norm)
+    bundle.expect("prefix_ratio", join_norm / x_norm)
     if n >= 4:
         # shadow coordinate 3 of the 4-term prefix: alpha*(1 + 1/2 + 1/3)
-        bundle.expect("prefix_coefficient_4", alpha * (11.0 / 6.0), "closed_form")
+        bundle.expect("prefix_coefficient_4", alpha * (11.0 / 6.0))
     bundle.extras.update(alpha=alpha, kernel_gauge=gauge, block=n,
                          neumann_iterations=iterations,
                          neumann_residual=residual)
@@ -227,9 +227,9 @@ def trace_dual_certificate(n: int) -> WitnessBundle:
         raise RuntimeError(f"nuclear norm {nuclear!r} below the floor {floor!r}")
 
     bundle = WitnessBundle(space=LpBlock(n, 2.0))
-    bundle.expect("harmonic_double_sum", double_sum, "closed_form")
-    bundle.expect("entrywise_pairing", entrywise, "closed_form")
-    bundle.expect("nuclear_norm", nuclear, "closed_form")
-    bundle.expect("duality_floor", floor, "closed_form")
+    bundle.expect("harmonic_double_sum", double_sum)
+    bundle.expect("entrywise_pairing", entrywise)
+    bundle.expect("nuclear_norm", nuclear)
+    bundle.expect("duality_floor", floor)
     bundle.extras["singular_values"] = sigma
     return bundle

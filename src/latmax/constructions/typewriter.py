@@ -20,7 +20,7 @@ import numpy as np
 from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.haar import haar_matrices
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import BiorthogonalSystem, _prefix_blocks, coefficients
+from latmax.systems import BiorthogonalSystem, _column_scan, coefficients
 
 _DEPTH_LIMIT = 12
 
@@ -35,12 +35,10 @@ def indicator_blocks(J: int) -> np.ndarray:
         raise ValueError(f"J must be in 1..{_DEPTH_LIMIT}")
     m = 2 ** J
     rows = np.zeros((m - 1, m))
-    i = 0
     for level in range(J):
-        span = m >> level
-        for k in range(2 ** level):
-            rows[i, k * span : (k + 1) * span] = 1.0
-            i += 1
+        n = 2 ** level
+        k = np.arange(n)
+        rows[n - 1 : 2 * n - 1].reshape(n, n, m >> level)[k, k] = 1.0
     return rows
 
 
@@ -68,7 +66,7 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
 
 
 def pass_profile(J: int, p: float) -> WitnessBundle:
-    """Stream one full pass of partial sums at the constant function.
+    """Walk one full pass of partial sums at the constant function.
 
     Records, per grid point, the high and low water marks of the partial
     sums from the first term onward, plus the running join of moduli.
@@ -78,17 +76,14 @@ def pass_profile(J: int, p: float) -> WitnessBundle:
     system = typewriter_frame(J, p)
     dim = system.space.dim
     coeffs = coefficients(system, np.ones(dim))
-    high = np.full(dim, -np.inf)
-    low = np.full(dim, np.inf)
-    for rows in _prefix_blocks(system, coeffs, np.arange(len(system))):
-        np.maximum(high, np.max(rows, axis=0), out=high)
-        np.minimum(low, np.min(rows, axis=0), out=low)
+    # slot 0 (the constant) is nonzero everywhere: each column holds every partial sum
+    table = _column_scan(system, [coeffs], [np.arange(len(system))])[0]
+    high, low = table.max(axis=1), table.min(axis=1)
 
     bundle = WitnessBundle(space=system.space)
     # the running join of moduli is max(high, -low), exactly
     bundle.vectors["join"] = Element(system.space, np.maximum(high, -low))
-    bundle.expect("join_norm", 2.0, "closed_form")
-    bundle.expect("oscillation", 1.0, "closed_form")
-    bundle.extras.update(J=J, p=p, oscillation=high - low,
-                         terms=len(system), system=system)
+    bundle.expect("join_norm", 2.0)
+    bundle.expect("oscillation", 1.0)
+    bundle.extras.update(J=J, p=p, oscillation=high - low, terms=len(system))
     return bundle

@@ -105,7 +105,8 @@ def greedy_maximal(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element
 def ordered_projection_maximal(sys: BiorthogonalSystem, x, A) -> Element:
     """P_A^v(x): join of prefix sums along the ordered index set A."""
     A = np.asarray(A, dtype=int)
-    if len(np.unique(A)) != len(A):
+    sorted_A = np.sort(A)
+    if np.any(sorted_A[1:] == sorted_A[:-1]):
         raise ValueError("repeated indices in A")
     a = coefficients(sys, x)
     return Element(sys.space, _ordered_join(sys, a, A))
@@ -175,6 +176,18 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
         "uniform_quasi_greedy")
 
 
+def _kvee_ratios(sys: BiorthogonalSystem, pairs) -> list:
+    """||join of |prefix sums| along A|| / ||sum a_k x_k|| for each pair
+    (a, A), or None where the sum is zero; the pairs share one
+    _column_scan call.  The one kvee score, for search and recompute."""
+    joins = np.abs(_column_scan(sys, *zip(*pairs))).max(axis=2)
+    out = []
+    for (a, _), join in zip(pairs, joins):
+        nx = sys.space.norm(a @ sys.vectors[: len(a)])
+        out.append(sys.space.norm(join) / nx if nx else None)
+    return out
+
+
 def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
                   seed: int = 0, structured=()) -> ConstantReport:
     """Lower bound for sup over ordered A with |A| <= m of ||P_A^v|| via
@@ -198,13 +211,10 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
             if evals >= budget:
                 return
             block = pairs[start : start + _SCAN_BLOCK]
-            joins = np.abs(_column_scan(sys, *zip(*block))).max(axis=2)
-            for (a, A), join in zip(block, joins):
-                nx = sys.space.norm(a @ sys.vectors[: len(a)])
-                if nx == 0:
+            for (a, A), r in zip(block, _kvee_ratios(sys, block)):
+                if r is None:
                     continue
                 evals += 1
-                r = sys.space.norm(join) / nx
                 if r > best[0]:
                     best = (r, a, A, source)
                 if evals >= budget:
@@ -241,7 +251,7 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 
 
 # constant name -> witness ratio (sys, a) -> (ratio, support size); kvee
-# re-walks its stored index set instead
+# scores its stored pair (witness, indices) with _kvee_ratios instead
 _RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _prefix_join_ratio,
            "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
            "uniform_quasi_greedy": _uqg_ratio}
@@ -251,8 +261,10 @@ def recompute_greedy_constant(sys: BiorthogonalSystem, report: ConstantReport) -
     """Re-evaluate the stored witness of any report; systems.recompute_constant
     delegates here."""
     if report.constant_name == "kvee":
-        av, _supp, nx = _greedy_setup(sys, report.witness)
-        return float(sys.space.norm(_ordered_join(sys, av, report.indices)) / nx)
+        r = _kvee_ratios(sys, [(report.witness, report.indices)])[0]
+        if r is None:
+            raise ValueError("kvee witness sums to zero")
+        return float(r)
     return float(_RATIOS[report.constant_name](sys, report.witness)[0])
 
 

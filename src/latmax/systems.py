@@ -3,8 +3,9 @@
 A system pairs vectors x_k with coefficient functionals f_k, both stored as
 dense coordinate rows over one host space.  Functionals pair with elements by
 the plain (unweighted) dot product; constructions over weighted hosts bake
-their weights into the functional coordinates.  Ordered joins scan only the
-nonzeros of the vector rows, column by column (``_column_scan``).
+their weights into the functional coordinates.  Ordered joins and the
+typewriter pass scan only the nonzeros of the vector rows, column by column
+(``_column_scan``).
 
 Constants (basis, bidemocracy-style joins, absolute bounds, greedy variants)
 are always reported as certified lower bounds together with the witness that
@@ -34,7 +35,7 @@ SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _CHECK_CUTOFF = 512  # full gram validation below, sampled above
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
-_SCAN_BLOCK = 64  # rows per dense scan block, candidates per batched kvee join
+_SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
 
 
 class BiorthogonalSystem:
@@ -110,34 +111,12 @@ def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
     return Element(sys.space, a @ sys.vectors[: len(a)])
 
 
-def _prefix_blocks(sys: BiorthogonalSystem, a: np.ndarray, perm):
-    """Prefix sums sum_{j<=i} a_{perm_j} x_{perm_j}, yielded in row blocks.
-
-    The previous block's last sum is added into each block's first row,
-    then each row adds the one before it: the same additions in the same
-    order as one np.cumsum(axis=0), so the sums agree bit for bit, while
-    only a block of rows is ever held.  (np.cumsum runs axis 0 of a
-    C-ordered block as a strided inner loop, several times slower.)  Only
-    per-prefix norms need this dense scan; joins use ``_column_scan``.
-    """
-    carry = None
-    for start in range(0, len(perm), _SCAN_BLOCK):
-        idx = perm[start : start + _SCAN_BLOCK]
-        rows = a[idx][:, None] * sys.vectors[idx]
-        if carry is not None:
-            rows[0] += carry
-        for i in range(1, len(rows)):
-            rows[i] += rows[i - 1]
-        carry = rows[-1]
-        yield rows
-
-
 def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
     """Every value each coordinate's prefix sum takes, for B pairs (a, perm).
 
     Row (b, c) of the (B, dim, width) table is the running sum of the terms
     a_k x_k[c] along perms[b], gathered from the row support, stable-sorted
-    by (pair, coordinate) and zero-padded.  The dense scan adds only exact
+    by (pair, coordinate) and zero-padded.  A dense scan adds only exact
     zeros between these terms and the padding repeats the last value, so
     the table holds its prefix values bit for bit (up to the sign of zero);
     the last column is the full sum.  This is the one join kernel, and the
@@ -249,9 +228,24 @@ def _ratio_search(sys, witnesses, ratio_fn, name):
 
 
 def _peak_prefix_norm(sys, a, perm):
-    """(max norm over the prefix sums along perm, norm of the last one)."""
-    peak = -np.inf
-    for rows in _prefix_blocks(sys, a, perm):
+    """(max norm over the prefix sums along perm, norm of the last one).
+
+    The sums are formed _SCAN_BLOCK rows at a time: the previous block's
+    last sum is added into each block's first row, then each row adds the
+    one before it.  These are the additions of one np.cumsum(axis=0) in the
+    same order, so the sums agree bit for bit, while only a block of rows
+    is ever held.  (np.cumsum runs axis 0 of a C-ordered block as a strided
+    inner loop, several times slower.)
+    """
+    peak, carry = -np.inf, None
+    for start in range(0, len(perm), _SCAN_BLOCK):
+        idx = perm[start : start + _SCAN_BLOCK]
+        rows = a[idx][:, None] * sys.vectors[idx]
+        if carry is not None:
+            rows[0] += carry
+        for i in range(1, len(rows)):
+            rows[i] += rows[i - 1]
+        carry = rows[-1]
         norms = sys.space.norms(rows)
         peak = np.maximum(peak, norms.max())
     return peak, norms[-1]

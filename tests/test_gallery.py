@@ -291,6 +291,69 @@ def test_frame_slots_are_the_haar_and_indicator_rows_bitwise():
         assert F[-1].tobytes() == Wdual[-1].tobytes()
 
 
+def _haar_matrices_by_window(J, p):
+    """The per-window loop haar_matrices replaced, kept as a reference."""
+    q = haar._conjugate(p)
+    m = 2 ** J
+    V, F = np.zeros((m, m)), np.zeros((m, m))
+    V[0] = 1.0
+    F[0] = 2.0 ** -J
+    for j in range(J):
+        amp = 2.0 ** (j / p)
+        dual = 2.0 ** (j / q if q != math.inf else 0.0) * 2.0 ** -J
+        span = 2 ** (J - j)
+        half = span // 2
+        for k in range(2 ** j):
+            row, start = 2 ** j + k, k * span
+            V[row, start : start + half] = amp
+            V[row, start + half : start + span] = -amp
+            F[row, start : start + half] = dual
+            F[row, start + half : start + span] = -dual
+    return V, F
+
+
+def _indicator_blocks_by_window(J):
+    """The per-window loop indicator_blocks replaced, kept as a reference."""
+    m = 2 ** J
+    rows = np.zeros((m - 1, m))
+    i = 0
+    for level in range(J):
+        span = m >> level
+        for k in range(2 ** level):
+            rows[i, k * span : (k + 1) * span] = 1.0
+            i += 1
+    return rows
+
+
+def test_level_builds_are_bitwise_the_window_loops():
+    for J in range(13):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            V, F = haar.haar_matrices(J, p)
+            V_ref, F_ref = _haar_matrices_by_window(J, p)
+            assert V.tobytes() == V_ref.tobytes(), (J, p)
+            assert F.tobytes() == F_ref.tobytes(), (J, p)
+            del V, F, V_ref, F_ref
+    for J in range(1, 13):
+        assert tw.indicator_blocks(J).tobytes() == \
+            _indicator_blocks_by_window(J).tobytes(), J
+
+
+def test_pass_profile_marks_are_bitwise_the_dense_pass():
+    # reference: one dense np.cumsum down the whole frame, the additions
+    # of the old 64-row block pass in the same order
+    for J in range(1, 11):
+        for p in (1.5, 2.0, 3.0):
+            system = tw.typewriter_frame(J, p)
+            c = coefficients(system, np.ones(2 ** J))
+            sums = np.cumsum(c[:, None] * system.vectors, axis=0)
+            high, low = sums.max(axis=0), sums.min(axis=0)
+            bundle = tw.pass_profile(J, p)
+            assert bundle.vectors["join"].coords.tobytes() == \
+                np.maximum(high, -low).tobytes(), (J, p)
+            assert bundle.extras["oscillation"].tobytes() == \
+                (high - low).tobytes(), (J, p)
+
+
 def test_pass_profile_join_and_oscillation():
     for p in (2.0, 3.0):
         bundle = tw.pass_profile(4, p)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from latmax.greedy import (CheckReport, GreedyOrdering, all_greedy_orderings,
                            strictify, uqg_constant)
 from latmax.constructions.haar import haar_system
 from latmax.spaces import element, lp_block
-from latmax.systems import (BiorthogonalSystem, coefficients, maximal_partial,
-                            reconstruct, report_from_json)
+from latmax.systems import (BiorthogonalSystem, absolute_constant,
+                            basis_constant, bibasis_constant, coefficients,
+                            maximal_partial, recompute_constant, reconstruct,
+                            report_from_json)
 
 
 def unit_system(dim, p=2.0, weights=None):
@@ -183,6 +187,21 @@ def test_quasi_greedy_and_uqg_recompute_from_report():
     for builder in (quasi_greedy_constant, uqg_constant):
         rep = builder(sys, wits)
         assert recompute_greedy_constant(sys, rep) == pytest.approx(rep.value, abs=1e-9)
+
+
+def test_every_report_recomputes_its_value_after_a_json_round_trip():
+    rng = np.random.default_rng(89)
+    for sysm in (haar_system(4, 2.0), haar_system(3, 3.0), random_system(rng, 8)):
+        n = len(sysm)
+        wits = [rng.standard_normal(n) for _ in range(6)]
+        reports = [build(sysm, wits) for build in (
+            basis_constant, bibasis_constant, absolute_constant,
+            quasi_greedy_constant, uqg_constant)]
+        reports += [kvee_estimate(sysm, m, budget=150, seed=m)
+                    for m in (2, 4, n)]
+        for rep in reports:
+            back = report_from_json(json.dumps(rep.to_json()))
+            assert recompute_constant(sysm, back) == rep.value, rep.constant_name
 
 
 def test_uqg_enumerated_matches_natural_without_ties():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmax.spaces import (
     DirectSum,
@@ -163,3 +165,49 @@ def test_element_serialization_round_trip():
     back = element_from_json(json.dumps(x.to_json()))
     assert back.space == x.space
     assert np.array_equal(back.coords, x.coords)
+
+
+_EXPONENTS = st.one_of(st.sampled_from((1.0, 2.0)), st.floats(1.0, 6.0))
+
+
+@st.composite
+def space_trees(draw, depth=3):
+    """A random descriptor: a weighted LpBlock with p in [1, 6], a SupBlock,
+    or, while depth lasts, a DirectSum of one to three such trees under an
+    outer p in [1, 6] or inf."""
+    kind = draw(st.sampled_from(("lp", "sup", "sum") if depth else ("lp", "sup")))
+    if kind == "sum":
+        outer = draw(st.one_of(_EXPONENTS, st.just(math.inf)))
+        return DirectSum(outer, draw(st.lists(space_trees(depth - 1),
+                                              min_size=1, max_size=3)))
+    dim = draw(st.integers(1, 4))
+    if kind == "sup":
+        return SupBlock(dim)
+    weights = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
+    return LpBlock(dim, draw(_EXPONENTS), weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(space_trees(), st.integers(0, 2 ** 32 - 1))
+def test_space_trees_are_lattice_norms(space, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, space.dim))
+    t = rng.uniform(-3, 3)
+    nx, ny = space.norm(x), space.norm(y)
+    assert space.norm(np.zeros(space.dim)) == 0.0
+    assert nx > 0 and ny > 0
+    assert space.norm(t * x) == pytest.approx(abs(t) * nx, rel=1e-12)
+    assert space.norm(x + y) <= (nx + ny) * (1 + 1e-12)
+    # a lattice norm sees only the modulus and grows with it
+    assert space.norm(np.abs(x)) == nx
+    shrunk = y * rng.uniform(-1.0, 1.0, size=space.dim)
+    assert space.norm(shrunk) <= ny * (1 + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(space_trees(), st.integers(0, 2 ** 32 - 1))
+def test_space_trees_survive_json_round_trip(space, seed):
+    back = space_from_json(json.loads(json.dumps(space.to_json())))
+    assert back == space
+    rows = np.random.default_rng(seed).standard_normal((5, space.dim))
+    assert back.norms(rows).tobytes() == space.norms(rows).tobytes()
