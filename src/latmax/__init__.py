@@ -1,6 +1,11 @@
 """latmax: greedy sums, maximal partial-sum operators, and counterexample
 constructions over finite-dimensional Banach lattices."""
 
+# Seeded generators drive most computations.  numpy loads numpy.random on
+# first access; load it with the package, so set-up pays for it, not the
+# first draw of a run.
+import numpy.random  # noqa: F401
+
 from latmax.spaces import (
     DirectSum,
     Element,

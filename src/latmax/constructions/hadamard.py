@@ -9,6 +9,7 @@ point of the construction.
 
 Large n never materializes the 2^n x 2^n sign matrix; batch Walsh transforms,
 two small Sylvester products by the Kronecker split, evaluate the l2 block.
+The Sylvester matrices themselves are built by doubling in numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import hadamard as _sylvester
 
 from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.rademacher import sign_matrix
@@ -33,7 +33,10 @@ def walsh_matrix(n: int) -> np.ndarray:
     """Sylvester sign matrix of order 2^n (symmetric, entries +/-1)."""
     if not 0 <= n <= _MATRIX_LIMIT:
         raise ValueError(f"n must be in 0..{_MATRIX_LIMIT} to materialize")
-    return _sylvester(2 ** n).astype(float)
+    H = np.ones((1, 1))
+    for _ in range(n):
+        H = np.block([[H, H], [H, -H]])
+    return H
 
 
 @functools.lru_cache(maxsize=None)

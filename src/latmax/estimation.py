@@ -11,26 +11,66 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 _DENSE_SVD_CUTOFF = 768
+_LANCZOS_TOL = 1e-9  # |beta_k y_k| <= tol * theta ends a Lanczos run
+_LANCZOS_CHECK = 8  # steps between Ritz-value checks
+_LANCZOS_MAX_STEPS = 1000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10  # bracket width at which a line search stops
 _ASCENT_SWEEPS = 3  # coordinate sweeps over the leader
 
 
+def _top_eigenvalue(matvec, n: int):
+    """Largest eigenvalue of a symmetric positive semidefinite operator on R^n.
+
+    Lanczos from a seeded random start (a fixed structured start can be
+    orthogonal to the top eigenvector), with full reorthogonalization, done
+    twice, at every step.  Every 8 steps the top eigenpair (theta, y) of the
+    tridiagonal is taken; the run stops when the residual |beta_k y_k| of
+    the Ritz pair is at most 1e-9 theta, or on breakdown (an invariant
+    Krylov space).  Returns (theta, steps, residual).  A Ritz value lies
+    below the top eigenvalue; when it has converged to it, it lies within
+    the residual of it.  Raises RuntimeError without convergence after
+    min(n, 1000) steps.
+    """
+    cap = min(n, _LANCZOS_MAX_STEPS)
+    Q = np.empty((cap + 1, n))
+    q = np.random.default_rng(0).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+    scale = 0.0
+    for k in range(cap):
+        w = matvec(Q[k])
+        alpha[k] = Q[k] @ w
+        for _ in range(2):
+            w -= Q[: k + 1].T @ (Q[: k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        scale = max(scale, abs(alpha[k]) + beta[k])
+        breakdown = beta[k] <= 1e-14 * scale
+        if breakdown or (k + 1) % _LANCZOS_CHECK == 0 or k + 1 == cap:
+            T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            vals, vecs = np.linalg.eigh(T)
+            theta, residual = vals[-1], abs(beta[k] * vecs[-1, -1])
+            if breakdown or residual <= _LANCZOS_TOL * theta:
+                return float(theta), k + 1, float(residual)
+        Q[k + 1] = w / beta[k]
+    raise RuntimeError(f"Lanczos did not converge in {cap} steps "
+                       f"(residual {residual:.3e}, theta {theta!r})")
+
+
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value.  Dense SVD below a size cutoff, ARPACK with a
-    fixed start vector above it (deterministic, machine-precision tolerance)."""
+    """Largest singular value.  Dense SVD below a size cutoff; above it, the
+    square root of the top eigenvalue of v -> M^T (M v) over the smaller
+    side, by the seeded Lanczos of _top_eigenvalue."""
     M = np.asarray(M, dtype=float)
     if min(M.shape) == 1:
         return float(np.linalg.norm(M))
     if max(M.shape) <= _DENSE_SVD_CUTOFF:
         return float(np.linalg.svd(M, compute_uv=False)[0])
-    v0 = np.ones(min(M.shape)) / math.sqrt(min(M.shape))
-    s = scipy.sparse.linalg.svds(M, k=1, v0=v0, tol=0, maxiter=5000,
-                                 return_singular_vectors=False)
-    return float(s[0])
+    if M.shape[0] < M.shape[1]:
+        M = M.T
+    return math.sqrt(_top_eigenvalue(lambda v: M.T @ (M @ v), M.shape[1])[0])
 
 
 def nuclear_norm(M: np.ndarray) -> float:
@@ -60,10 +100,24 @@ def _rowsum_norm(M):
     return float(np.abs(M).sum(axis=1).max())
 
 
+def _riesz_thorin(p: float, s2: float, edge: float) -> float:
+    """l_p operator norm bound from ||M||_2 = s2 and the exact endpoint on
+    p's side of 2, edge = ||M||_1 for p < 2 and ||M||_inf for p > 2:
+    ||M||_p lies below edge^(2/p-1) s2^(2-2/p) for p < 2, dually
+    s2^(2/p) edge^(1-2/p) above 2 (Riesz-Thorin).  Gives the endpoint
+    itself, exactly, at p = 1, 2, inf."""
+    if not 1 <= p <= math.inf:
+        raise ValueError("p must lie in [1, inf]")
+    if p < 2:
+        theta = 2.0 - 2.0 / p          # 1/p = (1-theta)/1 + theta/2
+        return float(edge ** (1.0 - theta) * s2 ** theta)
+    theta = 2.0 / p                    # 1/p = theta/2 + (1-theta)/inf
+    return float(s2 ** theta * edge ** (1.0 - theta))
+
+
 def pnorm_upper(M: np.ndarray, p: float) -> float:
     """l_p operator norm bound: exact for p = 1, 2, inf (column sums, SVD, row
-    sums), else Riesz-Thorin interpolation of the exact endpoints (||M||_p lies
-    below ||M||_1^(2/p-1) ||M||_2^(2-2/p) for p < 2, dually above 2)."""
+    sums), else _riesz_thorin of the exact endpoints."""
     M = np.asarray(M, dtype=float)
     if p == 2:
         return spectral_norm(M)
@@ -73,12 +127,8 @@ def pnorm_upper(M: np.ndarray, p: float) -> float:
         return _rowsum_norm(M)
     if not 1 < p < math.inf:
         raise ValueError("p must lie in [1, inf]")
-    s2 = spectral_norm(M)
-    if p < 2:
-        theta = 2.0 - 2.0 / p          # 1/p = (1-theta)/1 + theta/2
-        return float(_colsum_norm(M) ** (1.0 - theta) * s2 ** theta)
-    theta = 2.0 / p                    # 1/p = theta/2 + (1-theta)/inf
-    return float(s2 ** theta * _rowsum_norm(M) ** (1.0 - theta))
+    edge = _colsum_norm(M) if p < 2 else _rowsum_norm(M)
+    return _riesz_thorin(p, spectral_norm(M), edge)
 
 
 def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,

@@ -432,10 +432,12 @@ def _run_triangular(params, seed):
               f"a {fit.a!r}")
         _push(checks, "certificate_log_exponent", abs(fit.b - 1.0) <= 0.25,
               f"b {fit.b!r}")
+    routes = [dict(n=n, **_triangular.gauge_route(n)) for n in ns]
     return _Table(columns, rows, checks, fits={"certificate": fit},
                   derived={"extremes_at": m,
                            "operator_norm": upper,
-                           "operator_inverse_norm": inv_upper})
+                           "operator_inverse_norm": inv_upper,
+                           "kernel_gauge_routes": routes})
 
 
 def _run_typewriter(params, seed):

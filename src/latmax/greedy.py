@@ -142,18 +142,33 @@ def _quasi_greedy_ratio(sys, a):
 
 
 def _uqg_ratio(sys, a, enumerate_orderings=False):
-    """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size)."""
+    """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size,
+    the first supp indices of the ordering that attains it)."""
     av, supp, nx = _greedy_setup(sys, a)
     if not supp:
-        return 0.0, 0
+        return 0.0, 0, None
     if enumerate_orderings:
         orderings = all_greedy_orderings(av, limit=_ORDERING_LIMIT)
     else:
         orderings = [natural_greedy_ordering(av)]
-    r = max(sys.space.norm(
-        _ordered_join(sys, av, np.asarray(o.permutation[:supp], dtype=int)))
-        for o in orderings) / nx
-    return r, supp
+    peak, best = -np.inf, None
+    for o in orderings:
+        perm = np.asarray(o.permutation[:supp], dtype=int)
+        v = sys.space.norm(_ordered_join(sys, av, perm))
+        if v > peak:
+            peak, best = v, perm
+    return peak / nx, supp, best
+
+
+def _uqg_ratio_along(sys, a, indices) -> float:
+    """||G^v_supp(x)|| / ||x|| along stored indices, which must be the first
+    supp entries of a greedy ordering of the coefficients of x."""
+    av, _, nx = _greedy_setup(sys, a)
+    idx = np.asarray(indices, dtype=int)
+    if (not np.array_equal(np.sort(idx), np.flatnonzero(av))
+            or np.any(np.diff(np.abs(av[idx])) > 0)):
+        raise ValueError("indices are not a greedy ordering of the witness")
+    return sys.space.norm(_ordered_join(sys, av, idx)) / nx
 
 
 def quasi_greedy_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
@@ -168,7 +183,8 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
     With enumerate_orderings the maximum also runs over every greedy ordering
     of each witness (tie groups permuted, at most 8! = 40320 orderings per
     witness, else ValueError), which makes the tie-independence of the
-    supremum checkable exactly.
+    supremum checkable exactly.  The report's indices hold the winning
+    ordering's first supp entries, so the value recomputes along them.
     """
     return _ratio_search(
         sys, witnesses,
@@ -251,7 +267,8 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 
 
 # constant name -> witness ratio (sys, a) -> (ratio, support size); kvee
-# scores its stored pair (witness, indices) with _kvee_ratios instead
+# scores its stored pair (witness, indices) with _kvee_ratios instead, and
+# a uqg report with stored indices recomputes along them
 _RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _prefix_join_ratio,
            "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
            "uniform_quasi_greedy": _uqg_ratio}
@@ -265,6 +282,8 @@ def recompute_greedy_constant(sys: BiorthogonalSystem, report: ConstantReport) -
         if r is None:
             raise ValueError("kvee witness sums to zero")
         return float(r)
+    if report.constant_name == "uniform_quasi_greedy" and report.indices is not None:
+        return float(_uqg_ratio_along(sys, report.witness, report.indices))
     return float(_RATIOS[report.constant_name](sys, report.witness)[0])
 
 

@@ -66,10 +66,12 @@ class BiorthogonalSystem:
             gram = self.functionals @ self.vectors.T
             err = np.abs(gram - np.eye(n)).max()
         else:
-            # sampled rows keep the check affordable on big systems
-            rng = np.random.default_rng(0)
-            rows = np.unique(np.concatenate([
-                np.arange(8), rng.integers(0, n, size=64), [n - 1]]))
+            # sampled rows keep the check affordable on big systems; a mask,
+            # not np.unique, which loads numpy.ma on first use
+            picked = np.zeros(n, dtype=bool)
+            picked[:8] = picked[-1] = True
+            picked[np.random.default_rng(0).integers(0, n, size=64)] = True
+            rows = np.flatnonzero(picked)
             gram = self.functionals[rows] @ self.vectors.T
             eye = np.zeros((len(rows), n))
             eye[np.arange(len(rows)), rows] = 1.0
@@ -173,7 +175,7 @@ class ConstantReport:
     witness: np.ndarray
     search: str
     budget: int
-    indices: np.ndarray | None = None   # ordered index set, for k-vee style reports
+    indices: np.ndarray | None = None   # ordered index set, for kvee and uqg reports
     rows: tuple = field(default=(), repr=False)   # per-witness (id, ratio, m) trace
 
     def __post_init__(self):
@@ -208,23 +210,25 @@ def report_from_json(obj) -> ConstantReport:
 
 
 def _ratio_search(sys, witnesses, ratio_fn, name):
-    """Best witness under ratio_fn(sys, a) -> (ratio, support size).
+    """Best witness under ratio_fn(sys, a) -> (ratio, support size), or
+    (ratio, support size, ordered index set) where the ratio depends on an
+    ordering the witness alone does not fix; the winner's set is stored.
 
     Every witness is traced as (id, ratio, m); a zero-support witness,
     the empty one included, is traced with m = 0 but never kept.
     """
-    best_val, best_wit = -np.inf, None
+    best_val, best_wit, best_idx = -np.inf, None, None
     rows = []
     for wid, w in enumerate(witnesses):
         a = np.asarray(w, dtype=float)
-        r, m = ratio_fn(sys, a) if len(a) else (0.0, 0)
+        r, m, *order = ratio_fn(sys, a) if len(a) else (0.0, 0)
         rows.append((wid, float(r), int(m)))
         if m and r > best_val:
-            best_val, best_wit = r, a
+            best_val, best_wit, best_idx = r, a, order[0] if order else None
     if best_wit is None:
         raise ValueError("no witness with nonzero support")
     return ConstantReport(name, float(best_val), best_wit, "structured_family",
-                          len(rows), rows=tuple(rows))
+                          len(rows), indices=best_idx, rows=tuple(rows))
 
 
 def _peak_prefix_norm(sys, a, perm):

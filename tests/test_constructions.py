@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import triangular as tri
-from latmax.estimation import nuclear_norm, pnorm_bounds
+from latmax.estimation import nuclear_norm, pnorm_bounds, pnorm_upper
 from latmax.greedy import greedy_maximal, natural_greedy_ordering
 from latmax.systems import coefficients, maximal_partial, partial_sum, reconstruct
 
@@ -217,6 +218,35 @@ def test_kernel_gauge_is_the_pnorm_bounds_upper_bound():
             assert tri.kernel_gauge(n, p) == pnorm_bounds(T, p).upper
 
 
+def test_kernel_gauge_above_the_cutoff_matches_the_dense_kernel():
+    # the FFT Lanczos route against the dense kernel as oracle
+    for n in (769, 1024, 1536):
+        T = tri.hilbert_kernel(n)
+        dense = np.linalg.svd(T, compute_uv=False)[0]
+        assert tri.kernel_gauge(n) == pytest.approx(dense, rel=1e-12)
+        for p in (1.5, 3.0):
+            assert tri.kernel_gauge(n, p) == pytest.approx(pnorm_upper(T, p),
+                                                           rel=1e-12)
+        route = tri.gauge_route(n)
+        assert route["route"] == "fft_lanczos"
+        assert route["residual"] <= 1e-9 * tri.kernel_gauge(n) ** 2
+    assert tri.gauge_route(768) == {"route": "dense_svd"}
+
+
+def test_kernel_gauge_forms_no_square_array_and_stays_below_pi():
+    n = 16384
+    tri.kernel_gauge.cache_clear()
+    tri._fft_spectral_norm.cache_clear()
+    tracemalloc.start()
+    try:
+        gauge = tri.kernel_gauge(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n  # one n x n float64 array alone takes 8 n^2 bytes
+    assert tri.kernel_gauge(4096) < tri.kernel_gauge(8192) < gauge <= math.pi
+
+
 def test_harmonic_numbers():
     H = tri.harmonic_numbers(4)
     assert H[0] == 0.0 and H[1] == 1.0
@@ -244,6 +274,19 @@ def test_operator_extremes_pinned():
     a_norm, inv_norm = tri.operator_extremes(S)
     assert abs(a_norm - 1.5) < 1e-6 and a_norm <= 1.5 + 1e-6
     assert abs(inv_norm - 2.0) < 1e-6 and inv_norm <= 2.0 + 1e-6
+
+
+def test_operator_extremes_match_the_block_eigenvalues():
+    n = 48
+    S = (0.45 / tri.kernel_gauge(n)) * tri.hilbert_kernel(n)
+    lam = np.linalg.eigvalsh(np.block([[np.eye(n), -S], [S, np.eye(n)]]))
+    a_norm, inv_norm = tri.operator_extremes(S)
+    assert a_norm == pytest.approx(lam[-1], rel=1e-12)
+    assert inv_norm == pytest.approx(1.0 / lam[0], rel=1e-12)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        tri.operator_extremes(2.0 * S / 0.45)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        tri.operator_extremes(np.abs(S))
 
 
 def test_witness_closed_forms_match_dense_machinery():

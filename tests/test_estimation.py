@@ -46,6 +46,38 @@ def test_spectral_norm_sparse_path_matches_dense():
     assert spectral_norm(A) == pytest.approx(dense, rel=1e-9)
 
 
+def _psd_with_spectrum(rng, lam):
+    Q, _ = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))
+    return (Q * lam) @ Q.T
+
+
+def test_top_eigenvalue_matches_eigvalsh():
+    rng = np.random.default_rng(17)
+    G = rng.standard_normal((120, 120))
+    u = rng.standard_normal(90)
+    v = np.r_[1.0, -1.0, np.zeros(48)] / np.sqrt(2.0)
+    cases = [G @ G.T,                                          # random PSD
+             5.0 * np.outer(v, v) + np.full((50, 50), 1.0 / 50),  # top vector _|_ ones
+             _psd_with_spectrum(rng, np.r_[5.0, 5.0, 5.0, rng.uniform(0, 4, 57)]),
+             np.outer(u, u),                                   # rank one
+             2.5 * np.eye(40),                                 # c * I
+             _psd_with_spectrum(rng, np.linspace(0.0, 1.0, 300))]
+    for M in cases:
+        value, steps, residual = estimation._top_eigenvalue(lambda x: M @ x, len(M))
+        exact = np.linalg.eigvalsh(M)[-1]
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert 1 <= steps <= len(M)
+        assert residual <= 1e-9 * value
+
+
+def test_top_eigenvalue_raises_past_its_step_cap(monkeypatch):
+    rng = np.random.default_rng(19)
+    M = _psd_with_spectrum(rng, np.linspace(0.0, 1.0, 200))
+    monkeypatch.setattr(estimation, "_LANCZOS_MAX_STEPS", 4)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        estimation._top_eigenvalue(lambda x: M @ x, len(M))
+
+
 def test_nuclear_norm_diag_and_invariance():
     assert nuclear_norm(np.diag([1.0, -2.0, 3.0])) == pytest.approx(6.0)
     rng = np.random.default_rng(11)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latmax.greedy import (CheckReport, GreedyOrdering, all_greedy_orderings,
                            constant_coefficient_checks, count_greedy_orderings,
@@ -202,6 +204,59 @@ def test_every_report_recomputes_its_value_after_a_json_round_trip():
         for rep in reports:
             back = report_from_json(json.dumps(rep.to_json()))
             assert recompute_constant(sysm, back) == rep.value, rep.constant_name
+
+
+def test_enumerated_uqg_reports_recompute_after_a_json_round_trip():
+    # tied witnesses, half +-2 and half +-1, where the enumerated maximum is
+    # mostly attained off the natural ordering
+    rng = np.random.default_rng(0)
+    for J in (2, 3):
+        for p in (1.0, 2.0):
+            sysm = haar_system(J, p)
+            n = len(sysm)
+            for _ in range(8):
+                w = (rng.permutation(np.repeat([2.0, 1.0], n // 2))
+                     * rng.choice([-1.0, 1.0], size=n))
+                rep = uqg_constant(sysm, [w], enumerate_orderings=True)
+                back = report_from_json(json.dumps(rep.to_json()))
+                assert recompute_constant(sysm, back) == rep.value
+    # stored indices that are not a greedy ordering of the witness
+    sysm = haar_system(2, 1.0)
+    obj = uqg_constant(sysm, [[1.0, 2.0, -1.0, 2.0]], enumerate_orderings=True).to_json()
+    for bad in ([0, 1, 2, 3], obj["indices"][:-1]):
+        obj["indices"] = bad
+        with pytest.raises(ValueError, match="greedy ordering"):
+            recompute_constant(sysm, report_from_json(obj))
+
+
+@st.composite
+def tied_witnesses(draw):
+    """A Haar system of depth <= 2 or a V = I + eps R system, with
+    coefficients drawn from {0, +-1, +-2} so that ties are common."""
+    if draw(st.booleans()):
+        sysm = haar_system(draw(st.integers(1, 2)),
+                           draw(st.sampled_from((1.0, 1.5, 2.0, 3.0))))
+    else:
+        n = draw(st.integers(2, 6))
+        R = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n, n))
+        V = np.eye(n) + draw(st.floats(0.0, 0.5)) / np.linalg.norm(R, 2) * R
+        sysm = BiorthogonalSystem(lp_block(n, draw(st.sampled_from((1.0, 2.0, 3.0)))),
+                                  V, np.linalg.inv(V).T)
+    a = draw(st.lists(st.sampled_from((-2.0, -1.0, 0.0, 1.0, 2.0)),
+                      min_size=len(sysm), max_size=len(sysm)))
+    return sysm, np.array(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_witnesses())
+def test_enumerated_uqg_is_the_max_over_strictified_orderings(sys_a):
+    sysm, a = sys_a
+    assume(np.any(a))
+    av = coefficients(sysm, reconstruct(sysm, a))
+    enumerated = uqg_constant(sysm, [a], enumerate_orderings=True).value
+    strict = max(uqg_constant(sysm, [strictify(av, o)]).value
+                 for o in all_greedy_orderings(av))
+    assert enumerated == pytest.approx(strict, abs=1e-9)
 
 
 def test_uqg_enumerated_matches_natural_without_ties():

@@ -157,6 +157,20 @@ def test_typewriter_oscillation_column(tmp_path):
     assert abs(result.derived["join_norm"] - 2.0) <= 1e-9
 
 
+def test_triangular_manifest_records_each_gauge_route(tmp_path):
+    result = run(ExperimentConfig("triangular",
+                                  params={"n_max": 1024, "extremes_at": 64},
+                                  output_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "triangular-manifest.json").read_text())
+    routes = manifest["derived"]["kernel_gauge_routes"]
+    assert [r["n"] for r in routes] == [row[0] for row in result.rows]
+    assert [r["route"] for r in routes] == ["dense_svd"] * 4 + ["fft_lanczos"]
+    gauge = result.rows[-1][1]
+    # the gauge is low by at most residual / (2 gauge^2), inside alpha's shave
+    assert 0 < routes[-1]["residual"] / (2 * gauge ** 2) <= 1e-9
+    assert 0 < routes[-1]["steps"] <= 1000
+
+
 def test_uniform_bound_rows_keep_half_ratio(tmp_path):
     result = run(ExperimentConfig("greedy-uniform-bound", output_dir=str(tmp_path)))
     for _, _, mod, _, ratio, margin in result.rows:

@@ -6,10 +6,16 @@ instead; this test fails on any ``assert`` statement under ``src/latmax``.
 
 The join kernel is pure numpy: ``systems`` and ``greedy`` import no
 ``scipy`` module, so neither the kernel nor the import time of every
-system-building run depends on it.
+system-building run depends on it.  No module of the package imports
+``scipy.sparse``, ``scipy.linalg`` or ``scipy.fft``: the spectral norms run
+on one numpy Lanczos, and importing the CLI stays cheap.  (``experiments``
+keeps a bare ``import scipy`` to record its version in the manifest.)
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "latmax"
@@ -23,6 +29,13 @@ def test_library_code_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in library code: " + ", ".join(found)
+
+
+_HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.fft")
+
+
+def _is_heavy_scipy(module):
+    return any(module == m or module.startswith(m + ".") for m in _HEAVY_SCIPY)
 
 
 def test_join_kernel_modules_import_no_scipy():
@@ -39,3 +52,30 @@ def test_join_kernel_modules_import_no_scipy():
             found += [f"{name}:{node.lineno} {mod}" for mod in modules
                       if mod == "scipy" or mod.startswith("scipy.")]
     assert not found, "scipy imports in the join kernel: " + ", ".join(found)
+
+
+def test_no_module_imports_scipy_sparse_linalg_or_fft():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {mod}"
+                      for mod in modules if _is_heavy_scipy(mod)]
+    assert not found, "scipy submodule imports: " + ", ".join(found)
+
+
+def test_cli_import_loads_no_scipy_submodules():
+    script = ("import sys, latmax.cli\n"
+              "print('\\n'.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    loaded = [m for m in proc.stdout.split() if _is_heavy_scipy(m)]
+    assert not loaded, "import latmax.cli loads " + ", ".join(loaded)

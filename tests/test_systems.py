@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmax.constructions.haar import haar_system
 from latmax.spaces import element, lp_block
@@ -25,6 +27,28 @@ def random_system(rng, dim, p=2.0):
             break
     F = np.linalg.inv(V).T
     return BiorthogonalSystem(sp, V, F)
+
+
+@st.composite
+def well_conditioned_systems(draw):
+    """V = I + eps R with ||eps R||_2 <= 1/2 and F = inv(V).T, over l_p."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    R = rng.standard_normal((n, n))
+    V = np.eye(n) + draw(st.floats(0.0, 0.5)) / np.linalg.norm(R, 2) * R
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0, np.inf)))
+    return BiorthogonalSystem(lp_block(n, p), V, np.linalg.inv(V).T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(well_conditioned_systems(), st.data())
+def test_coefficients_invert_reconstruction(sysm, data):
+    n = len(sysm)
+    a = np.array(data.draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        min_size=n, max_size=n), label="a"))
+    back = coefficients(sysm, reconstruct(sysm, a))
+    assert np.linalg.norm(back - a) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_gram_check_rejects_non_biorthogonal():
