@@ -26,24 +26,10 @@ from .experiments import ExperimentConfig, UsageError, list_experiments, run
 __all__ = ["main"]
 
 
-class _UsageExit(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on its own errors, which matches the contract;
-    # overriding keeps the message on stderr without the traceback
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise _UsageExit(message)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="latmax",
-                     description="numerical experiments over the lattice "
-                                 "greedy/maximal construction gallery")
+    parser = argparse.ArgumentParser(
+        prog="latmax", description="numerical experiments over the lattice "
+                                   "greedy/maximal construction gallery")
     sub = parser.add_subparsers(dest="command")
     runp = sub.add_parser("run", help="run one experiment")
     runp.add_argument("--experiment", help="experiment id (see: latmax list)")
@@ -113,8 +99,6 @@ def _cmd_run(args) -> int:
             raise UsageError("config seed must be an integer")
     else:
         seed = 0
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError("seed must fit in an unsigned 64-bit integer")
     params = dict(file_conf)
     params.update(_parse_params(args.param))
 
@@ -134,7 +118,11 @@ def _cmd_run(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
+        # argparse prints usage and error on stderr and exits 2 (0 for --help)
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    try:
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":
@@ -145,8 +133,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _UsageExit as exc:
-        return exc.code
 
 
 if __name__ == "__main__":

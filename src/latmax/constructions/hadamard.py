@@ -26,7 +26,7 @@ from latmax.systems import BiorthogonalSystem
 _MATRIX_LIMIT = 10  # largest n whose 2^n x 2^n matrix we will hold
 _SIZE_LIMIT = 14
 _EXHAUSTIVE_LIMIT = 4  # 2^(2^4) = 65536 patterns is still enumerable
-_CHUNK = 512  # sign patterns drawn and evaluated per batch
+_CHUNK = 512  # sign patterns or coefficient rows drawn and evaluated per batch
 
 
 def walsh_matrix(n: int) -> np.ndarray:
@@ -80,6 +80,17 @@ def mixed_sum_norms(n: int, rows) -> np.ndarray:
     return np.maximum(sup_part, l2_part)
 
 
+def _norm_range(n: int, batches):
+    """(min, max, count) of mixed_sum_norms over a stream of row batches."""
+    low, high, count = np.inf, -np.inf, 0
+    for batch in batches:
+        norms = mixed_sum_norms(n, batch)
+        low = min(low, float(norms.min()))
+        high = max(high, float(norms.max()))
+        count += len(norms)
+    return low, high, count
+
+
 def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     """Largest and smallest signed-sum norm over sign patterns.
 
@@ -104,12 +115,7 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
                                 dtype=bool) * 2.0 - 1.0
                    for s in range(0, samples, _CHUNK))
         mode = "sampled"
-    worst, best, count = -np.inf, np.inf, 0
-    for batch in batches:
-        norms = mixed_sum_norms(n, batch)
-        worst = max(worst, float(norms.max()))
-        best = min(best, float(norms.min()))
-        count += len(norms)
+    best, worst, count = _norm_range(n, batches)
     return {"max": worst, "min": best, "count": count, "mode": mode}
 
 
@@ -117,14 +123,15 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     """Check max|a| <= ||sum a_k u_k|| <= 3 max|a| on random coefficients.
 
     The host actually gives equality with the left end; both window ends
-    are returned as observed ratios against max|a| = 1.
+    are returned as observed ratios against max|a| = 1.  Coefficients are
+    drawn a batch at a time, so memory does not grow with count.
     """
     rng = np.random.default_rng(seed)
-    alphas = rng.standard_normal((count, 2 ** n))
-    alphas /= np.max(np.abs(alphas), axis=1, keepdims=True)
-    norms = mixed_sum_norms(n, alphas)
-    return {"low": float(norms.min()), "high": float(norms.max()),
-            "count": count}
+    draws = (rng.standard_normal((min(_CHUNK, count - s), 2 ** n))
+             for s in range(0, count, _CHUNK))
+    low, high, _ = _norm_range(
+        n, (a / np.max(np.abs(a), axis=1, keepdims=True) for a in draws))
+    return {"low": low, "high": high, "count": count}
 
 
 def hadamard_mixed(n: int):

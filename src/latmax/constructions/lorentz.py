@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 
-import mpmath
 import numpy as np
 
 from latmax.constructions.bundles import WitnessBundle
@@ -52,6 +51,8 @@ def _sigma_table(e: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _zeta(e: float) -> float:
+    import mpmath  # only the Euler-Maclaurin tail needs it; keeps imports light
+
     return float(mpmath.zeta(-e))
 
 

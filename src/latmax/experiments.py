@@ -87,8 +87,8 @@ def _push(checks, name, ok, detail):
 
 
 def _pow2_grid(lo, hi):
-    if lo < 2 or hi < lo:
-        raise UsageError("need 2 <= n_min <= n_max")
+    if hi < lo:
+        raise UsageError("need n_min <= n_max")
     for n in (lo, hi):
         if n & (n - 1):
             raise UsageError("grid endpoints must be powers of two")
@@ -109,8 +109,6 @@ def _run_uniform_bound(params, seed):
     1/2 to any vector dominating all greedy partial sums in all orderings.
     """
     blocks = params["blocks"]
-    if not 1 <= blocks <= 4:
-        raise UsageError("blocks must lie in 1..4 (hosts have 2^(blocks^2) points)")
     columns = ("block", "vectors", "modulus_sum_norm", "subset_join_norm",
                "ratio", "coordinate_margin")
     rows, checks = [], []
@@ -137,10 +135,6 @@ def _run_uniform_bound(params, seed):
 def _run_haar_bibasis(params, seed):
     """Observed partial-sum join envelope on random unit vectors."""
     J, samples = params["J"], params["samples"]
-    if not 2 <= J <= 12:
-        raise UsageError("J must lie in 2..12")
-    if samples < 1:
-        raise UsageError("samples must be positive")
     sysm = _haar.haar_system(J, 2.0)
     full = np.arange(len(sysm))
     rng = np.random.default_rng(seed)
@@ -163,10 +157,8 @@ def _run_haar_bibasis(params, seed):
 def _run_haar_branch(params, seed):
     """Root-to-leaf ordered maximal norms, one row per depth."""
     J_min, J_max, p = params["J_min"], params["J_max"], params["p"]
-    if not 2 <= J_min <= J_max <= 12:
-        raise UsageError("need 2 <= J_min <= J_max <= 12")
-    if not 1.0 < p < math.inf:
-        raise UsageError("p must lie in (1, inf)")
+    if J_min > J_max:
+        raise UsageError("need J_min <= J_max")
     columns = ("J", "branch_length", "witness_norm", "join_norm")
     rows, checks = [], []
     for J in range(J_min, J_max + 1):
@@ -188,10 +180,6 @@ def _run_haar_branch(params, seed):
 def _run_haar_kvee(params, seed):
     """Ordered-projection maximal constant lower bounds, fitted in log2 m."""
     J, budget = params["J"], params["budget"]
-    if not 3 <= J <= 9:
-        raise UsageError("J must lie in 3..9 (the slope needs two subset sizes)")
-    if budget < 10:
-        raise UsageError("budget must be at least 10")
     sysm = _haar.haar_system(J, 2.0)
     order = _haar.branch_ordering(J)
     coeffs = _haar.branch_coefficients(J, 2.0)
@@ -222,10 +210,6 @@ def _run_haar_kvee(params, seed):
 def _run_hadamard(params, seed):
     """Sign-sum versus modulus-sum norms of the perturbed sup-block rows."""
     n, samples, alphas = params["n"], params["samples"], params["alphas"]
-    if not 2 <= n <= 12:
-        raise UsageError("n must lie in 2..12")
-    if samples < 1 or alphas < 1:
-        raise UsageError("samples and alphas must be positive")
     columns = ("n", "mode", "patterns", "sign_sum_max", "modulus_sum_norm",
                "absolute_lower_bound", "window_low", "window_high")
     rows, checks = [], []
@@ -253,8 +237,6 @@ def _run_hadamard(params, seed):
 def _run_lindenstrauss(params, seed):
     """Chain witnesses: unit norms with a linearly growing running join."""
     depth, ambient = params["depth"], params["ambient"]
-    if not 1 <= depth <= 20:
-        raise UsageError("depth must lie in 1..20")
     need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
     if ambient != 0 and ambient < need:
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
@@ -308,11 +290,7 @@ def _run_lorentz(params, seed):
 
 def _run_orlicz(params, seed):
     """Running singleton upper bounds without the doubling condition."""
-    K = params["K"]
-    try:
-        bundle = _orlicz.orderbound_demo(K)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    bundle = _orlicz.orderbound_demo(params["K"])
     columns = ("K", "upper_bound_norm")
     rows = list(bundle.series["upper_bound_norms"])
     vals = [v for _, v in rows]
@@ -332,23 +310,18 @@ def _run_orlicz(params, seed):
 def _run_rademacher(params, seed):
     """Modulus sums hit the l1 norm; signed means grow only like sqrt(m)."""
     n, trials = params["n"], params["trials"]
-    if not 2 <= n <= 16:
-        raise UsageError("n must lie in 2..16")
-    if trials < 1:
-        raise UsageError("trials must be positive")
-    if params["m_max"] < 8:
-        raise UsageError("m_max must be at least 8 (the fit needs four even sizes)")
-    if params["m_max"] > 1019:
-        raise UsageError("m_max must be at most 1019 (the exact mean at "
-                         "m = 1020 overflows float64)")
     sysm = _rademacher.rademacher_l1(n)
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((trials, n))
-    V = np.abs(sysm.vectors)  # modulus sums 64 trials at a time, not trials x 2^n
-    norms = np.concatenate([sysm.space.norms(np.abs(A[s:s + 64]) @ V)
-                            for s in range(0, trials, 64)])
-    target = np.abs(A).sum(axis=1)
-    worst = float(np.max(np.abs(norms / target - 1.0)))
+    V = np.abs(sysm.vectors)
+    # trials drawn 4096 at a time and their modulus sums formed 64 at a time
+    # (64 x 2^n floats), so memory stays flat in trials
+    peaks = []
+    for s in range(0, trials, 4096):
+        A = np.abs(rng.standard_normal((min(4096, trials - s), n)))
+        norms = np.concatenate([sysm.space.norms(A[b:b + 64] @ V)
+                                for b in range(0, len(A), 64)])
+        peaks.append(np.max(np.abs(norms / A.sum(axis=1) - 1.0)))
+    worst = float(np.max(peaks))
     ms = list(range(2, params["m_max"] + 1, 2))
     columns = ("m", "signed_mean", "ratio")
     rows = [(m, _rademacher.flat_mean(m), m / _rademacher.flat_mean(m))
@@ -366,8 +339,6 @@ def _run_rademacher(params, seed):
 def _run_trace_dual(params, seed):
     """Nuclear norms of triangular truncation versus the harmonic floor."""
     ns = _pow2_grid(params["n_min"], params["n_max"])
-    if params["n_max"] > 4096:
-        raise UsageError("n_max above 4096 is out of range")
     if len(ns) < 4:
         raise UsageError("grid must span at least four powers of two")
     columns = ("n", "harmonic_double_sum", "duality_floor", "nuclear_norm",
@@ -395,13 +366,7 @@ def _run_trace_dual(params, seed):
 def _run_triangular(params, seed):
     """Kernel gauge, equivalence constants, and prefix-join growth."""
     p = params["p"]
-    if not 1.0 < p < math.inf:
-        raise UsageError("p must lie in (1, inf)")
     ns = _pow2_grid(params["n_min"], params["n_max"])
-    if params["n_max"] > 2048:
-        raise UsageError("n_max above 2048 is out of range")
-    if params["extremes_at"] < 2:
-        raise UsageError("extremes_at must be at least 2")
     columns = ("n", "kernel_gauge", "alpha", "witness_norm", "join_norm",
                "ratio_to_scale")
     rows, checks = [], []
@@ -443,10 +408,6 @@ def _run_triangular(params, seed):
 def _run_typewriter(params, seed):
     """One full pass at the constant function: oscillation 1 everywhere."""
     J, p = params["J"], params["p"]
-    if not 1 <= J <= 12:
-        raise UsageError("J must lie in 1..12")
-    if not 1.0 < p < math.inf:
-        raise UsageError("p must lie in (1, inf)")
     bundle = _typewriter.pass_profile(J, p)
     osc = bundle.extras["oscillation"]
     join_norm = lattice_norm(bundle.vectors["join"])
@@ -465,63 +426,92 @@ def _run_typewriter(params, seed):
 # ---------------------------------------------------------------- catalog
 
 
+# Each entry declares, per parameter, the range (low, high) that run() checks
+# before any computation: an integer lies in [low, high], a float strictly
+# inside (low, high).  Rules that tie two parameters together stay in the
+# runners.  A high of inf marks a count that costs time, not memory.
+
+_EXPONENT = (1.0, math.inf)
+
+
 @dataclass(frozen=True)
 class _Entry:
     summary: str
     defaults: dict
     runner: object
+    bounds: dict = field(default_factory=dict)
 
 
 _CATALOG = {
     "greedy-uniform-bound": _Entry(
         "join of 0/1 subset sums dominates half the modulus sum, so disjoint "
         "Rademacher blocks defeat any ordering-uniform order bound",
-        {"blocks": 4}, _run_uniform_bound),
+        {"blocks": 4}, _run_uniform_bound,
+        {"blocks": (1, 4)}),  # hosts have 2^(blocks^2) points
     "haar-bibasis": _Entry(
         "observed envelope of the partial-sum join norm over random unit "
         "vectors for the dyadic-L2 wavelet basis",
-        {"J": 8, "samples": 1000}, _run_haar_bibasis),
+        {"J": 8, "samples": 1000}, _run_haar_bibasis,
+        {"J": (2, 12), "samples": (1, math.inf)}),
     "haar-branch": _Entry(
         "root-to-leaf ordered maximal norms of the dyadic-L2 wavelet basis "
         "climb strictly with the depth",
-        {"J_min": 4, "J_max": 10, "p": 2.0}, _run_haar_branch),
+        {"J_min": 4, "J_max": 10, "p": 2.0}, _run_haar_branch,
+        {"J_min": (2, 12), "J_max": (2, 12), "p": _EXPONENT}),
     "haar-kvee": _Entry(
         "lower bounds for the m-term ordered-projection maximal constant, "
         "fitted affinely in log2 m",
-        {"J": 8, "budget": 200}, _run_haar_kvee),
+        {"J": 8, "budget": 200}, _run_haar_kvee,
+        {"J": (3, 9),  # the slope needs two subset sizes
+         "budget": (10, math.inf)}),
     "hadamard-mixed": _Entry(
         "sign-invariant sums of the Walsh-perturbed sup-block rows stay below "
         "2 while the modulus sum reaches 2^(n/2)",
-        {"n": 6, "samples": 10000, "alphas": 1000}, _run_hadamard),
+        {"n": 6, "samples": 10000, "alphas": 1000}, _run_hadamard,
+        {"n": (2, 12), "samples": (1, math.inf), "alphas": (1, math.inf)}),
     "lindenstrauss-witness": _Entry(
         "unit-norm tree-chain witnesses whose running join norm grows "
         "linearly in the chain depth",
-        {"depth": 6, "ambient": 0}, _run_lindenstrauss),
+        {"depth": 6, "ambient": 0}, _run_lindenstrauss,
+        # ambient 0 is automatic: 3 * 2^(depth - 1), so the cap is depth 20's
+        {"depth": (1, 20), "ambient": (0, 3 * 2 ** 19)}),
     "lorentz-blocking": _Entry(
         "fundamental-function exponents of a Lorentz sequence space: unit "
         "sums on the 1/p scale, disjoint constant blocks on the 1/q scale",
-        {"p": 4.0, "q": 2.0, "n": 1024}, _run_lorentz),
+        {"p": 4.0, "q": 2.0, "n": 1024}, _run_lorentz,
+        # both grids need four points, and block_series walks n + 1 floats;
+        # lorentz checks (p, q) and the n that sigma's float range allows
+        {"n": (512, 2 ** 20)}),
     "orlicz-orderbound": _Entry(
         "running upper bounds of admissible singletons in an Orlicz space "
         "without the doubling condition climb without a uniform bound",
-        {"K": 256}, _run_orlicz),
+        {"K": 256}, _run_orlicz,
+        {"K": (4, 2 ** 20)}),
     "rademacher-l1": _Entry(
         "modulus sums of Rademacher vectors in probability L1 equal the "
         "coefficient l1 norm while signed means grow only like sqrt(m)",
-        {"n": 12, "trials": 1000, "m_max": 20}, _run_rademacher),
+        {"n": 12, "trials": 1000, "m_max": 20}, _run_rademacher,
+        {"n": (2, 16), "trials": (1, math.inf),
+         # the fit needs four even sizes; the exact mean overflows at m = 1020
+         "m_max": (8, 1019)}),
     "trace-dual": _Entry(
         "nuclear norm of triangular truncation certified against the "
         "harmonic double sum over pi; both grow like n log n",
-        {"n_min": 64, "n_max": 1024}, _run_trace_dual),
+        {"n_min": 64, "n_max": 1024}, _run_trace_dual,
+        # the grid spans four powers of two inside 2..4096
+        {"n_min": (2, 512), "n_max": (16, 4096)}),
     "triangular": _Entry(
         "triangular-truncation perturbation of the lp basis keeps equivalence "
         "constants below 3 while prefix-sum joins grow like n^(1/p) log n",
         {"p": 2.0, "n_min": 64, "n_max": 512, "extremes_at": 256},
-        _run_triangular),
+        _run_triangular,
+        {"p": _EXPONENT, "n_min": (2, 2048), "n_max": (2, 2048),
+         "extremes_at": (2, math.inf)}),  # clipped at 512 by the runner
     "typewriter": _Entry(
         "sliding indicator frame whose partial sums at the constant function "
         "keep unit oscillation at every grid point under a bounded join",
-        {"J": 10, "p": 2.0}, _run_typewriter),
+        {"J": 10, "p": 2.0}, _run_typewriter,
+        {"J": (1, 12), "p": _EXPONENT}),
 }
 
 
@@ -587,6 +577,7 @@ def run(config: ExperimentConfig) -> RunResult:
     """Run one experiment and write its artifacts.
 
     Raises UsageError for unknown ids, unknown or malformed parameters,
+    parameters outside their catalog ranges, seeds outside 0..2^64 - 1,
     and bad formats, all before any computation or file output.  Failed
     checks still produce the full set of artifacts, with the manifest
     flagged as failed.
@@ -603,9 +594,21 @@ def run(config: ExperimentConfig) -> RunResult:
             raise UsageError(f"unknown parameter {key!r} for {config.experiment}; "
                              "accepts: " + ", ".join(sorted(params)))
         params[key] = _coerce(config.experiment, key, value, params[key])
+    for key, (low, high) in entry.bounds.items():
+        value = params[key]
+        if isinstance(value, float):
+            ok, span = low < value < high, f"({low}, {high})"
+        else:
+            ok, span = low <= value <= high, f"{low}..{high}"
+        if not ok:
+            raise UsageError(f"{config.experiment}: parameter {key} must lie "
+                             f"in {span}, got {value!r}")
+    seed = int(config.seed)
+    if not 0 <= seed < 2 ** 64:
+        raise UsageError("seed must fit in an unsigned 64-bit integer")
 
     start = time.perf_counter()
-    table = entry.runner(params, int(config.seed))
+    table = entry.runner(params, seed)
     wall = time.perf_counter() - start
     passed = all(c["passed"] for c in table.checks)
 
@@ -627,7 +630,7 @@ def run(config: ExperimentConfig) -> RunResult:
 
     manifest = {
         "experiment": config.experiment,
-        "config": {"params": params, "seed": int(config.seed),
+        "config": {"params": params, "seed": seed,
                    "format": config.format, "output_dir": str(config.output_dir)},
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__, "scipy": scipy.__version__,

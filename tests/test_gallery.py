@@ -1,6 +1,7 @@
 """Sign-vector, dyadic and sequence-space constructions."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -111,6 +112,30 @@ def test_unconditionality_window():
     assert 1.0 - 1e-12 <= report["low"] and report["high"] <= 3.0
     # this host actually sits on the left end of the window
     assert report["high"] <= 1.0 + 1e-12
+
+
+def test_unconditionality_window_is_one_unchunked_draw():
+    # 1537 = 3 * 512 + 1 rows: three full batches and a one-row tail
+    n, count, seed = 5, 1537, 11
+    alphas = np.random.default_rng(seed).standard_normal((count, 2 ** n))
+    alphas /= np.max(np.abs(alphas), axis=1, keepdims=True)
+    norms = had.mixed_sum_norms(n, alphas)
+    report = had.unconditionality_window(n, count=count, seed=seed)
+    assert report == {"low": float(norms.min()), "high": float(norms.max()),
+                      "count": count}
+
+
+def test_unconditionality_window_memory_is_flat_in_count():
+    had.unconditionality_window(10, count=1)  # build the cached Walsh factors
+    tracemalloc.start()
+    try:
+        report = had.unconditionality_window(10, count=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["low"] == report["high"] == 1.0
+    # one 8192 x 1024 draw alone takes 64 MB; a 512-row batch takes 4 MB
+    assert peak < 32e6, peak
 
 
 def test_hadamard_size_guards():

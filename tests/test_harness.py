@@ -1,9 +1,11 @@
 """Experiment catalog and CLI contract tests."""
 
 import json
+import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -288,3 +290,78 @@ def test_console_script_wiring(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "pass" in proc.stdout
+
+
+def test_cli_usage_errors_exit_two_with_the_message_on_stderr(tmp_path, capsys):
+    out = tmp_path / "never"
+    cases = (["--format", "xml"], ["--seed", "abc"], ["--no-such-flag"],
+             ["--param", "p=abc"])
+    for extra in cases:
+        code = main(["run", "--experiment", "triangular", "--out", str(out)]
+                    + extra)
+        err = capsys.readouterr().err
+        assert code == 2, (extra, code)
+        assert "error:" in err, (extra, err)
+    assert "expects a number" in err
+    assert not out.exists()
+    assert main(["run", "--help"]) == 0
+    assert "--experiment" in capsys.readouterr().out
+
+
+def test_library_run_rejects_a_seed_outside_uint64(tmp_path):
+    out = tmp_path / "never"
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(UsageError, match="seed"):
+            run(ExperimentConfig("haar-bibasis", seed=seed, output_dir=str(out)))
+    assert not out.exists()
+
+
+# counts cost time, not memory, so they alone have no finite cap
+_UNCAPPED = {("haar-bibasis", "samples"), ("haar-kvee", "budget"),
+             ("hadamard-mixed", "samples"), ("hadamard-mixed", "alphas"),
+             ("rademacher-l1", "trials"), ("triangular", "extremes_at")}
+
+
+def test_every_declared_range_end_is_enforced_through_main(tmp_path, capsys):
+    out = tmp_path / "never"
+    uncapped = set()
+    swept = 0
+    for name, entry in sorted(experiments._CATALOG.items()):
+        for key, default in entry.defaults.items():
+            low, high = entry.bounds.get(key, (None, math.inf))
+            if type(default) is int and high == math.inf:
+                uncapped.add((name, key))
+            if key not in entry.bounds:
+                continue
+            if type(default) is float:
+                values = [low, high]
+            else:
+                values = [low - 1]
+                if high != math.inf:
+                    values += [high + 1, 2 ** 62]
+            for value in values:
+                code = main(["run", "--experiment", name, "--param",
+                             f"{key}={value}", "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code == 2, (name, key, value, code)
+                assert f"{name}: parameter {key} must lie in" in err, err
+                swept += 1
+    assert not out.exists()
+    assert uncapped == _UNCAPPED
+    assert swept >= 50
+
+
+def test_rademacher_memory_is_flat_in_trials(tmp_path):
+    params = {"n": 4, "trials": 200000}
+    run(ExperimentConfig("rademacher-l1", params={"trials": 1},
+                         output_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        result = run(ExperimentConfig("rademacher-l1", params=params,
+                                      output_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # the 200000 x 4 draw alone takes 6.4 MB
+    assert peak < 4e6, peak

@@ -79,3 +79,13 @@ def test_cli_import_loads_no_scipy_submodules():
     assert proc.returncode == 0, proc.stderr
     loaded = [m for m in proc.stdout.split() if _is_heavy_scipy(m)]
     assert not loaded, "import latmax.cli loads " + ", ".join(loaded)
+
+
+def test_cli_import_loads_no_mpmath():
+    # only lorentz's Euler-Maclaurin tail calls mpmath, and imports it there
+    script = "import sys, latmax.cli\nprint('mpmath' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
