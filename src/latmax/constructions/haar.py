@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from latmax.spaces import dyadic_lp
-from latmax.systems import BiorthogonalSystem
+from latmax.systems import BiorthogonalSystem, Csr
 
 _DEPTH_LIMIT = 14
 
@@ -26,37 +26,36 @@ def _conjugate(p: float) -> float:
     return math.inf if p == 1.0 else p / (p - 1.0)
 
 
-def haar_matrices(J: int, p: float):
-    """(vectors, functionals) as dense rows over the 2^J dyadic cells."""
+def haar_rows(J: int, p: float):
+    """(vectors, functionals) as CSR rows over the 2^J dyadic cells.
+
+    Row 0 and each level's rows cover the cells once, left to right, so the
+    columns are 0 .. 2^J - 1 repeated J + 1 times; row 2^j + k holds window
+    k of level j, +amp on its first half and -amp on its second.
+    """
     if not 0 <= J <= _DEPTH_LIMIT:
         raise ValueError(f"J must be in 0..{_DEPTH_LIMIT}")
     if not 1.0 <= p < math.inf:
         raise ValueError("p must lie in [1, inf)")
     q = _conjugate(p)
     m = 2 ** J
-    V = np.zeros((m, m))
-    F = np.zeros((m, m))
-    V[0] = 1.0
-    F[0] = 2.0 ** -J
+    counts = np.concatenate([[m]] + [np.full(2 ** j, m >> j) for j in range(J)])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    cols = np.tile(np.arange(m), J + 1)
+    V, F = np.empty((J + 1, m)), np.empty((J + 1, m))
+    V[0], F[0] = 1.0, 2.0 ** -J
+    cell = np.arange(m)
     for j in range(J):
         amp = 2.0 ** (j / p)
         dual = 2.0 ** (j / q if q != math.inf else 0.0) * 2.0 ** -J
-        span = 2 ** (J - j)
-        half = span // 2
-        # level j's rows viewed as (k, window, cell): row 2^j + k is nonzero
-        # only on window k, so one diagonal assignment fills the level
-        k = np.arange(2 ** j)
-        Vj = V[2 ** j : 2 ** (j + 1)].reshape(2 ** j, 2 ** j, span)
-        Fj = F[2 ** j : 2 ** (j + 1)].reshape(2 ** j, 2 ** j, span)
-        Vj[k, k, :half] = amp
-        Vj[k, k, half:] = -amp
-        Fj[k, k, :half] = dual
-        Fj[k, k, half:] = -dual
-    return V, F
+        first_half = (cell >> (J - j - 1)) % 2 == 0
+        V[j + 1] = np.where(first_half, amp, -amp)
+        F[j + 1] = np.where(first_half, dual, -dual)
+    return Csr(indptr, cols, V.ravel()), Csr(indptr, cols, F.ravel())
 
 
 def haar_system(J: int, p: float) -> BiorthogonalSystem:
-    V, F = haar_matrices(J, p)
+    V, F = haar_rows(J, p)
     return BiorthogonalSystem(dyadic_lp(J, p), V, F)
 
 

@@ -134,24 +134,13 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     return {"low": low, "high": high, "count": count}
 
 
-def hadamard_mixed(n: int):
-    """(system, bundle) for size n; system is None past the matrix limit.
-
-    The bundle's exact values hold for every admissible n; the dense
-    biorthogonal system (functionals = sup-block spikes) only exists
-    while the sign matrix fits in memory.
-    """
+def mixed_bundle(n: int) -> WitnessBundle:
+    """The exact values of the size-n construction, for every admissible n,
+    without building its system."""
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     host = DirectSum(np.inf, [SupBlock(m), LpBlock(m, 2.0)])
-    system = None
-    if n <= _MATRIX_LIMIT:
-        H = walsh_matrix(n)
-        V = np.hstack([np.eye(m), 2.0 ** -n * H])
-        F = np.hstack([np.eye(m), np.zeros((m, m))])
-        system = BiorthogonalSystem(host, V, F)
-
     bundle = WitnessBundle(space=host)
     # sum_k |u_k| is ones on both blocks: each l2 column collects 2^n
     # entries of modulus 2^{-n}
@@ -160,4 +149,21 @@ def hadamard_mixed(n: int):
     bundle.expect("modulus_sum_norm", 2.0 ** (n / 2.0))
     bundle.expect("modulus_to_sign_ratio", 2.0 ** (n / 2.0))
     bundle.extras.update(n=n, block=m)
+    return bundle
+
+
+def hadamard_mixed(n: int):
+    """(system, mixed_bundle(n)) for size n; system is None past the matrix
+    limit.
+
+    The biorthogonal system (functionals = sup-block spikes) only exists
+    while the sign matrix fits in memory.
+    """
+    bundle = mixed_bundle(n)
+    system = None
+    if n <= _MATRIX_LIMIT:
+        m = 2 ** n
+        V = np.hstack([np.eye(m), 2.0 ** -n * walsh_matrix(n)])
+        F = np.hstack([np.eye(m), np.zeros((m, m))])
+        system = BiorthogonalSystem(bundle.space, V, F)
     return system, bundle

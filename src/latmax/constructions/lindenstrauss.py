@@ -18,9 +18,9 @@ import numpy as np
 
 from latmax.constructions.bundles import WitnessBundle
 from latmax.spaces import Element, lp_block
-from latmax.systems import BiorthogonalSystem, ConstantReport
+from latmax.systems import BiorthogonalSystem, ConstantReport, Csr
 
-_DENSE_LIMIT = 1024
+_SIZE_LIMIT = 1024
 
 
 def children(t: int) -> tuple:
@@ -46,24 +46,31 @@ def lindenstrauss(n: int) -> BiorthogonalSystem:
 
     The functional of node k charges 2^{-d} to the depth-d ancestor of k (the
     node itself at d = 0); back-substitution along the tree shows this is the
-    exact inverse pairing, so the gram check passes identically.
+    exact inverse pairing, so the gram check passes identically.  Both are
+    built as CSR rows: vector k has its 3 nonzeros at k < 2k + 2 < 2k + 3,
+    and functional k its ancestor chain, which the walk below lists from k
+    up, so each row is reversed into ascending columns.
     """
-    if not 1 <= n <= _DENSE_LIMIT:
-        raise ValueError(f"n must be in 1..{_DENSE_LIMIT} for the dense build")
+    if not 1 <= n <= _SIZE_LIMIT:
+        raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     dim = 2 * n + 2
     sp = lp_block(dim, 1.0)
-    V = np.zeros((n, dim))
-    F = np.zeros((n, dim))
-    for k in range(n):
-        V[k, k] = 1.0
-        c1, c2 = children(k)
-        V[k, c1] = -0.5
-        V[k, c2] = -0.5
-        node, w = k, 1.0
-        F[k, node] = w
-        while node >= 2:
-            node, w = parent(node), w / 2.0
-            F[k, node] += w
+    k = np.arange(n)
+    V = Csr(np.arange(n + 1) * 3, np.stack([k, 2 * k + 2, 2 * k + 3], axis=1).ravel(),
+            np.tile([1.0, -0.5, -0.5], n))
+    # level d of the walk: the nodes with a depth-d ancestor, and that ancestor
+    owners, nodes, weights = [k], [k], [np.ones(n)]
+    up = k >= 2
+    while up.any():
+        owners.append(owners[-1][up])
+        nodes.append((nodes[-1][up] - 2) // 2)
+        weights.append(weights[-1][up] / 2.0)
+        up = nodes[-1] >= 2
+    owner = np.concatenate(owners)
+    # stable by owner, and the walk order reversed inside each owner
+    order = np.lexsort((-np.arange(len(owner)), owner))
+    F = Csr(np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))]),
+            np.concatenate(nodes)[order], np.concatenate(weights)[order])
     return BiorthogonalSystem(sp, V, F)
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from latmax.spaces import LpBlock
-from latmax.systems import BiorthogonalSystem
+from latmax.systems import BiorthogonalSystem, Csr
 
 _SIZE_LIMIT = 20  # 2^20 coordinates, ~8 MB per stored matrix row set
 
@@ -37,10 +37,10 @@ def sign_matrix(n: int) -> np.ndarray:
 
 def rademacher_l1(n: int) -> BiorthogonalSystem:
     """The n sign vectors with their expectation functionals."""
-    R = sign_matrix(n)
+    R = Csr.from_dense(sign_matrix(n))
     host = LpBlock(2 ** n, 1.0, weights=np.full(2 ** n, 2.0 ** -n))
     # E[r_j r_k] = delta: the plain pairing needs the 2^-n weight folded in
-    return BiorthogonalSystem(host, R, R * 2.0 ** -n)
+    return BiorthogonalSystem(host, R, Csr(R.indptr, R.cols, R.vals * 2.0 ** -n))
 
 
 def signed_mean(alpha) -> float:
@@ -51,11 +51,17 @@ def signed_mean(alpha) -> float:
 
 
 def flat_mean(m: int) -> float:
-    """E|sum of m independent signs|, exactly: sum_j C(m,j)|m-2j| / 2^m."""
+    """E|sum of m independent signs|, exactly.
+
+    The sum_j C(m,j)|m-2j| / 2^m telescopes to m C(m, m/2) / 2^m for even
+    m and m C(m-1, (m-1)/2) / 2^(m-1) for odd m; the integer division by
+    2^m rounds correctly.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = sum(math.comb(m, j) * abs(m - 2 * j) for j in range(m + 1))
-    return total / 2.0 ** m
+    if m % 2 == 0:
+        return m * math.comb(m, m // 2) / 2 ** m
+    return 2 * m * math.comb(m - 1, (m - 1) // 2) / 2 ** m
 
 
 def flat_ratio_series(ms):

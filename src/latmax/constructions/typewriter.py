@@ -18,28 +18,25 @@ import math
 import numpy as np
 
 from latmax.constructions.bundles import WitnessBundle
-from latmax.constructions.haar import haar_matrices
+from latmax.constructions.haar import haar_rows
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import BiorthogonalSystem, _column_scan, coefficients
+from latmax.systems import BiorthogonalSystem, Csr, _column_scan, coefficients
 
 _DEPTH_LIMIT = 12
 
 
-def indicator_blocks(J: int) -> np.ndarray:
-    """Rows t_1..t_{2^J - 1}: all dyadic indicators, coarse to fine.
+def indicator_blocks(J: int) -> Csr:
+    """CSR rows t_1..t_{2^J - 1}: all dyadic indicators, coarse to fine.
 
     t_1 is the constant window; within a level the windows run left to
-    right.  Amplitude 1 throughout (these are indicators, not normalized
-    wavelets)."""
+    right, so each level's rows cover the cells once, in order.  Amplitude 1
+    throughout (these are indicators, not normalized wavelets)."""
     if not 1 <= J <= _DEPTH_LIMIT:
         raise ValueError(f"J must be in 1..{_DEPTH_LIMIT}")
     m = 2 ** J
-    rows = np.zeros((m - 1, m))
-    for level in range(J):
-        n = 2 ** level
-        k = np.arange(n)
-        rows[n - 1 : 2 * n - 1].reshape(n, n, m >> level)[k, k] = 1.0
-    return rows
+    counts = np.concatenate([np.full(2 ** level, m >> level) for level in range(J)])
+    return Csr(np.concatenate([[0], np.cumsum(counts)]), np.tile(np.arange(m), J),
+               np.ones(J * m))
 
 
 def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
@@ -47,22 +44,28 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
 
     Slots 3i hold the i-th wavelet with its true dual; slots 3i+1 and
     3i+2 hold +/- the i-th indicator, both paired with integration
-    against the constant.  There are 2^J wavelets against 2^J - 1
-    indicators, so the last wavelet closes the weave.  The family is
-    redundant, so the system is built with the gram check off.
+    against the constant, which is the wavelet dual row 0 (2^-J on every
+    cell), so the functionals are the wavelet duals under a row map.
+    There are 2^J wavelets against 2^J - 1 indicators, so the last
+    wavelet closes the weave.  The family is redundant, so the system is
+    built with the gram check off.
     """
     if not 1 <= J <= _DEPTH_LIMIT:
         raise ValueError(f"J must be in 1..{_DEPTH_LIMIT}")
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, inf)")
     m = 2 ** J
-    V = np.empty((3 * m - 2, m))
-    F = np.empty_like(V)
-    V[0::3], F[0::3] = haar_matrices(J, p)
-    V[1::3] = indicator_blocks(J)
-    V[2::3] = -V[1::3]
-    F[1::3] = F[2::3] = 2.0 ** -J  # integration against the constant
-    return BiorthogonalSystem(dyadic_lp(J, p), V, F, check=False)
+    W, W_dual = haar_rows(J, p)
+    T = indicator_blocks(J)
+    # rows of [W; T; -T] in weave order
+    slots = np.empty(3 * m - 2, dtype=np.intp)
+    slots[0::3] = np.arange(m)
+    slots[1::3] = m + np.arange(m - 1)
+    slots[2::3] = 2 * m - 1 + np.arange(m - 1)
+    V = Csr.stack([W, T, Csr(T.indptr, T.cols, -T.vals)]).take(slots)
+    index = np.zeros(3 * m - 2, dtype=np.intp)
+    index[0::3] = np.arange(m)
+    return BiorthogonalSystem(dyadic_lp(J, p), V, W_dual, check=False, index=index)
 
 
 def pass_profile(J: int, p: float) -> WitnessBundle:

@@ -216,8 +216,7 @@ def _run_hadamard(params, seed):
     for k in range(2, n + 1):
         sweep = _hadamard.sign_pattern_sweep(k, samples=samples, seed=seed)
         win = _hadamard.unconditionality_window(k, count=alphas, seed=seed + 1)
-        _sys, bundle = _hadamard.hadamard_mixed(k)
-        mod = lattice_norm(bundle.vectors["modulus_sum"])
+        mod = lattice_norm(_hadamard.mixed_bundle(k).vectors["modulus_sum"])
         rows.append((k, sweep["mode"], sweep["count"], sweep["max"], mod,
                      mod / sweep["max"], win["low"], win["high"]))
         _push(checks, f"n{k}_sign_sums_below_host_bound",
@@ -311,21 +310,23 @@ def _run_rademacher(params, seed):
     """Modulus sums hit the l1 norm; signed means grow only like sqrt(m)."""
     n, trials = params["n"], params["trials"]
     sysm = _rademacher.rademacher_l1(n)
+    # only the space and |x_k| are read below, so the rows need not stay
+    space, V = sysm.space, np.abs(sysm.vectors)
+    del sysm
     rng = np.random.default_rng(seed)
-    V = np.abs(sysm.vectors)
     # trials drawn 4096 at a time and their modulus sums formed 64 at a time
     # (64 x 2^n floats), so memory stays flat in trials
     peaks = []
     for s in range(0, trials, 4096):
         A = np.abs(rng.standard_normal((min(4096, trials - s), n)))
-        norms = np.concatenate([sysm.space.norms(A[b:b + 64] @ V)
+        norms = np.concatenate([space.norms(A[b:b + 64] @ V)
                                 for b in range(0, len(A), 64)])
         peaks.append(np.max(np.abs(norms / A.sum(axis=1) - 1.0)))
     worst = float(np.max(peaks))
     ms = list(range(2, params["m_max"] + 1, 2))
     columns = ("m", "signed_mean", "ratio")
-    rows = [(m, _rademacher.flat_mean(m), m / _rademacher.flat_mean(m))
-            for m in ms]
+    means = [_rademacher.flat_mean(m) for m in ms]
+    rows = [(m, mean, m / mean) for m, mean in zip(ms, means)]
     fit = growth_fit([(m, r) for m, _, r in rows])
     checks = []
     _push(checks, "modulus_sum_equals_l1_norm", worst < 1e-12,
@@ -498,8 +499,9 @@ _CATALOG = {
         "nuclear norm of triangular truncation certified against the "
         "harmonic double sum over pi; both grow like n log n",
         {"n_min": 64, "n_max": 1024}, _run_trace_dual,
-        # the grid spans four powers of two inside 2..4096
-        {"n_min": (2, 512), "n_max": (16, 4096)}),
+        # the grid spans four powers of two up to 4096; below 32 the
+        # growth-fit checks run where the n log n law does not yet hold
+        {"n_min": (32, 512), "n_max": (256, 4096)}),
     "triangular": _Entry(
         "triangular-truncation perturbation of the lp basis keeps equivalence "
         "constants below 3 while prefix-sum joins grow like n^(1/p) log n",
@@ -616,6 +618,12 @@ def run(config: ExperimentConfig) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
     files = {}
     ext = config.format
+    # a rerun leaves only files this run's manifest names
+    stale = [out / f"{config.experiment}-values.{'json' if ext == 'csv' else 'csv'}"]
+    if not table.fits:
+        stale.append(out / f"{config.experiment}-growth.json")
+    for path in stale:
+        path.unlink(missing_ok=True)
     values_path = out / f"{config.experiment}-values.{ext}"
     if ext == "csv":
         _atomic_write(values_path, _values_csv(table.columns, table.rows))

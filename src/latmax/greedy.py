@@ -19,8 +19,8 @@ from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
                             _column_scan, _modulus_sum_ratio, _ordered_join,
                             _peak_prefix_norm, _prefix_join_ratio,
-                            _prefix_norm_ratio, _ratio_search, coefficients,
-                            reconstruct)
+                            _prefix_norm_ratio, _ratio_search, _sums,
+                            coefficients, reconstruct)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -88,8 +88,7 @@ def greedy_sum(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
     if not 0 <= m <= len(sys):
         raise ValueError("m out of range")
     perm = _resolve_ordering(a, ordering)[:m]
-    return Element(sys.space, a[perm] @ sys.vectors[perm] if m else
-                   np.zeros(sys.space.dim))
+    return Element(sys.space, _sums(sys, [a], [perm])[0])
 
 
 def greedy_maximal(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
@@ -126,8 +125,9 @@ def strictify(coeffs, ordering: GreedyOrdering):
 
 
 def _greedy_setup(sys: BiorthogonalSystem, a: np.ndarray):
-    """(coefficients of x, support size, ||x||) for x = sum a_k x_k."""
-    x = reconstruct(sys, a)
+    """(coefficients of x, support size, ||x||) for x = sum a_k x_k, on raw
+    coordinates."""
+    x = _sums(sys, [a], [np.flatnonzero(a)])[0]
     av = coefficients(sys, x)
     return av, int(np.sum(av != 0)), sys.space.norm(x)
 
@@ -195,11 +195,14 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
 def _kvee_ratios(sys: BiorthogonalSystem, pairs) -> list:
     """||join of |prefix sums| along A|| / ||sum a_k x_k|| for each pair
     (a, A), or None where the sum is zero; the pairs share one
-    _column_scan call.  The one kvee score, for search and recompute."""
-    joins = np.abs(_column_scan(sys, *zip(*pairs))).max(axis=2)
+    _column_scan call, and their sums one _sums call over the nonzero
+    coefficients.  The one kvee score, for search and recompute."""
+    coeffs, perms = zip(*pairs)
+    joins = np.abs(_column_scan(sys, coeffs, perms)).max(axis=2)
+    xs = _sums(sys, coeffs, [np.flatnonzero(a) for a in coeffs])
     out = []
-    for (a, _), join in zip(pairs, joins):
-        nx = sys.space.norm(a @ sys.vectors[: len(a)])
+    for join, x in zip(joins, xs):
+        nx = sys.space.norm(x)
         out.append(sys.space.norm(join) / nx if nx else None)
     return out
 

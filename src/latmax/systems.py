@@ -1,11 +1,22 @@
 """Biorthogonal systems and lower-bound constant reports.
 
-A system pairs vectors x_k with coefficient functionals f_k, both stored as
-dense coordinate rows over one host space.  Functionals pair with elements by
-the plain (unweighted) dot product; constructions over weighted hosts bake
-their weights into the functional coordinates.  Ordered joins and the
-typewriter pass scan only the nonzeros of the vector rows, column by column
-(``_column_scan``).
+A system pairs vectors x_k with coefficient functionals f_k over one host
+space, both stored sparse as rows in compressed sparse row form (``Csr``;
+Saad, *Iterative Methods for Sparse Linear Systems*, 2003, ch. 3).  The
+vectors are one CSR row each (``row_support``).  The functionals are CSR
+rows U plus a row-index map idx, f_k = U[idx[k]], so a functional that
+several slots share is stored once.  Constructions build these rows
+directly; a dense input is converted once, at construction.  Every kernel
+reads only the nonzeros: ordered joins and the typewriter pass scan them
+column by column (``_column_scan``), a sum of terms adds each coordinate's
+terms in row order from zero (``_sums``), and ``coefficients`` sums each
+stored functional row pairwise.  The dense
+``vectors`` and ``functionals`` are read-only views built on first access,
+for callers outside the kernels.
+
+Functionals pair with elements by the plain (unweighted) dot product;
+constructions over weighted hosts bake their weights into the functional
+coordinates.
 
 Constants (basis, bidemocracy-style joins, absolute bounds, greedy variants)
 are always reported as certified lower bounds together with the witness that
@@ -33,26 +44,120 @@ CONSTANT_NAMES = (
 
 SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
-_CHECK_CUTOFF = 512  # full gram validation below, sampled above
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
+_GRAM_CELLS = 2 ** 20  # gram entries held per slab of the full check
+_GRAM_DENSE_SHARE = 16  # BLAS once column pairs reach 1/16 of the dense flops
 _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
 
 
+def _spans(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+class Csr:
+    """Rows in compressed sparse row form: row i holds the values
+    vals[indptr[i]:indptr[i + 1]] at the strictly ascending columns
+    cols[indptr[i]:indptr[i + 1]].  Unpacks as (indptr, cols, vals)."""
+
+    __slots__ = ("indptr", "cols", "vals")
+
+    def __init__(self, indptr, cols, vals):
+        self.indptr, self.cols, self.vals = indptr, cols, vals
+
+    def __iter__(self):
+        return iter((self.indptr, self.cols, self.vals))
+
+    @classmethod
+    def from_dense(cls, rows) -> "Csr":
+        """The nonzeros of a 2-d array, row by row in column order."""
+        rows = np.asarray(rows, dtype=float)
+        flat = np.flatnonzero(rows)
+        dim = rows.shape[1]
+        indptr = np.searchsorted(flat, np.arange(len(rows) + 1) * dim)
+        return cls(indptr, flat % dim, rows.ravel()[flat])
+
+    @classmethod
+    def stack(cls, blocks) -> "Csr":
+        """The rows of each block in turn."""
+        counts = np.concatenate([np.diff(b.indptr) for b in blocks])
+        return cls(np.concatenate([[0], np.cumsum(counts)]),
+                   np.concatenate([b.cols for b in blocks]),
+                   np.concatenate([b.vals for b in blocks]))
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def slice(self, start: int, stop: int) -> "Csr":
+        """Rows start .. stop - 1, as views of the stored arrays."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return Csr(self.indptr[start : stop + 1] - lo, self.cols[lo:hi], self.vals[lo:hi])
+
+    def take(self, rows) -> "Csr":
+        """The listed rows, in the listed order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cnt = self.indptr[rows + 1] - self.indptr[rows]
+        pos = _spans(self.indptr[rows], cnt)
+        return Csr(np.concatenate([[0], np.cumsum(cnt)]), self.cols[pos],
+                   self.vals[pos])
+
+    def dense(self, dim: int) -> np.ndarray:
+        """The rows as a dense (n_rows, dim) array."""
+        out = np.zeros((self.n_rows, dim))
+        flat = np.repeat(np.arange(self.n_rows) * dim, np.diff(self.indptr))
+        flat += self.cols
+        out.ravel()[flat] = self.vals
+        return out
+
+
+def _as_rows(rows, dim: int, what: str) -> Csr:
+    """A Csr checked against dim, or a dense (n, dim) array converted."""
+    if not isinstance(rows, Csr):
+        dense = np.asarray(rows, dtype=float)
+        if dense.ndim != 2 or dense.shape[1] != dim:
+            raise ValueError(f"{what} must be (n, {dim})")
+        return Csr.from_dense(dense)
+    ptr, cols = np.asarray(rows.indptr, dtype=np.intp), np.asarray(rows.cols, dtype=np.intp)
+    vals = np.asarray(rows.vals, dtype=float)
+    # columns strictly ascend inside each row: a step down or a repeat may
+    # only fall where a new row starts
+    bad = np.flatnonzero(np.diff(cols) <= 0) + 1
+    if (ptr.ndim != 1 or len(ptr) < 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
+            or ptr[-1] != len(cols) or len(vals) != len(cols)
+            or (len(cols) and (cols.min() < 0 or cols.max() >= dim))
+            or np.any(ptr[np.searchsorted(ptr, bad)] != bad)):
+        raise ValueError(f"{what} are not CSR rows over {dim} columns")
+    return Csr(ptr, cols, vals)
+
+
 class BiorthogonalSystem:
-    """Vectors and functionals as aligned rows over a common host."""
+    """Vectors x_k and functionals f_k = U[idx[k]] as CSR rows over a common
+    host.
+
+    ``vectors`` and ``functionals`` may each be a dense (n, dim) array or a
+    ``Csr``; ``index`` maps each of the n slots to a functional row and
+    defaults to row k for slot k.  A system's arrays must not be mutated.
+    """
 
     def __init__(self, space: SpaceDescriptor, vectors, functionals,
-                 labels=None, check: bool = True):
-        V = np.asarray(vectors, dtype=float)
-        F = np.asarray(functionals, dtype=float)
-        if V.ndim != 2 or V.shape[1] != space.dim:
-            raise ValueError(f"vectors must be (n, {space.dim})")
-        if F.shape != V.shape:
-            raise ValueError("functionals must match vectors in shape")
+                 labels=None, check: bool = True, index=None):
+        V = _as_rows(vectors, space.dim, "vectors")
+        U = _as_rows(functionals, space.dim, "functionals")
+        n = V.n_rows
+        if index is None:
+            if U.n_rows != n:
+                raise ValueError("functionals must match vectors in shape")
+            idx = np.arange(n)
+        else:
+            idx = np.asarray(index, dtype=np.intp)
+            if idx.shape != (n,) or (n and (idx.min() < 0 or idx.max() >= U.n_rows)):
+                raise ValueError(f"index must send {n} slots to the "
+                                 f"{U.n_rows} functional rows")
         self.space = space
-        self.vectors = V
-        self.functionals = F
-        n = V.shape[0]
+        self.row_support = V
+        self.functional_rows = U
+        self.functional_index = idx
         self.labels = tuple(labels) if labels is not None else tuple(
             f"e{k}" for k in range(n))
         if len(self.labels) != n:
@@ -61,35 +166,65 @@ class BiorthogonalSystem:
             self._check_gram()
 
     def _check_gram(self):
-        n = len(self)
-        if n <= _CHECK_CUTOFF:
-            gram = self.functionals @ self.vectors.T
-            err = np.abs(gram - np.eye(n)).max()
+        """max |f_j(x_k) - delta_jk| over every pair, against _GRAM_TOL.
+
+        The gram U V^T is formed a slab of vectors at a time.  Column c
+        pairs each nonzero of U in c with each nonzero of V in c; when those
+        pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop count
+        n_U * n * dim (nearly dense rows), a BLAS product of the densified
+        rows does the slab instead.
+        """
+        U, V, dim = self.functional_rows, self.row_support, self.space.dim
+        n, nU = len(self), U.n_rows
+        per_col = np.bincount(U.cols, minlength=dim)
+        pairs = int(per_col @ np.bincount(V.cols, minlength=dim))
+        dense = _GRAM_DENSE_SHARE * pairs >= nU * n * dim
+        if dense:
+            Ud = U.dense(dim)
         else:
-            # sampled rows keep the check affordable on big systems; a mask,
-            # not np.unique, which loads numpy.ma on first use
-            picked = np.zeros(n, dtype=bool)
-            picked[:8] = picked[-1] = True
-            picked[np.random.default_rng(0).integers(0, n, size=64)] = True
-            rows = np.flatnonzero(picked)
-            gram = self.functionals[rows] @ self.vectors.T
-            eye = np.zeros((len(rows), n))
-            eye[np.arange(len(rows)), rows] = 1.0
-            err = np.abs(gram - eye).max()
+            # U's nonzeros column by column, rows ascending inside a column
+            by_col = np.argsort(U.cols, kind="stable")
+            u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
+            u_vals = U.vals[by_col]
+            col_start = np.cumsum(per_col) - per_col
+        step = max(1, _GRAM_CELLS // max(n, nU, 1))
+        err = 0.0
+        for k0 in range(0, n, step):
+            k1 = min(n, k0 + step)
+            slab = V.slice(k0, k1)
+            if dense:
+                gram = Ud @ slab.dense(dim).T
+            else:
+                cnt = per_col[slab.cols]
+                pos = _spans(col_start[slab.cols], cnt)
+                k = np.repeat(np.arange(k1 - k0), np.diff(slab.indptr))
+                cells = u_rows[pos] * (k1 - k0) + np.repeat(k, cnt)
+                gram = np.bincount(cells, u_vals[pos] * np.repeat(slab.vals, cnt),
+                                   minlength=nU * (k1 - k0)).reshape(nU, k1 - k0)
+            gram = gram[self.functional_index]
+            gram[np.arange(k0, k1), np.arange(k1 - k0)] -= 1.0
+            err = max(err, float(np.abs(gram, out=gram).max()))
         if err > _GRAM_TOL:
             raise ValueError(f"biorthogonality violated: max error {err:.3e}")
 
     def __len__(self) -> int:
-        return self.vectors.shape[0]
+        return self.row_support.n_rows
 
     @functools.cached_property
-    def row_support(self):
-        """Nonzeros of ``vectors`` as CSR (indptr, cols, vals), derived on the
-        first join and cached: a system's arrays must not be mutated."""
-        flat = np.flatnonzero(self.vectors != 0)
-        dim = self.vectors.shape[1]
-        indptr = np.searchsorted(flat, np.arange(len(self) + 1) * dim)
-        return indptr, flat % dim, self.vectors.ravel()[flat]
+    def vectors(self) -> np.ndarray:
+        """Dense (n, dim) read-only view of the vectors, built on first
+        access."""
+        out = self.row_support.dense(self.space.dim)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def functionals(self) -> np.ndarray:
+        """Dense (n, dim) read-only view of the functionals, built on first
+        access."""
+        out = self.functional_rows.dense(self.space.dim)[self.functional_index]
+        out.flags.writeable = False
+        return out
 
 
 def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:
@@ -97,12 +232,24 @@ def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:
         if x.space != sys.space:
             raise ValueError("element lives in a different space")
         return x.coords
-    return np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.space.dim,):
+        raise ValueError(f"coordinates must have shape ({sys.space.dim},)")
+    return x
 
 
 def coefficients(sys: BiorthogonalSystem, x) -> np.ndarray:
-    """f_k(x) for every k, via the unweighted pairing."""
-    return sys.functionals @ _coords(sys, x)
+    """f_k(x) for every k, via the unweighted pairing: U x over the stored
+    rows, each row's terms summed pairwise (np.add.reduceat), then
+    gathered by idx."""
+    x = _coords(sys, x)
+    ptr, cols, vals = sys.functional_rows
+    out = np.zeros(len(ptr) - 1)
+    # reduceat would copy a neighbouring term into an empty row
+    rows = np.flatnonzero(np.diff(ptr))
+    if len(rows):
+        out[rows] = np.add.reduceat(vals * x[cols], ptr[rows])
+    return out[sys.functional_index]
 
 
 def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
@@ -110,7 +257,34 @@ def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
     a = np.asarray(coeffs, dtype=float)
     if len(a) > len(sys):
         raise ValueError("more coefficients than vectors")
-    return Element(sys.space, a @ sys.vectors[: len(a)])
+    return Element(sys.space, _sums(sys, [a], [np.flatnonzero(a)])[0])
+
+
+def _gather(sys: BiorthogonalSystem, coeffs, perms):
+    """(seg, terms) for B pairs (a, perm): every term a_k x_k[c] of the rows
+    along each perm, in scan order, with seg = b * dim + c.  The one place
+    an index outside [0, n) is rejected (ValueError)."""
+    ptr, cols, vals = sys.row_support
+    perms = [np.asarray(p, dtype=np.intp) for p in perms]
+    rows = np.concatenate(perms)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(sys)):
+        raise ValueError(f"index out of range for {len(sys)} vectors")
+    cnt = ptr[rows + 1] - ptr[rows]
+    # positions of the scanned rows' nonzeros, rows in scan order
+    pos = _spans(ptr[rows], cnt)
+    w = np.concatenate([np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
+    off = np.repeat(np.arange(len(perms)) * sys.space.dim, [len(p) for p in perms])
+    return np.repeat(off, cnt) + cols[pos], np.repeat(w, cnt) * vals[pos]
+
+
+def _sums(sys: BiorthogonalSystem, coeffs, perms, modulus: bool = False) -> np.ndarray:
+    """(B, dim): row b is sum a_k x_k along perms[b] (of |a_k x_k| with
+    modulus), each coordinate adding its terms in perm order from zero, so
+    it is bit for bit the last row of a dense np.cumsum down the perm (up to
+    the sign of zero)."""
+    seg, terms = _gather(sys, coeffs, perms)
+    return np.bincount(seg, np.abs(terms) if modulus else terms,
+                       minlength=len(perms) * sys.space.dim).reshape(len(perms), -1)
 
 
 def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
@@ -121,27 +295,16 @@ def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
     by (pair, coordinate) and zero-padded.  A dense scan adds only exact
     zeros between these terms and the padding repeats the last value, so
     the table holds its prefix values bit for bit (up to the sign of zero);
-    the last column is the full sum.  This is the one join kernel, and the
-    one place an index outside [0, n) is rejected (ValueError).
+    the last column is the full sum.  This is the one join kernel.
     """
-    ptr, cols, vals = sys.row_support
-    dim, B = sys.space.dim, len(perms)
-    perms = [np.asarray(p, dtype=np.intp) for p in perms]
-    rows = np.concatenate(perms)
-    if rows.size and (rows.min() < 0 or rows.max() >= len(sys)):
-        raise ValueError(f"index out of range for {len(sys)} vectors")
-    cnt = ptr[rows + 1] - ptr[rows]
-    # positions of the scanned rows' nonzeros, rows in scan order
-    pos = np.repeat(ptr[rows] - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-    w = np.concatenate([np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
-    off = np.repeat(np.arange(B) * dim, [len(p) for p in perms])
-    seg = np.repeat(off, cnt) + cols[pos]
+    seg, terms = _gather(sys, coeffs, perms)
+    B, dim = len(perms), sys.space.dim
     order = np.argsort(seg, kind="stable")
     seg = seg[order]
     seg_len = np.bincount(seg, minlength=B * dim)
     slot = np.arange(len(seg)) - (np.cumsum(seg_len) - seg_len)[seg]
     table = np.zeros((B * dim, max(1, seg_len.max())))
-    table[seg, slot] = (np.repeat(w, cnt) * vals[pos])[order]
+    table[seg, slot] = terms[order]
     return np.cumsum(table, axis=1, out=table).reshape(B, dim, -1)
 
 
@@ -234,17 +397,22 @@ def _ratio_search(sys, witnesses, ratio_fn, name):
 def _peak_prefix_norm(sys, a, perm):
     """(max norm over the prefix sums along perm, norm of the last one).
 
-    The sums are formed _SCAN_BLOCK rows at a time: the previous block's
+    The sums are formed _SCAN_BLOCK rows at a time, each block's terms
+    scattered from the row support into a zeroed block: the previous block's
     last sum is added into each block's first row, then each row adds the
     one before it.  These are the additions of one np.cumsum(axis=0) in the
     same order, so the sums agree bit for bit, while only a block of rows
     is ever held.  (np.cumsum runs axis 0 of a C-ordered block as a strided
     inner loop, several times slower.)
     """
+    ptr, cols, vals = sys.row_support
     peak, carry = -np.inf, None
     for start in range(0, len(perm), _SCAN_BLOCK):
         idx = perm[start : start + _SCAN_BLOCK]
-        rows = a[idx][:, None] * sys.vectors[idx]
+        cnt = ptr[idx + 1] - ptr[idx]
+        pos = _spans(ptr[idx], cnt)
+        rows = np.zeros((len(idx), sys.space.dim))
+        rows[np.repeat(np.arange(len(idx)), cnt), cols[pos]] = np.repeat(a[idx], cnt) * vals[pos]
         if carry is not None:
             rows[0] += carry
         for i in range(1, len(rows)):
@@ -267,9 +435,9 @@ def _prefix_join_ratio(sys, a):
 
 
 def _modulus_sum_ratio(sys, a):
-    m = len(a)
-    total = np.abs(a) @ np.abs(sys.vectors[:m])
-    return sys.space.norm(total) / sys.space.norm(a @ sys.vectors[:m]), m
+    k = np.flatnonzero(a)
+    total = _sums(sys, [a], [k], modulus=True)[0]
+    return sys.space.norm(total) / sys.space.norm(_sums(sys, [a], [k])[0]), len(a)
 
 
 def basis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:

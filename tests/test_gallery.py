@@ -6,15 +6,19 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmax.constructions import hadamard as had
 from latmax.constructions import haar
+from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import lorentz as lor
 from latmax.constructions import orlicz as orl
 from latmax.constructions import rademacher as rad
 from latmax.constructions import typewriter as tw
-from latmax.greedy import kvee_estimate, ordered_projection_maximal
-from latmax.systems import BiorthogonalSystem, coefficients, reconstruct
+from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
+from latmax.systems import (BiorthogonalSystem, _ordered_join, coefficients,
+                            reconstruct)
 
 
 # ---------------------------------------------------------------- hadamard
@@ -185,6 +189,21 @@ def test_flat_mean_exact_values():
         assert abs(rad.flat_mean(m) - rad.signed_mean(np.ones(m))) < 1e-12
 
 
+def _flat_mean_by_enumeration(m):
+    """sum_j C(m, j)|m - 2j| / 2^m, the enumeration flat_mean replaced, with
+    the binomials built one from the next."""
+    total, c = 0, 1
+    for j in range(m + 1):
+        total += c * abs(m - 2 * j)
+        c = c * (m - j) // (j + 1)
+    return total / 2.0 ** m
+
+
+def test_flat_mean_closed_form_is_bitwise_the_enumeration():
+    for m in range(1, 1019):
+        assert rad.flat_mean(m) == _flat_mean_by_enumeration(m), m
+
+
 def test_flat_ratio_staircase():
     series = dict(rad.flat_ratio_series([2, 3, 4, 5]))
     assert series[2] == pytest.approx(series[3], rel=1e-15)
@@ -269,7 +288,7 @@ def test_haar_kvee_smoke():
 
 
 def test_indicator_blocks_layout():
-    T = tw.indicator_blocks(3)
+    T = tw.indicator_blocks(3).dense(8)
     assert T.shape == (7, 8)
     assert np.array_equal(T[0], np.ones(8))
     assert np.array_equal(T[1], [1, 1, 1, 1, 0, 0, 0, 0])
@@ -301,8 +320,8 @@ def test_first_indicator_doubles_the_constant():
 def test_frame_slots_are_the_haar_and_indicator_rows_bitwise():
     for J in range(1, 7):
         system = tw.typewriter_frame(J, 2.5)
-        W, Wdual = haar.haar_matrices(J, 2.5)
-        T = tw.indicator_blocks(J)
+        W, Wdual = (rows.dense(2 ** J) for rows in haar.haar_rows(J, 2.5))
+        T = tw.indicator_blocks(J).dense(2 ** J)
         mean = np.full(2 ** J, 2.0 ** -J).tobytes()
         V, F = system.vectors, system.functionals
         assert len(system) == 3 * len(T) + 1
@@ -310,14 +329,15 @@ def test_frame_slots_are_the_haar_and_indicator_rows_bitwise():
             assert V[3 * i].tobytes() == W[i].tobytes()
             assert F[3 * i].tobytes() == Wdual[i].tobytes()
             assert V[3 * i + 1].tobytes() == T[i].tobytes()
-            assert V[3 * i + 2].tobytes() == (-T[i]).tobytes()
+            # the rows store no zeros, so the dense view's zeros are +0.0
+            assert V[3 * i + 2].tobytes() == (0.0 - T[i]).tobytes()
             assert F[3 * i + 1].tobytes() == F[3 * i + 2].tobytes() == mean
         assert V[-1].tobytes() == W[-1].tobytes()
         assert F[-1].tobytes() == Wdual[-1].tobytes()
 
 
 def _haar_matrices_by_window(J, p):
-    """The per-window loop haar_matrices replaced, kept as a reference."""
+    """The per-window loop haar_rows replaced, kept as a dense reference."""
     q = haar._conjugate(p)
     m = 2 ** J
     V, F = np.zeros((m, m)), np.zeros((m, m))
@@ -338,7 +358,8 @@ def _haar_matrices_by_window(J, p):
 
 
 def _indicator_blocks_by_window(J):
-    """The per-window loop indicator_blocks replaced, kept as a reference."""
+    """The per-window loop indicator_blocks replaced, kept as a dense
+    reference."""
     m = 2 ** J
     rows = np.zeros((m - 1, m))
     i = 0
@@ -353,14 +374,82 @@ def _indicator_blocks_by_window(J):
 def test_level_builds_are_bitwise_the_window_loops():
     for J in range(13):
         for p in (1.0, 1.5, 2.0, 3.0):
-            V, F = haar.haar_matrices(J, p)
+            V, F = (rows.dense(2 ** J) for rows in haar.haar_rows(J, p))
             V_ref, F_ref = _haar_matrices_by_window(J, p)
             assert V.tobytes() == V_ref.tobytes(), (J, p)
             assert F.tobytes() == F_ref.tobytes(), (J, p)
             del V, F, V_ref, F_ref
     for J in range(1, 13):
-        assert tw.indicator_blocks(J).tobytes() == \
+        assert tw.indicator_blocks(J).dense(2 ** J).tobytes() == \
             _indicator_blocks_by_window(J).tobytes(), J
+
+
+def _lindenstrauss_by_node(n):
+    """The per-node dense loop lindenstrauss replaced, kept as a reference."""
+    V, F = np.zeros((n, 2 * n + 2)), np.zeros((n, 2 * n + 2))
+    for k in range(n):
+        V[k, k] = 1.0
+        V[k, list(lind.children(k))] = -0.5
+        node, w = k, 1.0
+        F[k, node] = w
+        while node >= 2:
+            node, w = lind.parent(node), w / 2.0
+            F[k, node] += w
+    return V, F
+
+
+def _typewriter_by_slot(J, p):
+    """The dense weave typewriter_frame replaced, kept as a reference."""
+    m = 2 ** J
+    V, F = np.empty((3 * m - 2, m)), np.empty((3 * m - 2, m))
+    V[0::3], F[0::3] = _haar_matrices_by_window(J, p)
+    V[1::3] = _indicator_blocks_by_window(J)
+    V[2::3] = -V[1::3]
+    F[1::3] = F[2::3] = 2.0 ** -J
+    return V, F
+
+
+@st.composite
+def _gallery_systems(draw):
+    """(system built as CSR, its dense reference rows) for Haar at J <= 8,
+    the typewriter frame at J <= 8 and Lindenstrauss forests."""
+    kind = draw(st.sampled_from(("haar", "typewriter", "lindenstrauss")))
+    if kind == "lindenstrauss":
+        n = draw(st.integers(1, 300))
+        return lind.lindenstrauss(n), _lindenstrauss_by_node(n)
+    J = draw(st.integers(0 if kind == "haar" else 1, 8))
+    p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0) if kind == "haar" else (1.5, 2.0, 3.0)))
+    if kind == "haar":
+        return haar.haar_system(J, p), _haar_matrices_by_window(J, p)
+    return tw.typewriter_frame(J, p), _typewriter_by_slot(J, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gallery_systems(), st.data())
+def test_direct_csr_builds_are_the_dense_conversion_and_join_bitwise(built, data):
+    system, (V, F) = built
+    dense = BiorthogonalSystem(system.space, V, F, check=False)
+    for direct, converted in ((system.row_support, dense.row_support),
+                              (system.functional_rows.take(system.functional_index),
+                               dense.functional_rows)):
+        for a, b in zip(direct, converted):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # every join reads the rows and the coefficients only, so each is
+    # bitwise the dense path's: a cumsum over the dense rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    n, dim = V.shape
+    order = rng.permutation(n)[: data.draw(st.integers(1, n), label="length")]
+    a = rng.standard_normal(n)
+    sums = np.cumsum(a[order][:, None] * V[order], axis=0)
+    assert _ordered_join(system, a, order).tobytes() == \
+        np.abs(sums).max(axis=0).tobytes()
+    # the joins of an element: its coefficients are summed from the same
+    # stored functional rows on both sides
+    x = rng.standard_normal(dim)
+    assert ordered_projection_maximal(system, x, order).coords.tobytes() == \
+        ordered_projection_maximal(dense, x, order).coords.tobytes()
+    assert greedy_maximal(system, x, len(order)).coords.tobytes() == \
+        greedy_maximal(dense, x, len(order)).coords.tobytes()
 
 
 def test_pass_profile_marks_are_bitwise_the_dense_pass():

@@ -351,6 +351,46 @@ def test_every_declared_range_end_is_enforced_through_main(tmp_path, capsys):
     assert swept >= 50
 
 
+def test_trace_dual_range_corners_pass(tmp_path, capsys):
+    low, high = (experiments._CATALOG["trace-dual"].bounds[k]
+                 for k in ("n_min", "n_max"))
+    for n_min in low:
+        for n_max in high:
+            if n_min > n_max:
+                continue
+            code = main(["run", "--experiment", "trace-dual", "--param",
+                         f"n_min={n_min}", "--param", f"n_max={n_max}",
+                         "--out", str(tmp_path)])
+            assert code == 0, (n_min, n_max, capsys.readouterr().out)
+
+
+def test_trace_dual_n_min_16_exits_two(tmp_path, capsys):
+    # the fit's checks fail on grids that start below 32
+    code = main(["run", "--experiment", "trace-dual", "--param", "n_min=16",
+                 "--out", str(tmp_path / "never")])
+    assert code == 2
+    assert "trace-dual: parameter n_min must lie in 32..512" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_rerun_leaves_only_the_files_its_manifest_names(tmp_path, monkeypatch):
+    params = {"n": 4, "trials": 10, "m_max": 8}
+    for fmt in ("csv", "json", "csv"):
+        run(ExperimentConfig("rademacher-l1", params, str(tmp_path), fmt))
+        manifest = json.loads((tmp_path / "rademacher-l1-manifest.json").read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["rademacher-l1-manifest.json", *manifest["files"].values()])
+    assert (tmp_path / "rademacher-l1-growth.json").exists()
+    # a rerun whose table has no fit drops the growth file of the last one
+    entry = experiments._CATALOG["rademacher-l1"]
+    monkeypatch.setitem(experiments._CATALOG, "rademacher-l1", experiments._Entry(
+        entry.summary, entry.defaults,
+        lambda params, seed: experiments._Table(("k",), [(1,)], [])))
+    run(ExperimentConfig("rademacher-l1", params, str(tmp_path)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rademacher-l1-manifest.json", "rademacher-l1-values.csv"]
+
+
 def test_rademacher_memory_is_flat_in_trials(tmp_path):
     params = {"n": 4, "trials": 200000}
     run(ExperimentConfig("rademacher-l1", params={"trials": 1},

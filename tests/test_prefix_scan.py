@@ -1,5 +1,6 @@
 """Property tests for the column-segmented prefix scan over each system's
-row support, and for the blocked prefix sums behind the per-prefix norms."""
+row support, for the row-order sums beside it, and for the blocked prefix
+sums behind the per-prefix norms."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from latmax.constructions.haar import (branch_coefficients, branch_ordering,
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.spaces import LpBlock
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, _column_scan,
-                            _ordered_join, _peak_prefix_norm)
+                            _ordered_join, _peak_prefix_norm, _sums)
 
 
 @st.composite
@@ -79,13 +80,18 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
     if len(pairs[0][1]):
         V[pairs[0][1][0], rng.integers(dim)] = 0.0
     sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
-    table = _column_scan(sys, [a for a, _ in pairs], [p for _, p in pairs])
+    coeffs, perms = [a for a, _ in pairs], [p for _, p in pairs]
+    table = _column_scan(sys, coeffs, perms)
     assert table.shape[:2] == (len(pairs), dim)
-    for (a, order), rows in zip(pairs, table):
+    sums, moduli = _sums(sys, coeffs, perms), _sums(sys, coeffs, perms, modulus=True)
+    for (a, order), rows, total, modulus in zip(pairs, table, sums, moduli):
         join, full = _cumsum_oracle(V, a, order)
         assert np.abs(rows).max(axis=1).tobytes() == join.tobytes()
         # equal up to the sign of zero, which no norm sees
         assert (rows[:, -1] + 0.0).tobytes() == (full + 0.0).tobytes()
+        assert (total + 0.0).tobytes() == (full + 0.0).tobytes()
+        assert (modulus + 0.0).tobytes() == \
+            (_cumsum_oracle(np.abs(V), np.abs(a), order)[1] + 0.0).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,7 +123,7 @@ def test_haar_join_is_doobs_maximal_function():
 
 
 def _kvee_reference(sys, m, budget, seed=0, structured=()):
-    """The one-by-one kvee search, each join a dense np.cumsum."""
+    """The one-by-one kvee search, each join and each sum a dense np.cumsum."""
     rng = np.random.default_rng(seed)
     state = {"evals": 0, "best": (-np.inf, None, None, None)}
 
@@ -126,7 +132,7 @@ def _kvee_reference(sys, m, budget, seed=0, structured=()):
             return
         a = np.asarray(a, dtype=float)
         A = np.asarray(A, dtype=int)
-        nx = sys.space.norm(a @ sys.vectors[: len(a)])
+        nx = sys.space.norm(_cumsum_oracle(sys.vectors, a, np.arange(len(a)))[1])
         if nx == 0:
             return
         state["evals"] += 1

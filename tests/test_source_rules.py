@@ -10,6 +10,8 @@ system-building run depends on it.  No module of the package imports
 ``scipy.sparse``, ``scipy.linalg`` or ``scipy.fft``: the spectral norms run
 on one numpy Lanczos, and importing the CLI stays cheap.  (``experiments``
 keeps a bare ``import scipy`` to record its version in the manifest.)
+
+Kernels read a system's stored sparse rows, never its dense views.
 """
 
 import ast
@@ -29,6 +31,29 @@ def test_library_code_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements in library code: " + ", ".join(found)
+
+
+def test_no_module_reads_the_dense_system_views():
+    # a system stores its rows sparse; .vectors and .functionals are dense
+    # views for callers outside the package, and only _run_rademacher, which
+    # sums |x_k| over every coordinate, reads one.  A WitnessBundle's
+    # .vectors is a dict of named elements, always indexed by a string.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_run_rademacher"
+                  for node in ast.walk(fn)}
+        exempt |= {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript)
+                   and isinstance(node.slice, ast.Constant)
+                   and isinstance(node.slice.value, str)}
+        found += [f"{path.relative_to(SRC.parent)}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("vectors", "functionals")
+                  and id(node) not in exempt]
+    assert not found, "dense system views read in the package: " + ", ".join(found)
 
 
 _HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.fft")

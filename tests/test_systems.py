@@ -51,6 +51,20 @@ def test_coefficients_invert_reconstruction(sysm, data):
     assert np.linalg.norm(back - a) <= 1e-10 * np.linalg.norm(a)
 
 
+def test_gram_check_reads_every_row_of_a_large_system():
+    # a sampled check above 512 rows read rows 0..7, the last row and 64
+    # rows drawn by default_rng(0); perturb a row outside that set
+    sysm = haar_system(10, 2.0)
+    n = len(sysm)
+    sampled = set(range(8)) | {n - 1} | set(
+        np.random.default_rng(0).integers(0, n, size=64).tolist())
+    row = max(set(range(n)) - sampled)
+    F = np.array(sysm.functionals)
+    F[row, np.flatnonzero(F[row])[0]] *= 1.001
+    with pytest.raises(ValueError, match="biorthogonality"):
+        BiorthogonalSystem(sysm.space, sysm.vectors, F)
+
+
 def test_gram_check_rejects_non_biorthogonal():
     sp = lp_block(3, 2.0)
     V = np.eye(3)
