@@ -10,6 +10,14 @@ point of the construction.
 Large n never materializes the 2^n x 2^n sign matrix; batch Walsh transforms,
 two small Sylvester products by the Kronecker split, evaluate the l2 block.
 The Sylvester matrices themselves are built by doubling in numpy.
+
+The sign sweep runs in float32 and loses nothing: a +/-1 row of length 2^n
+(n <= 14) has a Walsh transform whose every partial sum, in either product
+and in any summation order, is an integer of magnitude at most 2^14, well
+inside float32's exact integers (below 2^24).  The squared l2 norms are
+summed in float64, where each is an integer below 2^53, so the square roots
+see the same operands as the float64 path and return the same bits.
+Gaussian coefficients (the unconditionality window) stay in float64.
 """
 
 from __future__ import annotations
@@ -40,9 +48,9 @@ def walsh_matrix(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _factor(k: int) -> np.ndarray:
-    """Read-only walsh_matrix(k), built once per order."""
-    H = walsh_matrix(k)
+def _factor(k: int, dtype=np.float64) -> np.ndarray:
+    """Read-only walsh_matrix(k) in `dtype`, built once per order and dtype."""
+    H = walsh_matrix(k).astype(dtype, copy=False)
     H.flags.writeable = False
     return H
 
@@ -52,32 +60,52 @@ def fwht_rows(X) -> np.ndarray:
 
     H_n = H_lo (x) H_hi with lo = n // 2 maps a row, viewed as a 2^lo x 2^hi
     array, to H_lo @ row @ H_hi: one GEMM by H_hi, one stacked product by
-    H_lo, rows up to 2^(2 * _MATRIX_LIMIT) wide.  Exact in float64 for
-    integer inputs of modest size since every intermediate is an integer.
+    H_lo, rows up to 2^(2 * _MATRIX_LIMIT) wide.  float32 input is
+    transformed in float32, anything else in float64.
+
+    Integer rows are transformed exactly whatever the GEMMs' summation
+    order, as long as every partial sum stays an integer the dtype holds:
+    for +/-1 rows of length 2^n each partial sum of either product adds at
+    most 2^n terms of +/-1, so its magnitude is at most 2^n <= 2^14, far
+    below float32's 2^24.  The float32 transform of a sign row is then
+    bitwise the float64 one, at half the memory traffic, and its squared
+    l2 norm is an integer below 2^53, which float64 sums exactly in any
+    order: its square root is bitwise np.linalg.norm's.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X)
+    if X.dtype != np.float32:
+        X = X.astype(np.float64, copy=False)
     if X.ndim != 2:
         raise ValueError("expected a batch of rows")
     m = X.shape[1]
     if m < 1 or m & (m - 1):
         raise ValueError("row length must be a power of two")
     lo, hi = (m.bit_length() - 1) // 2, m.bit_length() // 2  # lo + hi = n
-    Y = (X.reshape(-1, 2 ** hi) @ _factor(hi)).reshape(len(X), 2 ** lo, 2 ** hi)
-    return np.matmul(_factor(lo), Y).reshape(len(X), m)
+    dtype = X.dtype.type
+    Y = (X.reshape(-1, 2 ** hi) @ _factor(hi, dtype)).reshape(
+        len(X), 2 ** lo, 2 ** hi)
+    return np.matmul(_factor(lo, dtype), Y).reshape(len(X), m)
 
 
 def mixed_sum_norms(n: int, rows) -> np.ndarray:
     """Host norms of sum_k rows[i, k] * u_k, one value per batch row.
 
     The sup block contributes max_k |rows[i, k]| and the l2 block
-    2^{-n} * ||row @ H||_2; the host takes the larger.
+    2^{-n} * ||row @ H||_2; the host takes the larger.  float32 (sign) rows
+    have their squared l2 norms summed in float64, exactly (see fwht_rows).
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    rows = np.atleast_2d(np.asarray(rows))
+    if rows.dtype != np.float32:
+        rows = rows.astype(np.float64, copy=False)
     if rows.shape[1] != 2 ** n:
         raise ValueError("coefficient length must be 2^n")
     sup_part = np.max(np.abs(rows), axis=1)
-    l2_part = 2.0 ** -n * np.linalg.norm(fwht_rows(rows), axis=1)
-    return np.maximum(sup_part, l2_part)
+    Y = fwht_rows(rows)
+    if Y.dtype == np.float32:
+        l2_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y, dtype=np.float64))
+    else:
+        l2_norms = np.linalg.norm(Y, axis=1)
+    return np.maximum(sup_part, 2.0 ** -n * l2_norms)
 
 
 def _norm_range(n: int, batches):
@@ -91,29 +119,44 @@ def _norm_range(n: int, batches):
     return low, high, count
 
 
+def _sign_batches(m: int, samples: int, seed: int):
+    """`samples` seeded +/-1 rows of length m, as float32 batches.
+
+    Each batch is drawn as bools (the stream does not depend on how the
+    rows are split into draws) and written into one reused buffer, so a
+    batch is a view that the next one overwrites.
+    """
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((min(_CHUNK, samples), m), dtype=np.float32)
+    for s in range(0, samples, _CHUNK):
+        bits = rng.integers(0, 2, size=(min(_CHUNK, samples - s), m),
+                            dtype=bool)
+        rows = buffer[:len(bits)]
+        np.multiply(bits, np.float32(2.0), out=rows)
+        rows -= 1.0
+        yield rows
+
+
 def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     """Largest and smallest signed-sum norm over sign patterns.
 
     n <= 4 enumerates every pattern, larger n draws `samples` of them, one
-    batch at a time (a seeded generator yields the same stream however the
-    rows are split into draws); either way the norms land exactly on 1
-    because the Walsh rows are orthogonal, so max == min == 1.0 is the
-    expected outcome.
+    batch at a time; either way the norms land exactly on 1 because the
+    Walsh rows are orthogonal, so max == min == 1.0 is the expected
+    outcome.  Both modes evaluate float32 +/-1 rows, which mixed_sum_norms
+    handles exactly (see fwht_rows).
     """
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     if n <= _EXHAUSTIVE_LIMIT:
         # row w of the cube takes sign +1 in column k when bit k of w is set
-        cube = sign_matrix(m).T
+        cube = sign_matrix(m).T.astype(np.float32)
         cube *= -1.0
         batches = (cube[s : s + _CHUNK] for s in range(0, len(cube), _CHUNK))
         mode = "exhaustive"
     else:
-        rng = np.random.default_rng(seed)
-        batches = (rng.integers(0, 2, size=(min(_CHUNK, samples - s), m),
-                                dtype=bool) * 2.0 - 1.0
-                   for s in range(0, samples, _CHUNK))
+        batches = _sign_batches(m, samples, seed)
         mode = "sampled"
     best, worst, count = _norm_range(n, batches)
     return {"max": worst, "min": best, "count": count, "mode": mode}
@@ -124,13 +167,16 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
 
     The host actually gives equality with the left end; both window ends
     are returned as observed ratios against max|a| = 1.  Coefficients are
-    drawn a batch at a time, so memory does not grow with count.
+    drawn a batch at a time into one reused buffer and normalized in place,
+    so memory does not grow with count.
     """
     rng = np.random.default_rng(seed)
-    draws = (rng.standard_normal((min(_CHUNK, count - s), 2 ** n))
+    buffer = np.empty((min(_CHUNK, count), 2 ** n))
+    draws = (rng.standard_normal(out=buffer[:min(_CHUNK, count - s)])
              for s in range(0, count, _CHUNK))
     low, high, _ = _norm_range(
-        n, (a / np.max(np.abs(a), axis=1, keepdims=True) for a in draws))
+        n, (np.divide(a, np.max(np.abs(a), axis=1, keepdims=True), out=a)
+            for a in draws))
     return {"low": low, "high": high, "count": count}
 
 

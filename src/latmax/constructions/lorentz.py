@@ -29,17 +29,6 @@ def _validate(p: float, q: float):
         raise ValueError("need 1 <= q < p < inf")
 
 
-def lorentz_norm(p: float, q: float, x) -> float:
-    """(sum_k k^{q/p-1} (x*_k)^q)^{1/q} over the decreasing rearrangement."""
-    _validate(p, q)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a vector")
-    star = np.sort(np.abs(x))[::-1]
-    k = np.arange(1, len(x) + 1, dtype=float)
-    return float(np.sum(k ** (q / p - 1.0) * star ** q) ** (1.0 / q))
-
-
 @functools.lru_cache(maxsize=4)
 def _sigma_table(e: float) -> np.ndarray:
     """Read-only cumulative sums of k^e, k up to the table limit, per exponent

@@ -62,13 +62,3 @@ def flat_mean(m: int) -> float:
     if m % 2 == 0:
         return m * math.comb(m, m // 2) / 2 ** m
     return 2 * m * math.comb(m - 1, (m - 1) // 2) / 2 ** m
-
-
-def flat_ratio_series(ms):
-    """(m, m / E|S_m|) pairs: the l1-to-mean gap for flat coefficients.
-
-    The mean is constant across the odd-to-even step (E|S_{2k}| relates to
-    E|S_{2k+1}| by the same central binomial), so consecutive ratios move
-    in a staircase; growth fits should sample a single parity.
-    """
-    return [(int(m), m / flat_mean(int(m))) for m in ms]

@@ -243,11 +243,6 @@ def triangular_basis(n: int, p: float = 2.0):
 # ----------------------------------------------------------- trace duality
 
 
-def tau_matrix(n: int) -> np.ndarray:
-    """Lower-triangular ones, diagonal included."""
-    return np.tril(np.ones((n, n)))
-
-
 def tau_singular_values(n: int) -> np.ndarray:
     """Exact spectrum of the summation matrix: half inverse sines."""
     k = np.arange(1, n + 1)

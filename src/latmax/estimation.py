@@ -330,12 +330,3 @@ def growth_fit(sample) -> GrowthFit:
     fit = GrowthFit(float(math.exp(beta[0])), float(beta[1]), float(beta[2]),
                     float(np.sqrt(np.mean(r * r))), tuple(pts))
     return fit
-
-
-def growth_fit_residual(fit: GrowthFit) -> float:
-    """Recompute the log-space RMS residual from the stored sample."""
-    ns = np.array([n for n, _ in fit.sample])
-    vs = np.array([v for _, v in fit.sample])
-    pred = math.log(fit.c) + fit.a * np.log(ns) + fit.b * np.log(np.log(ns))
-    r = np.log(vs) - pred
-    return float(np.sqrt(np.mean(r * r)))

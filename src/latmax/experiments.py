@@ -314,13 +314,13 @@ def _run_rademacher(params, seed):
     space, V = sysm.space, np.abs(sysm.vectors)
     del sysm
     rng = np.random.default_rng(seed)
-    # trials drawn 4096 at a time and their modulus sums formed 64 at a time
-    # (64 x 2^n floats), so memory stays flat in trials
+    # trials drawn 4096 at a time and their modulus sums formed 16 at a time
+    # (16 x 2^n floats, 8 MB at n = 16), so memory stays flat in trials
     peaks = []
     for s in range(0, trials, 4096):
         A = np.abs(rng.standard_normal((min(4096, trials - s), n)))
-        norms = np.concatenate([space.norms(A[b:b + 64] @ V)
-                                for b in range(0, len(A), 64)])
+        norms = np.concatenate([space.norms(A[b:b + 16] @ V)
+                                for b in range(0, len(A), 16)])
         peaks.append(np.max(np.abs(norms / A.sum(axis=1) - 1.0)))
     worst = float(np.max(peaks))
     ms = list(range(2, params["m_max"] + 1, 2))

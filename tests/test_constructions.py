@@ -341,6 +341,11 @@ def test_basis_rejects_bad_parameters():
 # ---------------------------------------------------------------- trace dual
 
 
+def _tau_matrix(n):
+    """The summation matrix: lower-triangular ones, diagonal included."""
+    return np.tril(np.ones((n, n)))
+
+
 def test_trace_dual_small_values():
     bundle = tri.trace_dual_certificate(2)
     assert bundle.value("harmonic_double_sum") == 2.5
@@ -354,9 +359,9 @@ def test_trace_dual_small_values():
 def test_tau_spectrum_closed_form():
     n = 64
     sigma = tri.tau_singular_values(n)
-    oracle = np.linalg.svd(tri.tau_matrix(n), compute_uv=False)
+    oracle = np.linalg.svd(_tau_matrix(n), compute_uv=False)
     assert np.max(np.abs(np.sort(sigma)[::-1] - oracle)) < 1e-8
-    assert abs(sigma.sum() - nuclear_norm(tri.tau_matrix(n))) < 1e-8
+    assert abs(sigma.sum() - nuclear_norm(_tau_matrix(n))) < 1e-8
 
 
 def test_trace_dual_floor_and_growth_window():

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from latmax import estimation
 from latmax.estimation import (GrowthFit, WitnessFamily, growth_fit,
-                               growth_fit_residual, nuclear_norm,
-                               spectral_norm, sup_search)
+                               nuclear_norm, spectral_norm, sup_search)
 
 
 def hilbert_kernel(n):
@@ -101,7 +100,6 @@ def test_growth_fit_recovers_sqrt_n_log_n():
     fit = growth_fit([(n, n ** 0.5 * np.log(n)) for n in ns])
     assert fit.a == pytest.approx(0.5, abs=1e-6)
     assert fit.b == pytest.approx(1.0, abs=1e-3)
-    assert growth_fit_residual(fit) == pytest.approx(fit.residual, abs=1e-12)
 
 
 def test_growth_fit_json_round_trip_fields():

@@ -68,13 +68,71 @@ def test_fwht_matches_the_dense_product_on_gaussian_rows():
 
 
 def test_fwht_factors_are_cached_read_only():
-    had.fwht_rows(np.ones((2, 2 ** 9)))
-    for k in (4, 5):
-        H = had._factor(k)
-        assert H is had._factor(k)
-        assert np.array_equal(H, had.walsh_matrix(k))
-        with pytest.raises(ValueError):
-            H[0, 0] = 0.0
+    for dtype in (np.float64, np.float32):
+        had.fwht_rows(np.ones((2, 2 ** 9), dtype=dtype))
+        for k in (4, 5):
+            H = had._factor(k, dtype)
+            assert H is had._factor(k, dtype)
+            assert H.dtype == dtype
+            assert np.array_equal(H, had.walsh_matrix(k))
+            with pytest.raises(ValueError):
+                H[0, 0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 14), random_rows=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_float32_sign_norms_are_bitwise_the_float64_norms(n, random_rows, seed):
+    # every batch holds the all-ones row (one spike of 2^n in the transform),
+    # the alternating row and its negation, then random sign rows
+    m = 2 ** n
+    alternating = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    signs = np.random.default_rng(seed).integers(0, 2, (random_rows, m))
+    rows = np.vstack([np.ones(m), alternating, -alternating, signs * 2.0 - 1.0])
+    single = rows.astype(np.float32)
+    transform = had.fwht_rows(single)
+    assert transform.dtype == np.float32
+    assert np.array_equal(transform, had.fwht_rows(rows))
+    norms = had.mixed_sum_norms(n, single)
+    assert norms.dtype == np.float64
+    assert norms.tobytes() == had.mixed_sum_norms(n, rows).tobytes()
+
+
+def _float64_sweep(n, samples, seed):
+    """sign_pattern_sweep's sampled mode in float64: the same seeded bool
+    stream, drawn 512 rows at a time, transformed by the butterfly."""
+    rng = np.random.default_rng(seed)
+    low, high = np.inf, -np.inf
+    for s in range(0, samples, 512):
+        rows = rng.integers(0, 2, size=(min(512, samples - s), 2 ** n),
+                            dtype=bool) * 2.0 - 1.0
+        l2 = np.linalg.norm(_butterfly_fwht(rows), axis=1)
+        norms = np.maximum(np.max(np.abs(rows), axis=1), 2.0 ** -n * l2)
+        low, high = min(low, float(norms.min())), max(high, float(norms.max()))
+    return {"max": high, "min": low, "count": samples, "mode": "sampled"}
+
+
+def test_sampled_sweep_is_the_float64_sweep_of_the_same_stream():
+    # 1100 = 2 * 512 + 76: two full buffers and a short tail
+    for n in range(5, 13):
+        for samples, seed in ((1100, n), (3, 0)):
+            assert had.sign_pattern_sweep(n, samples, seed) == \
+                _float64_sweep(n, samples, seed), (n, samples, seed)
+
+
+def test_sign_pattern_sweep_memory_at_n12():
+    had.sign_pattern_sweep(12, samples=1)  # build the cached Walsh factors
+    tracemalloc.start()
+    try:
+        sweep = had.sign_pattern_sweep(12, samples=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep["max"] == sweep["min"] == 1.0
+    # a float32 512 x 4096 batch is 8 MB: the reused draw buffer, the
+    # transform's two products and the bool draw take about 26 MB; float64
+    # batches in fresh buffers took 50 MB
+    assert peak < 32e6, peak
 
 
 def test_walsh_rows_orthogonal():
@@ -204,8 +262,18 @@ def test_flat_mean_closed_form_is_bitwise_the_enumeration():
         assert rad.flat_mean(m) == _flat_mean_by_enumeration(m), m
 
 
+def _flat_ratio_series(ms):
+    """(m, m / E|S_m|) pairs: the l1-to-mean gap for flat coefficients.
+
+    The mean is constant across the odd-to-even step (E|S_{2k}| relates to
+    E|S_{2k+1}| by the same central binomial), so consecutive ratios move
+    in a staircase; growth fits should sample a single parity.
+    """
+    return [(m, m / rad.flat_mean(m)) for m in ms]
+
+
 def test_flat_ratio_staircase():
-    series = dict(rad.flat_ratio_series([2, 3, 4, 5]))
+    series = dict(_flat_ratio_series([2, 3, 4, 5]))
     assert series[2] == pytest.approx(series[3], rel=1e-15)
     assert series[4] == pytest.approx(series[5], rel=1e-15)
     assert series[4] > series[2]
@@ -480,19 +548,27 @@ def test_pass_profile_join_and_oscillation():
 # ---------------------------------------------------------------- lorentz
 
 
+def _lorentz_norm(p, q, x):
+    """(sum_k k^{q/p-1} (x*_k)^q)^{1/q} over the decreasing rearrangement."""
+    x = np.asarray(x, dtype=float)
+    star = np.sort(np.abs(x))[::-1]
+    k = np.arange(1, len(x) + 1, dtype=float)
+    return float(np.sum(k ** (q / p - 1.0) * star ** q) ** (1.0 / q))
+
+
 def test_lorentz_norm_basics():
-    assert lor.lorentz_norm(4, 2, [1, 0, 0]) == 1.0
+    assert _lorentz_norm(4, 2, [1, 0, 0]) == 1.0
     expected = (1 + 2.0 ** (2 / 4 - 1)) ** 0.5
-    assert abs(lor.lorentz_norm(4, 2, [1, 1]) - expected) < 1e-12
+    assert abs(_lorentz_norm(4, 2, [1, 1]) - expected) < 1e-12
     # rearrangement invariance
     rng = np.random.default_rng(8)
     x = rng.standard_normal(20)
     shuffled = -x[rng.permutation(20)]
-    assert abs(lor.lorentz_norm(4, 2, x) - lor.lorentz_norm(4, 2, shuffled)) < 1e-12
+    assert abs(_lorentz_norm(4, 2, x) - _lorentz_norm(4, 2, shuffled)) < 1e-12
     with pytest.raises(ValueError):
-        lor.lorentz_norm(2, 2, [1])
+        lor.unit_fundamental(2, 2, [1])
     with pytest.raises(ValueError):
-        lor.lorentz_norm(2, 0.5, [1])
+        lor.unit_fundamental(2, 0.5, [1])
 
 
 def test_weight_sums_match_a_direct_cumsum():
@@ -514,7 +590,7 @@ def test_weight_sums_match_a_direct_cumsum():
 def test_unit_fundamental_matches_direct_norm():
     for n in (8, 32):
         closed = lor.unit_fundamental(4, 2, [n])[0][1]
-        direct = lor.lorentz_norm(4, 2, np.ones(n))
+        direct = _lorentz_norm(4, 2, np.ones(n))
         assert abs(closed - direct) < 1e-12
 
 
@@ -523,9 +599,9 @@ def test_block_series_matches_dense_evaluation():
     for m in (3, 6, 10):
         pieces = []
         for i in range(1, m + 1):
-            height = lor.lorentz_norm(p, q, np.ones(2 ** i)) ** -1.0
+            height = _lorentz_norm(p, q, np.ones(2 ** i)) ** -1.0
             pieces.append(np.full(2 ** i, height))
-        dense = lor.lorentz_norm(p, q, np.concatenate(pieces))
+        dense = _lorentz_norm(p, q, np.concatenate(pieces))
         closed = lor.block_series(p, q, [m])[0][1]
         assert abs(dense - closed) < 1e-9
 

@@ -405,3 +405,20 @@ def test_rademacher_memory_is_flat_in_trials(tmp_path):
     assert result.passed
     # the 200000 x 4 draw alone takes 6.4 MB
     assert peak < 4e6, peak
+
+
+def test_rademacher_modulus_sums_stay_small_at_n14(tmp_path):
+    run(ExperimentConfig("rademacher-l1", params={"trials": 1},
+                         output_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        result = run(ExperimentConfig("rademacher-l1",
+                                      params={"n": 14, "trials": 256},
+                                      output_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    # building the system peaks near 11 MB; modulus sums formed 64 trials
+    # at a time (64 x 2^14 floats and their np.abs copy) took 18.8 MB
+    assert peak < 15e6, peak

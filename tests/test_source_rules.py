@@ -12,6 +12,10 @@ on one numpy Lanczos, and importing the CLI stays cheap.  (``experiments``
 keeps a bare ``import scipy`` to record its version in the manifest.)
 
 Kernels read a system's stored sparse rows, never its dense views.
+
+Single precision stays in ``constructions/hadamard.py``: its float32 Walsh
+transforms are exact only because their inputs are +/-1 rows, whose every
+partial sum is an integer below 2^24.
 """
 
 import ast
@@ -54,6 +58,15 @@ def test_no_module_reads_the_dense_system_views():
                   and node.attr in ("vectors", "functionals")
                   and id(node) not in exempt]
     assert not found, "dense system views read in the package: " + ", ".join(found)
+
+
+def test_float32_appears_only_in_the_hadamard_module():
+    found = [f"{path.relative_to(SRC.parent)}:{number}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path != SRC / "constructions" / "hadamard.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "float32" in line]
+    assert not found, "float32 outside the Hadamard sign sweep: " + ", ".join(found)
 
 
 _HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.fft")
