@@ -87,32 +87,42 @@ def fwht_rows(X) -> np.ndarray:
     return np.matmul(_factor(lo, dtype), Y).reshape(len(X), m)
 
 
+def _l2_part(n: int, rows) -> np.ndarray:
+    """2^{-n} * ||row @ H||_2 for each row: the l2 block's share of the host
+    norm.  float32 (sign) rows have their squared l2 norms summed in
+    float64, exactly (see fwht_rows)."""
+    Y = fwht_rows(rows)
+    if Y.dtype == np.float32:
+        l2_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y, dtype=np.float64))
+    else:
+        l2_norms = np.linalg.norm(Y, axis=1)
+    return 2.0 ** -n * l2_norms
+
+
 def mixed_sum_norms(n: int, rows) -> np.ndarray:
     """Host norms of sum_k rows[i, k] * u_k, one value per batch row.
 
     The sup block contributes max_k |rows[i, k]| and the l2 block
-    2^{-n} * ||row @ H||_2; the host takes the larger.  float32 (sign) rows
-    have their squared l2 norms summed in float64, exactly (see fwht_rows).
+    2^{-n} * ||row @ H||_2; the host takes the larger.
     """
     rows = np.atleast_2d(np.asarray(rows))
     if rows.dtype != np.float32:
         rows = rows.astype(np.float64, copy=False)
     if rows.shape[1] != 2 ** n:
         raise ValueError("coefficient length must be 2^n")
-    sup_part = np.max(np.abs(rows), axis=1)
-    Y = fwht_rows(rows)
-    if Y.dtype == np.float32:
-        l2_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y, dtype=np.float64))
-    else:
-        l2_norms = np.linalg.norm(Y, axis=1)
-    return np.maximum(sup_part, 2.0 ** -n * l2_norms)
+    return np.maximum(np.max(np.abs(rows), axis=1), _l2_part(n, rows))
 
 
 def _norm_range(n: int, batches):
-    """(min, max, count) of mixed_sum_norms over a stream of row batches."""
+    """(min, max, count) of mixed_sum_norms over a stream of row batches
+    whose largest |entry| is exactly 1 in every row.
+
+    The sup part of each norm is then exactly 1.0, so only the l2 part is
+    computed: max(1.0, l2) is mixed_sum_norms bit for bit.
+    """
     low, high, count = np.inf, -np.inf, 0
     for batch in batches:
-        norms = mixed_sum_norms(n, batch)
+        norms = np.maximum(1.0, _l2_part(n, batch))
         low = min(low, float(norms.min()))
         high = max(high, float(norms.max()))
         count += len(norms)
@@ -143,8 +153,8 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     n <= 4 enumerates every pattern, larger n draws `samples` of them, one
     batch at a time; either way the norms land exactly on 1 because the
     Walsh rows are orthogonal, so max == min == 1.0 is the expected
-    outcome.  Both modes evaluate float32 +/-1 rows, which mixed_sum_norms
-    handles exactly (see fwht_rows).
+    outcome.  Both modes evaluate float32 +/-1 rows: their sup part is 1
+    and their l2 part is exact (see fwht_rows).
     """
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
@@ -174,8 +184,11 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     buffer = np.empty((min(_CHUNK, count), 2 ** n))
     draws = (rng.standard_normal(out=buffer[:min(_CHUNK, count - s)])
              for s in range(0, count, _CHUNK))
+    # max|a| = max(max a, -min a) takes no abs copy, and each row over it
+    # peaks at exactly 1: x / x == 1 in IEEE arithmetic, |a_j| / max|a| <= 1
     low, high, _ = _norm_range(
-        n, (np.divide(a, np.max(np.abs(a), axis=1, keepdims=True), out=a)
+        n, (np.divide(a, np.maximum(a.max(1, keepdims=True),
+                                    -a.min(1, keepdims=True)), out=a)
             for a in draws))
     return {"low": low, "high": high, "count": count}
 

@@ -20,7 +20,8 @@ import numpy as np
 from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.haar import haar_rows
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import BiorthogonalSystem, Csr, _column_scan, coefficients
+from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _scatter,
+                            coefficients)
 
 _DEPTH_LIMIT = 12
 
@@ -79,9 +80,11 @@ def pass_profile(J: int, p: float) -> WitnessBundle:
     system = typewriter_frame(J, p)
     dim = system.space.dim
     coeffs = coefficients(system, np.ones(dim))
-    # slot 0 (the constant) is nonzero everywhere: each column holds every partial sum
-    table = _column_scan(system, [coeffs], [np.arange(len(system))])[0]
-    high, low = table.max(axis=1), table.min(axis=1)
+    # slot 0 (the constant) is nonzero everywhere: every point is an
+    # occupied cell, and its row holds every partial sum
+    cells, table = _column_scan(system, [coeffs], [np.arange(len(system))])
+    high = _scatter(cells, table.max(axis=1), 1, dim)[0]
+    low = _scatter(cells, table.min(axis=1), 1, dim)[0]
 
     bundle = WitnessBundle(space=system.space)
     # the running join of moduli is max(high, -low), exactly

@@ -19,8 +19,8 @@ from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
                             _column_scan, _modulus_sum_ratio, _ordered_join,
                             _peak_prefix_norm, _prefix_join_ratio,
-                            _prefix_norm_ratio, _ratio_search, _sums,
-                            coefficients, reconstruct)
+                            _prefix_norm_ratio, _ratio_search, _scatter,
+                            _sums, coefficients, reconstruct)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -195,10 +195,14 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
 def _kvee_ratios(sys: BiorthogonalSystem, pairs) -> list:
     """||join of |prefix sums| along A|| / ||sum a_k x_k|| for each pair
     (a, A), or None where the sum is zero; the pairs share one
-    _column_scan call, and their sums one _sums call over the nonzero
-    coefficients.  The one kvee score, for search and recompute."""
+    _column_scan call, whose occupied cells' |prefix| maxima are scattered
+    into the joins (0 at every other cell), and their sums one _sums call
+    over the nonzero coefficients.  The one kvee score, for search and
+    recompute."""
     coeffs, perms = zip(*pairs)
-    joins = np.abs(_column_scan(sys, coeffs, perms)).max(axis=2)
+    cells, table = _column_scan(sys, coeffs, perms)
+    joins = _scatter(cells, np.abs(table, out=table).max(axis=1), len(perms),
+                     sys.space.dim)
     xs = _sums(sys, coeffs, [np.flatnonzero(a) for a in coeffs])
     out = []
     for join, x in zip(joins, xs):

@@ -8,9 +8,11 @@ rows U plus a row-index map idx, f_k = U[idx[k]], so a functional that
 several slots share is stored once.  Constructions build these rows
 directly; a dense input is converted once, at construction.  Every kernel
 reads only the nonzeros: ordered joins and the typewriter pass scan them
-column by column (``_column_scan``), a sum of terms adds each coordinate's
-terms in row order from zero (``_sums``), and ``coefficients`` sums each
-stored functional row pairwise.  The dense
+column by column (``_column_scan``), into one running-sum row per occupied
+(pair, coordinate) cell, which callers reduce and scatter back
+(``_scatter``); a sum of terms adds each coordinate's terms in row order
+from zero (``_sums``), and ``coefficients`` sums each stored functional
+row pairwise.  The dense
 ``vectors`` and ``functionals`` are read-only views built on first access,
 for callers outside the kernels.
 
@@ -287,30 +289,55 @@ def _sums(sys: BiorthogonalSystem, coeffs, perms, modulus: bool = False) -> np.n
                        minlength=len(perms) * sys.space.dim).reshape(len(perms), -1)
 
 
-def _column_scan(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
-    """Every value each coordinate's prefix sum takes, for B pairs (a, perm).
+def _column_scan(sys: BiorthogonalSystem, coeffs, perms):
+    """Every value each occupied coordinate's prefix sum takes, for B pairs
+    (a, perm), as (cells, table).
 
-    Row (b, c) of the (B, dim, width) table is the running sum of the terms
-    a_k x_k[c] along perms[b], gathered from the row support, stable-sorted
-    by (pair, coordinate) and zero-padded.  A dense scan adds only exact
-    zeros between these terms and the padding repeats the last value, so
-    the table holds its prefix values bit for bit (up to the sign of zero);
-    the last column is the full sum.  This is the one join kernel.
+    A cell b * dim + c is occupied when some row along perms[b] is nonzero
+    at c.  cells lists the occupied cells in ascending order, and row i of
+    table is the running sum of cell cells[i]'s terms a_k x_k[c] along
+    perms[b], gathered from the row support, stable-sorted by cell and
+    zero-padded.  A dense scan adds only exact zeros between these terms
+    and the padding repeats the last value, so the table holds its prefix
+    values bit for bit (up to the sign of zero); the last column is the
+    full sum, and an empty cell's prefix sums are all 0 (``_scatter``
+    reads them so).  This is the one join kernel.
     """
     seg, terms = _gather(sys, coeffs, perms)
-    B, dim = len(perms), sys.space.dim
     order = np.argsort(seg, kind="stable")
+    # each index array is freed once spent, so the scan holds no more than
+    # _gather did (5 MB for the 150k terms of the typewriter pass at J=12)
     seg = seg[order]
-    seg_len = np.bincount(seg, minlength=B * dim)
-    slot = np.arange(len(seg)) - (np.cumsum(seg_len) - seg_len)[seg]
-    table = np.zeros((B * dim, max(1, seg_len.max())))
-    table[seg, slot] = terms[order]
-    return np.cumsum(table, axis=1, out=table).reshape(B, dim, -1)
+    terms = terms[order]
+    del order
+    # cell i's run of terms is bounds[i] .. bounds[i + 1] - 1: a run starts
+    # where the sorted cell index changes, and the last one ends at the end
+    change = np.ones(len(seg) + 1, dtype=bool)
+    np.not_equal(seg[1:], seg[:-1], out=change[1:-1])
+    bounds = np.flatnonzero(change)
+    starts, lens = bounds[:-1], bounds[1:] - bounds[:-1]
+    cells = seg[starts]
+    del seg
+    width = int(lens.max(initial=1))
+    # term j of the run starting at starts[i] lands in table[i, j - starts[i]]
+    flat = np.repeat(np.arange(len(starts)) * width - starts, lens)
+    flat += np.arange(len(flat))
+    table = np.zeros((len(cells), width))
+    table.ravel()[flat] = terms
+    return cells, np.cumsum(table, axis=1, out=table)
+
+
+def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
+    """(B, dim): values[i] at flat cell cells[i], 0 at every other cell."""
+    out = np.zeros(B * dim)
+    out[cells] = values
+    return out.reshape(B, dim)
 
 
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
-    return np.abs(_column_scan(sys, [a], [perm])[0]).max(axis=1)
+    cells, table = _column_scan(sys, [a], [perm])
+    return _scatter(cells, np.abs(table, out=table).max(axis=1), 1, sys.space.dim)[0]
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -429,9 +456,11 @@ def _prefix_norm_ratio(sys, a):
 
 
 def _prefix_join_ratio(sys, a):
-    table = _column_scan(sys, [a], [np.arange(len(a))])[0]
-    full = sys.space.norms(table[None, :, -1])[0]
-    return sys.space.norm(np.abs(table).max(axis=1)) / full, len(a)
+    dim = sys.space.dim
+    cells, table = _column_scan(sys, [a], [np.arange(len(a))])
+    full = sys.space.norms(_scatter(cells, table[:, -1], 1, dim))[0]
+    join = _scatter(cells, np.abs(table, out=table).max(axis=1), 1, dim)[0]
+    return sys.space.norm(join) / full, len(a)
 
 
 def _modulus_sum_ratio(sys, a):

@@ -17,8 +17,8 @@ from latmax.constructions import orlicz as orl
 from latmax.constructions import rademacher as rad
 from latmax.constructions import typewriter as tw
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
-from latmax.systems import (BiorthogonalSystem, _ordered_join, coefficients,
-                            reconstruct)
+from latmax.systems import (BiorthogonalSystem, _column_scan, _ordered_join,
+                            coefficients, reconstruct)
 
 
 # ---------------------------------------------------------------- hadamard
@@ -185,6 +185,23 @@ def test_unconditionality_window_is_one_unchunked_draw():
     report = had.unconditionality_window(n, count=count, seed=seed)
     assert report == {"low": float(norms.min()), "high": float(norms.max()),
                       "count": count}
+
+
+def test_unconditionality_window_is_bitwise_the_full_mixed_norm():
+    # the window scores its normalized draws by the l2 part alone; the
+    # reference takes max|a| through np.abs and the full host norm, sup
+    # part included, batch by batch as the window draws them
+    for seed in (0, 7):
+        for n in range(2, 13):
+            rng = np.random.default_rng(seed)
+            low, high, count = np.inf, -np.inf, 700
+            for s in range(0, count, 512):
+                a = rng.standard_normal((min(512, count - s), 2 ** n))
+                a /= np.max(np.abs(a), axis=1, keepdims=True)
+                norms = had.mixed_sum_norms(n, a)
+                low, high = min(low, float(norms.min())), max(high, float(norms.max()))
+            assert had.unconditionality_window(n, count=count, seed=seed) == \
+                {"low": low, "high": high, "count": count}, (seed, n)
 
 
 def test_unconditionality_window_memory_is_flat_in_count():
@@ -534,6 +551,17 @@ def test_pass_profile_marks_are_bitwise_the_dense_pass():
                 np.maximum(high, -low).tobytes(), (J, p)
             assert bundle.extras["oscillation"].tobytes() == \
                 (high - low).tobytes(), (J, p)
+
+
+def test_pass_profile_scan_occupies_every_point():
+    # pass_profile reads its marks off the scan's rows: slot 0 (the
+    # constant) is nonzero everywhere, so every point is an occupied cell
+    for J in range(1, 13):
+        system = tw.typewriter_frame(J, 2.0)
+        c = coefficients(system, np.ones(2 ** J))
+        cells, table = _column_scan(system, [c], [np.arange(len(system))])
+        assert len(cells) == len(table) == system.space.dim, J
+        assert np.array_equal(cells, np.arange(2 ** J)), J
 
 
 def test_pass_profile_join_and_oscillation():

@@ -81,6 +81,21 @@ def test_every_experiment_round_trips_with_defaults(tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
+def test_manifest_records_the_installed_scipy_or_null(tmp_path, monkeypatch):
+    import scipy
+    run(ExperimentConfig("typewriter", output_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "typewriter-manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+    # a distribution whose name extends scipy's is not scipy
+    (tmp_path / "site" / "scipy_stubs-1.0.dist-info").mkdir(parents=True)
+    (tmp_path / "site" / "scipy-stubs-2.0.dist-info").mkdir()
+    monkeypatch.setattr(sys, "path", [str(tmp_path / "site")])
+    assert experiments._installed_version("scipy") is None
+    run(ExperimentConfig("typewriter", output_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "typewriter-manifest.json").read_text())
+    assert manifest["versions"]["scipy"] is None
+
+
 def test_growth_json_only_where_a_fit_applies(tmp_path):
     run(ExperimentConfig("greedy-uniform-bound", output_dir=str(tmp_path)))
     assert not (tmp_path / "greedy-uniform-bound-growth.json").exists()

@@ -12,7 +12,7 @@ from latmax.constructions.haar import (branch_coefficients, branch_ordering,
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.spaces import LpBlock
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, _column_scan,
-                            _ordered_join, _peak_prefix_norm, _sums)
+                            _ordered_join, _peak_prefix_norm, _scatter, _sums)
 
 
 @st.composite
@@ -81,17 +81,29 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
         V[pairs[0][1][0], rng.integers(dim)] = 0.0
     sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
     coeffs, perms = [a for a, _ in pairs], [p for _, p in pairs]
-    table = _column_scan(sys, coeffs, perms)
-    assert table.shape[:2] == (len(pairs), dim)
+    cells, table = _column_scan(sys, coeffs, perms)
+    # one row per cell (pair b, coordinate c) that some scanned row touches
+    occupied = {b * dim + c for b, (_, order) in enumerate(pairs)
+                for k in order for c in np.flatnonzero(V[k])}
+    assert len(cells) == len(table) == len(occupied)
+    assert set(cells.tolist()) == occupied
+    assert np.all(np.diff(cells) > 0)
+    B = len(pairs)
+    joins = _scatter(cells, np.abs(table).max(axis=1), B, dim)
+    fulls = _scatter(cells, table[:, -1], B, dim)
     sums, moduli = _sums(sys, coeffs, perms), _sums(sys, coeffs, perms, modulus=True)
-    for (a, order), rows, total, modulus in zip(pairs, table, sums, moduli):
-        join, full = _cumsum_oracle(V, a, order)
-        assert np.abs(rows).max(axis=1).tobytes() == join.tobytes()
+    for (a, order), join, last, total, modulus in zip(pairs, joins, fulls, sums, moduli):
+        ref_join, full = _cumsum_oracle(V, a, order)
+        assert join.tobytes() == ref_join.tobytes()
         # equal up to the sign of zero, which no norm sees
-        assert (rows[:, -1] + 0.0).tobytes() == (full + 0.0).tobytes()
+        assert (last + 0.0).tobytes() == (full + 0.0).tobytes()
         assert (total + 0.0).tobytes() == (full + 0.0).tobytes()
         assert (modulus + 0.0).tobytes() == \
             (_cumsum_oracle(np.abs(V), np.abs(a), order)[1] + 0.0).tobytes()
+    # a batch that scans no rows occupies no cell, and its join is zero
+    cells, table = _column_scan(sys, coeffs, [np.arange(0)] * B)
+    assert len(cells) == len(table) == 0
+    assert not _scatter(cells, np.abs(table).max(axis=1), B, dim).any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,12 +4,10 @@ A certification must not rest on ``assert``: ``python -O`` strips it, so a
 check written that way silently stops checking.  Library code raises
 instead; this test fails on any ``assert`` statement under ``src/latmax``.
 
-The join kernel is pure numpy: ``systems`` and ``greedy`` import no
-``scipy`` module, so neither the kernel nor the import time of every
-system-building run depends on it.  No module of the package imports
-``scipy.sparse``, ``scipy.linalg`` or ``scipy.fft``: the spectral norms run
-on one numpy Lanczos, and importing the CLI stays cheap.  (``experiments``
-keeps a bare ``import scipy`` to record its version in the manifest.)
+No module of the package imports ``scipy`` in any form: the join kernel
+and the spectral norms (one numpy Lanczos) are pure numpy, the manifest
+reads scipy's installed version from its dist-info directory, and
+importing the CLI stays cheap.  scipy is a test dependency only.
 
 Kernels read a system's stored sparse rows, never its dense views.
 
@@ -70,42 +68,71 @@ def test_float32_appears_only_in_the_hadamard_module():
 
 
 _HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.fft")
+_DYNAMIC_IMPORTS = ("import_module", "__import__")
 
 
 def _is_heavy_scipy(module):
     return any(module == m or module.startswith(m + ".") for m in _HEAVY_SCIPY)
 
 
-def test_join_kernel_modules_import_no_scipy():
+def _is_scipy(module):
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def _imports(path):
+    """(line, module) for every module a file names in an import: each
+    ``import a.b``, ``from a import b`` as both ``a`` and ``a.b``, and the
+    string argument of an ``import_module`` or ``__import__`` call."""
     found = []
-    for name in ("systems.py", "greedy.py"):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{name}:{node.lineno} {mod}" for mod in modules
-                      if mod == "scipy" or mod.startswith("scipy.")]
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in _DYNAMIC_IMPORTS):
+            modules = [node.args[0].value]
+        else:
+            continue
+        found += [(node.lineno, mod) for mod in modules]
+    return found
+
+
+def test_join_kernel_modules_import_no_scipy():
+    found = [f"{name}:{line} {mod}" for name in ("systems.py", "greedy.py")
+             for line, mod in _imports(SRC / name) if _is_scipy(mod)]
     assert not found, "scipy imports in the join kernel: " + ", ".join(found)
 
 
 def test_no_module_imports_scipy_sparse_linalg_or_fft():
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            found += [f"{path.relative_to(SRC.parent)}:{node.lineno} {mod}"
-                      for mod in modules if _is_heavy_scipy(mod)]
+    found = [f"{path.relative_to(SRC.parent)}:{line} {mod}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, mod in _imports(path) if _is_heavy_scipy(mod)]
     assert not found, "scipy submodule imports: " + ", ".join(found)
+
+
+def test_no_module_imports_scipy():
+    found = [f"{path.relative_to(SRC.parent)}:{line} {mod}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, mod in _imports(path) if _is_scipy(mod)]
+    assert not found, "scipy imports in the package: " + ", ".join(found)
+
+
+def test_import_rule_sees_every_form(tmp_path):
+    source = tmp_path / "forms.py"
+    source.write_text("import scipy\n"
+                      "import numpy, scipy.sparse as sp\n"
+                      "from scipy import linalg\n"
+                      "import importlib\n"
+                      "importlib.import_module('scipy.fft')\n"
+                      "__import__('scipy')\n"
+                      "from latmax import systems\n")
+    assert [mod for _, mod in _imports(source) if _is_scipy(mod)] == \
+        ["scipy", "scipy.sparse", "scipy", "scipy.linalg", "scipy.fft", "scipy"]
 
 
 def test_cli_import_loads_no_scipy_submodules():
@@ -115,7 +142,7 @@ def test_cli_import_loads_no_scipy_submodules():
                           text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
     assert proc.returncode == 0, proc.stderr
-    loaded = [m for m in proc.stdout.split() if _is_heavy_scipy(m)]
+    loaded = [m for m in proc.stdout.split() if _is_scipy(m)]
     assert not loaded, "import latmax.cli loads " + ", ".join(loaded)
 
 
