@@ -5,6 +5,10 @@ modulus, breaks ties by smaller index, and places zero coefficients after all
 nonzero ones in index order; with that convention every greedy sum of x is a
 prefix of some enumerated ordering, and permuting the zero tail never changes
 a greedy sum, so enumeration only branches inside nonzero tie groups.
+
+``_RATIOS`` maps each constant name to its score, the systems scores and
+the two greedy ones alike; the searches and ``recompute_constant`` (also
+bound here as ``recompute_greedy_constant``) share it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import numpy as np
 
 from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
-                            _column_scan, _modulus_sum_ratio, _ordered_join,
-                            _peak_prefix_norm, _prefix_join_ratio,
-                            _prefix_norm_ratio, _ratio_search, _scatter,
-                            _sums, coefficients, reconstruct)
+                            _join_ratio, _join_ratios, _joins,
+                            _modulus_sum_ratio, _ordered_join,
+                            _peak_prefix_norm, _prefix_norm_ratio,
+                            _ratio_search, _sums, coefficients,
+                            recompute_constant)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -132,43 +137,38 @@ def _greedy_setup(sys: BiorthogonalSystem, a: np.ndarray):
     return av, int(np.sum(av != 0)), sys.space.norm(x)
 
 
-def _quasi_greedy_ratio(sys, a):
-    """(max_m ||G_m(x)|| / ||x||, support size), natural ordering."""
-    av, supp, nx = _greedy_setup(sys, a)
-    if not supp:
-        return 0.0, 0
-    perm = np.asarray(natural_greedy_ordering(av).permutation[:supp])
-    return _peak_prefix_norm(sys, av, perm)[0] / nx, supp
-
-
-def _uqg_ratio(sys, a, enumerate_orderings=False):
-    """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size,
-    the first supp indices of the ordering that attains it)."""
+def _quasi_greedy_ratio(sys, a, indices=None):
+    """(max_m ||G_m(x)|| / ||x||, support size, None), natural ordering."""
     av, supp, nx = _greedy_setup(sys, a)
     if not supp:
         return 0.0, 0, None
-    if enumerate_orderings:
-        orderings = all_greedy_orderings(av, limit=_ORDERING_LIMIT)
+    perm = np.asarray(natural_greedy_ordering(av).permutation[:supp])
+    return _peak_prefix_norm(sys, av, perm)[0] / nx, supp, None
+
+
+def _uqg_ratio(sys, a, indices=None, enumerate_orderings=False):
+    """(max over greedy orderings of ||G^v_supp(x)|| / ||x||, support size,
+    the first supp indices of the ordering that attains it).  Given indices,
+    the ratio is taken along them instead; they must be the first supp
+    entries of a greedy ordering of the coefficients of x."""
+    av, supp, nx = _greedy_setup(sys, a)
+    if not supp:
+        return 0.0, 0, None
+    if indices is not None:
+        idx = np.asarray(indices, dtype=int)
+        if (not np.array_equal(np.sort(idx), np.flatnonzero(av))
+                or np.any(np.diff(np.abs(av[idx])) > 0)):
+            raise ValueError("indices are not a greedy ordering of the witness")
+        perms = [idx]
+    elif enumerate_orderings:
+        perms = (np.asarray(o.permutation[:supp], dtype=int)
+                 for o in all_greedy_orderings(av, limit=_ORDERING_LIMIT))
     else:
-        orderings = [natural_greedy_ordering(av)]
-    peak, best = -np.inf, None
-    for o in orderings:
-        perm = np.asarray(o.permutation[:supp], dtype=int)
-        v = sys.space.norm(_ordered_join(sys, av, perm))
-        if v > peak:
-            peak, best = v, perm
+        perms = [np.asarray(natural_greedy_ordering(av).permutation[:supp], dtype=int)]
+    # max keeps the first of tied orderings
+    peak, best = max(((sys.space.norm(_ordered_join(sys, av, p)), p) for p in perms),
+                     key=lambda vp: vp[0])
     return peak / nx, supp, best
-
-
-def _uqg_ratio_along(sys, a, indices) -> float:
-    """||G^v_supp(x)|| / ||x|| along stored indices, which must be the first
-    supp entries of a greedy ordering of the coefficients of x."""
-    av, _, nx = _greedy_setup(sys, a)
-    idx = np.asarray(indices, dtype=int)
-    if (not np.array_equal(np.sort(idx), np.flatnonzero(av))
-            or np.any(np.diff(np.abs(av[idx])) > 0)):
-        raise ValueError("indices are not a greedy ordering of the witness")
-    return sys.space.norm(_ordered_join(sys, av, idx)) / nx
 
 
 def quasi_greedy_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
@@ -188,27 +188,8 @@ def uqg_constant(sys: BiorthogonalSystem, witnesses,
     """
     return _ratio_search(
         sys, witnesses,
-        lambda s, a: _uqg_ratio(s, a, enumerate_orderings),
+        lambda s, a: _uqg_ratio(s, a, enumerate_orderings=enumerate_orderings),
         "uniform_quasi_greedy")
-
-
-def _kvee_ratios(sys: BiorthogonalSystem, pairs) -> list:
-    """||join of |prefix sums| along A|| / ||sum a_k x_k|| for each pair
-    (a, A), or None where the sum is zero; the pairs share one
-    _column_scan call, whose occupied cells' |prefix| maxima are scattered
-    into the joins (0 at every other cell), and their sums one _sums call
-    over the nonzero coefficients.  The one kvee score, for search and
-    recompute."""
-    coeffs, perms = zip(*pairs)
-    cells, table = _column_scan(sys, coeffs, perms)
-    joins = _scatter(cells, np.abs(table, out=table).max(axis=1), len(perms),
-                     sys.space.dim)
-    xs = _sums(sys, coeffs, [np.flatnonzero(a) for a in coeffs])
-    out = []
-    for join, x in zip(joins, xs):
-        nx = sys.space.norm(x)
-        out.append(sys.space.norm(join) / nx if nx else None)
-    return out
 
 
 def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
@@ -234,7 +215,7 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
             if evals >= budget:
                 return
             block = pairs[start : start + _SCAN_BLOCK]
-            for (a, A), r in zip(block, _kvee_ratios(sys, block)):
+            for (a, A), r in zip(block, _join_ratios(sys, block)):
                 if r is None:
                     continue
                 evals += 1
@@ -273,25 +254,14 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
     return ConstantReport("kvee", float(value), wit, source, evals, indices=A)
 
 
-# constant name -> witness ratio (sys, a) -> (ratio, support size); kvee
-# scores its stored pair (witness, indices) with _kvee_ratios instead, and
-# a uqg report with stored indices recomputes along them
-_RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _prefix_join_ratio,
+# constant name -> score.  kvee is bibasis along an ordered set, which a
+# kvee report always stores (ConstantReport checks)
+_RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _join_ratio,
            "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
-           "uniform_quasi_greedy": _uqg_ratio}
+           "uniform_quasi_greedy": _uqg_ratio, "kvee": _join_ratio}
 
 
-def recompute_greedy_constant(sys: BiorthogonalSystem, report: ConstantReport) -> float:
-    """Re-evaluate the stored witness of any report; systems.recompute_constant
-    delegates here."""
-    if report.constant_name == "kvee":
-        r = _kvee_ratios(sys, [(report.witness, report.indices)])[0]
-        if r is None:
-            raise ValueError("kvee witness sums to zero")
-        return float(r)
-    if report.constant_name == "uniform_quasi_greedy" and report.indices is not None:
-        return float(_uqg_ratio_along(sys, report.witness, report.indices))
-    return float(_RATIOS[report.constant_name](sys, report.witness)[0])
+recompute_greedy_constant = recompute_constant
 
 
 @dataclass
@@ -337,16 +307,14 @@ def constant_coefficient_checks(sys: BiorthogonalSystem, index_sets,
     for A, eps in zip(index_sets, sign_patterns):
         A = np.asarray(A, dtype=int)
         eps = np.asarray(eps, dtype=float)
-        ones = np.zeros(len(sys)); ones[A] = 1.0
-        signed = np.zeros(len(sys)); signed[A] = eps
-        a_rand = np.zeros(len(sys))
+        coeffs = ones, signed, a_rand = np.zeros((3, len(sys)))
+        ones[A] = 1.0
+        signed[A] = eps
         a_rand[A] = eps * rng.uniform(0.5, 2.0, size=len(A))
-        flat = sys.space.norm(reconstruct(sys, ones))
-        signed_sum = sys.space.norm(reconstruct(sys, signed))
-        join_flat = sys.space.norm(_ordered_join(sys, ones, A))
-        join_signed = sys.space.norm(_ordered_join(sys, signed, A))
-        join_rand = sys.space.norm(_ordered_join(sys, a_rand, A))
-        x_norm = sys.space.norm(reconstruct(sys, a_rand))
+        join_flat, join_signed, join_rand = map(sys.space.norm,
+                                                _joins(sys, coeffs, [A] * 3))
+        flat, signed_sum, x_norm = map(sys.space.norm, _sums(
+            sys, coeffs, [np.flatnonzero(c) for c in coeffs]))
         amax, amin = np.abs(a_rand[A]).max(), np.abs(a_rand[A]).min()
         ratios = {
             "join_vs_flat": join_flat / (c_qg_vee * flat),

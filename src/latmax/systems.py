@@ -9,20 +9,25 @@ several slots share is stored once.  Constructions build these rows
 directly; a dense input is converted once, at construction.  Every kernel
 reads only the nonzeros: ordered joins and the typewriter pass scan them
 column by column (``_column_scan``), into one running-sum row per occupied
-(pair, coordinate) cell, which callers reduce and scatter back
-(``_scatter``); a sum of terms adds each coordinate's terms in row order
-from zero (``_sums``), and ``coefficients`` sums each stored functional
-row pairwise.  The dense
-``vectors`` and ``functionals`` are read-only views built on first access,
-for callers outside the kernels.
+(pair, coordinate) cell; ``_joins`` reduces each row to its largest
+modulus and scatters it back (``_scatter``), and only the typewriter pass
+reduces the table otherwise.  A sum of terms adds each coordinate's terms
+in row order from zero (``_sums``), and ``coefficients`` sums each stored
+functional row pairwise.  The dense ``vectors`` and ``functionals`` are
+read-only views built on first access, for callers outside the kernels.
 
 Functionals pair with elements by the plain (unweighted) dot product;
 constructions over weighted hosts bake their weights into the functional
 coordinates.
 
-Constants (basis, bidemocracy-style joins, absolute bounds, greedy variants)
-are always reported as certified lower bounds together with the witness that
-attained them.
+Each of the six constants is a certified lower bound, reported with the
+witness that attained it, and is one score (sys, a, indices=None) ->
+(ratio, support, indices), support 0 for a witness whose sum is zero;
+``greedy._RATIOS`` is the one table of them.  ``_ratio_search`` keeps the
+best witness under a score and ``recompute_constant`` re-scores a stored
+one, so a report gives back its value exactly.  bibasis and kvee share a
+score, the ordered-projection join ratio (``_join_ratios``): bibasis
+along the index order, kvee along its stored ordered set.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ class BiorthogonalSystem:
     """
 
     def __init__(self, space: SpaceDescriptor, vectors, functionals,
-                 labels=None, check: bool = True, index=None):
+                 check: bool = True, index=None):
         V = _as_rows(vectors, space.dim, "vectors")
         U = _as_rows(functionals, space.dim, "functionals")
         n = V.n_rows
@@ -160,10 +165,6 @@ class BiorthogonalSystem:
         self.row_support = V
         self.functional_rows = U
         self.functional_index = idx
-        self.labels = tuple(labels) if labels is not None else tuple(
-            f"e{k}" for k in range(n))
-        if len(self.labels) != n:
-            raise ValueError("labels length mismatch")
         if check:
             self._check_gram()
 
@@ -334,10 +335,28 @@ def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
     return out.reshape(B, dim)
 
 
+def _joins(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
+    """(B, dim): row b is the coordinatewise max of |prefix sums| of a_k x_k
+    along perms[b], 0 at every cell no scanned row touches.  The one
+    reduction of the join kernel to joins."""
+    cells, table = _column_scan(sys, coeffs, perms)
+    return _scatter(cells, np.abs(table, out=table).max(axis=1), len(perms),
+                    sys.space.dim)
+
+
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
-    cells, table = _column_scan(sys, [a], [perm])
-    return _scatter(cells, np.abs(table, out=table).max(axis=1), 1, sys.space.dim)[0]
+    return _joins(sys, [a], [perm])[0]
+
+
+def _join_ratios(sys: BiorthogonalSystem, pairs) -> list:
+    """||join of |prefix sums| along A|| / ||x|| for each pair (a, A), with
+    x = sum a_k x_k, or None where x is zero.  The pairs share one _joins
+    call, and their sums one _sums call over the nonzero coefficients."""
+    coeffs, perms = zip(*pairs)
+    xs = _sums(sys, coeffs, [np.flatnonzero(a) for a in coeffs])
+    return [sys.space.norm(join) / nx if (nx := sys.space.norm(x)) else None
+            for join, x in zip(_joins(sys, coeffs, perms), xs)]
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -376,6 +395,10 @@ class ConstantReport:
         self.witness = np.asarray(self.witness, dtype=float)
         if self.indices is not None:
             self.indices = np.asarray(self.indices, dtype=int)
+            if self.constant_name not in ("kvee", "uniform_quasi_greedy"):
+                raise ValueError(f"a {self.constant_name} report has no indices")
+        elif self.constant_name == "kvee":
+            raise ValueError("a kvee report needs its ordered indices")
 
     def to_json(self) -> dict:
         out = {
@@ -399,22 +422,22 @@ def report_from_json(obj) -> ConstantReport:
                           np.asarray(obj["indices"], dtype=int) if "indices" in obj else None)
 
 
-def _ratio_search(sys, witnesses, ratio_fn, name):
-    """Best witness under ratio_fn(sys, a) -> (ratio, support size), or
-    (ratio, support size, ordered index set) where the ratio depends on an
-    ordering the witness alone does not fix; the winner's set is stored.
+def _ratio_search(sys, witnesses, score, name):
+    """Best witness under score(sys, a) -> (ratio, support, indices); the
+    winner's indices, the ordering its ratio was taken along or None, are
+    stored with it.
 
-    Every witness is traced as (id, ratio, m); a zero-support witness,
-    the empty one included, is traced with m = 0 but never kept.
+    Every witness is traced as (id, ratio, m); a witness whose sum is zero,
+    the empty one included, scores (0.0, 0, ...) and is never kept.
     """
     best_val, best_wit, best_idx = -np.inf, None, None
     rows = []
     for wid, w in enumerate(witnesses):
         a = np.asarray(w, dtype=float)
-        r, m, *order = ratio_fn(sys, a) if len(a) else (0.0, 0)
+        r, m, idx = score(sys, a)
         rows.append((wid, float(r), int(m)))
         if m and r > best_val:
-            best_val, best_wit, best_idx = r, a, order[0] if order else None
+            best_val, best_wit, best_idx = r, a, idx
     if best_wit is None:
         raise ValueError("no witness with nonzero support")
     return ConstantReport(name, float(best_val), best_wit, "structured_family",
@@ -450,23 +473,22 @@ def _peak_prefix_norm(sys, a, perm):
     return peak, norms[-1]
 
 
-def _prefix_norm_ratio(sys, a):
-    peak, full = _peak_prefix_norm(sys, a, np.arange(len(a)))
-    return peak / full, len(a)
+def _prefix_norm_ratio(sys, a, indices=None):
+    peak, full = _peak_prefix_norm(sys, a, np.arange(len(a))) if len(a) else (0, 0)
+    return (peak / full, len(a), None) if full else (0.0, 0, None)
 
 
-def _prefix_join_ratio(sys, a):
-    dim = sys.space.dim
-    cells, table = _column_scan(sys, [a], [np.arange(len(a))])
-    full = sys.space.norms(_scatter(cells, table[:, -1], 1, dim))[0]
-    join = _scatter(cells, np.abs(table, out=table).max(axis=1), 1, dim)[0]
-    return sys.space.norm(join) / full, len(a)
+def _join_ratio(sys, a, indices=None):
+    """Along indices, kvee's ordered set, or the index order (bibasis)."""
+    r = _join_ratios(sys, [(a, np.arange(len(a)) if indices is None else indices)])[0]
+    return (0.0, 0, indices) if r is None else (r, len(a), indices)
 
 
-def _modulus_sum_ratio(sys, a):
+def _modulus_sum_ratio(sys, a, indices=None):
     k = np.flatnonzero(a)
-    total = _sums(sys, [a], [k], modulus=True)[0]
-    return sys.space.norm(total) / sys.space.norm(_sums(sys, [a], [k])[0]), len(a)
+    total, nx = (sys.space.norm(_sums(sys, [a], [k], modulus)[0])
+                 for modulus in (True, False))
+    return (total / nx, len(a), None) if nx else (0.0, 0, None)
 
 
 def basis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
@@ -477,7 +499,7 @@ def basis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
 
 def bibasis_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
     """max over witnesses of ||join of |P_n||| / ||full sum||."""
-    return _ratio_search(sys, witnesses, _prefix_join_ratio, "bibasis")
+    return _ratio_search(sys, witnesses, _join_ratio, "bibasis")
 
 
 def absolute_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
@@ -486,11 +508,14 @@ def absolute_constant(sys: BiorthogonalSystem, witnesses) -> ConstantReport:
 
 
 def recompute_constant(sys: BiorthogonalSystem, report: ConstantReport) -> float:
-    """Re-evaluate a stored witness; used to audit report round-trips."""
-    # the name -> ratio table lives with the greedy ratios, which build on
-    # this module
-    from latmax.greedy import recompute_greedy_constant
-    return recompute_greedy_constant(sys, report)
+    """Re-score a report's stored witness, along its stored indices if it
+    has them; ValueError when the witness sums to zero."""
+    # the score table lives with the greedy scores, which build on this module
+    from latmax.greedy import _RATIOS
+    r, m, _ = _RATIOS[report.constant_name](sys, report.witness, report.indices)
+    if not m:
+        raise ValueError(f"{report.constant_name} witness sums to zero")
+    return float(r)
 
 
 def witness_rows_csv(report: ConstantReport) -> str:

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latmax.greedy import (CheckReport, GreedyOrdering, all_greedy_orderings,
+from latmax.greedy import (_RATIOS, CheckReport, GreedyOrdering,
+                           all_greedy_orderings,
                            constant_coefficient_checks, count_greedy_orderings,
                            greedy_maximal, greedy_sum, kvee_estimate,
                            natural_greedy_ordering, ordered_projection_maximal,
                            quasi_greedy_constant, recompute_greedy_constant,
                            strictify, uqg_constant)
 from latmax.constructions.haar import haar_system
+from latmax.constructions.typewriter import typewriter_frame
 from latmax.spaces import element, lp_block
-from latmax.systems import (BiorthogonalSystem, absolute_constant,
-                            basis_constant, bibasis_constant, coefficients,
-                            maximal_partial, recompute_constant, reconstruct,
-                            report_from_json)
+from latmax.systems import (BiorthogonalSystem, ConstantReport, _column_scan,
+                            _scatter, absolute_constant, basis_constant,
+                            bibasis_constant, coefficients, maximal_partial,
+                            recompute_constant, reconstruct, report_from_json)
 
 
 def unit_system(dim, p=2.0, weights=None):
@@ -227,6 +229,79 @@ def test_enumerated_uqg_reports_recompute_after_a_json_round_trip():
         obj["indices"] = bad
         with pytest.raises(ValueError, match="greedy ordering"):
             recompute_constant(sysm, report_from_json(obj))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_sum_witness_has_zero_support_for_every_constant():
+    # +t then -t, the typewriter frame's first indicator and its retraction,
+    # sum to zero; the constant wavelet w_0 alone does not
+    sysm = typewriter_frame(2, 2.0)
+    zero, w0 = np.zeros((2, len(sysm)))
+    zero[[1, 2]] = 1.0
+    w0[0] = 1.0
+    for build in (basis_constant, bibasis_constant, absolute_constant,
+                  quasi_greedy_constant, uqg_constant):
+        rep = build(sysm, [w0, zero])
+        assert rep.rows[1] == (1, 0.0, 0), rep.constant_name
+        assert np.array_equal(rep.witness, w0)
+    for name, score in _RATIOS.items():
+        indices = np.array([1, 2]) if name == "kvee" else None
+        assert score(sysm, zero, indices)[:2] == (0.0, 0), name
+        # so does the empty witness, but a kvee one has no index to carry
+        for w in [zero] if name == "kvee" else [zero, []]:
+            with pytest.raises(ValueError, match="sums to zero"):
+                recompute_constant(sysm, ConstantReport(
+                    name, 1.0, w, "structured_family", 1, indices=indices))
+    # kvee skips the zero sum without spending budget on it
+    rep = kvee_estimate(sysm, 2, budget=1, structured=[(zero, [1, 2]), (w0, [0])])
+    assert np.array_equal(rep.witness, w0) and rep.budget == 1
+    # a kvee witness is scored only along its stored indices
+    obj = rep.to_json()
+    del obj["indices"]
+    with pytest.raises(ValueError, match="indices"):
+        recompute_constant(sysm, report_from_json(obj))
+
+
+def _table_bibasis(sysm, a):
+    """The bibasis ratio from one column scan along the index order: the
+    table's last column is the full sum, its abs-max the join."""
+    dim = sysm.space.dim
+    cells, table = _column_scan(sysm, [a], [np.arange(len(a))])
+    full = sysm.space.norms(_scatter(cells, table[:, -1], 1, dim))[0]
+    join = _scatter(cells, np.abs(table).max(axis=1), 1, dim)[0]
+    return sysm.space.norm(join) / full
+
+
+@st.composite
+def systems_with_witnesses(draw):
+    """A Haar system of depth <= 6 or a V = I + eps R system, with three
+    Gaussian witnesses."""
+    if draw(st.booleans()):
+        sysm = haar_system(draw(st.integers(1, 6)),
+                           draw(st.sampled_from((1.0, 1.5, 2.0, 3.0))))
+    else:
+        n = draw(st.integers(2, 12))
+        R = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n, n))
+        V = np.eye(n) + draw(st.floats(0.0, 0.5)) / np.linalg.norm(R, 2) * R
+        sysm = BiorthogonalSystem(lp_block(n, draw(st.sampled_from((1.0, 2.0, 3.0, np.inf)))),
+                                  V, np.linalg.inv(V).T)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return sysm, [rng.standard_normal(len(sysm)) for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_with_witnesses())
+def test_every_reported_value_is_exactly_its_recomputed_value(case):
+    sysm, wits = case
+    reports = [build(sysm, wits) for build in (
+        basis_constant, bibasis_constant, absolute_constant,
+        quasi_greedy_constant, uqg_constant)]
+    reports += [uqg_constant(sysm, wits, enumerate_orderings=True),
+                kvee_estimate(sysm, min(3, len(sysm)), budget=40, seed=1)]
+    for rep in reports:
+        back = report_from_json(json.dumps(rep.to_json()))
+        assert recompute_constant(sysm, back) == rep.value, rep.constant_name
+    assert [r for _, r, _ in reports[1].rows] == [_table_bibasis(sysm, a) for a in wits]
 
 
 @st.composite

@@ -11,6 +11,10 @@ importing the CLI stays cheap.  scipy is a test dependency only.
 
 Kernels read a system's stored sparse rows, never its dense views.
 
+The join kernel's table is reduced in one place: ``_column_scan`` and
+``_scatter`` are called only from ``systems._joins`` (the abs-max of every
+join) and ``typewriter.pass_profile`` (its high and low marks).
+
 Single precision stays in ``constructions/hadamard.py``: its float32 Walsh
 transforms are exact only because their inputs are +/-1 rows, whose every
 partial sum is an integer below 2^24.
@@ -56,6 +60,22 @@ def test_no_module_reads_the_dense_system_views():
                   and node.attr in ("vectors", "functionals")
                   and id(node) not in exempt]
     assert not found, "dense system views read in the package: " + ", ".join(found)
+
+
+def test_column_scan_is_reduced_only_by_joins_and_the_typewriter_pass():
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk is breadth first, so a nested function's name wins
+        inside = {id(node): fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        callers |= {(str(path.relative_to(SRC)), inside.get(id(node)))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("_column_scan", "_scatter")}
+    assert callers == {("systems.py", "_joins"),
+                       ("constructions/typewriter.py", "pass_profile")}, callers
 
 
 def test_float32_appears_only_in_the_hadamard_module():

@@ -78,8 +78,6 @@ def test_shape_and_label_validation():
     sp = lp_block(3, 2.0)
     with pytest.raises(ValueError):
         BiorthogonalSystem(sp, np.eye(4), np.eye(4))
-    with pytest.raises(ValueError):
-        BiorthogonalSystem(sp, np.eye(3), np.eye(3), labels=("a",))
 
 
 def test_coefficients_invert_reconstruct():
