@@ -14,11 +14,9 @@ from latmax.spaces import norm
 
 J = 8
 
-bundle = pass_profile(J, 2.0)
-osc = bundle.extras["oscillation"]
-print(f"J = {J}: one pass of {bundle.extras['terms']} terms over "
-      f"{len(osc)} grid points")
-print(f"join norm      : {norm(bundle.vectors['join']):.12f}  (exactly 2)")
+join, osc, terms = pass_profile(J, 2.0)
+print(f"J = {J}: one pass of {terms} terms over {len(osc)} grid points")
+print(f"join norm      : {norm(join):.12f}  (exactly 2)")
 print(f"oscillation min: {float(np.min(osc)):.12f}")
 print(f"oscillation max: {float(np.max(osc)):.12f}")
 print("every point swings by exactly 1 during the pass, "

@@ -1,12 +1,11 @@
-"""Named example systems with precomputed expectations attached.
+"""Named example systems and the exact values they are built to show.
 
-Each module has one entry function: ``haar.haar_system``,
-``lindenstrauss.lindenstrauss_witness``, ``hadamard.hadamard_mixed``,
-``rademacher.rademacher_l1``, ``triangular.triangular_basis``,
-``typewriter.pass_profile``, ``lorentz.lorentz_blocking_demo`` and
-``orlicz.orderbound_demo``.
+Each module has one entry function, which returns plain values:
+``haar.haar_system`` and ``rademacher.rademacher_l1`` a system,
+``hadamard.hadamard_mixed`` the system with its modulus sum,
+``triangular.triangular_basis`` the system with its kernel scaling,
+``lindenstrauss.lindenstrauss_witness`` the chain rows, join and reports,
+``typewriter.pass_profile`` the pass's join, oscillation and length,
+``lorentz.lorentz_blocking_demo`` two series with their growth fits and
+``orlicz.orderbound_demo`` one series of norms.
 """
-
-from latmax.constructions.bundles import WitnessBundle
-
-__all__ = ["WitnessBundle"]

@@ -26,7 +26,6 @@ import functools
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.rademacher import sign_matrix
 from latmax.spaces import DirectSum, Element, LpBlock, SupBlock
 from latmax.systems import BiorthogonalSystem
@@ -193,36 +192,29 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     return {"low": low, "high": high, "count": count}
 
 
-def mixed_bundle(n: int) -> WitnessBundle:
-    """The exact values of the size-n construction, for every admissible n,
-    without building its system."""
+def modulus_sum(n: int) -> Element:
+    """sum_k |u_k| for size n, for every admissible n, without building the
+    system: ones on both blocks of the host, norm exactly 2^{n/2}."""
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     host = DirectSum(np.inf, [SupBlock(m), LpBlock(m, 2.0)])
-    bundle = WitnessBundle(space=host)
-    # sum_k |u_k| is ones on both blocks: each l2 column collects 2^n
-    # entries of modulus 2^{-n}
-    bundle.vectors["modulus_sum"] = Element(host, np.ones(2 * m))
-    bundle.expect("sign_sum_norm", 1.0)
-    bundle.expect("modulus_sum_norm", 2.0 ** (n / 2.0))
-    bundle.expect("modulus_to_sign_ratio", 2.0 ** (n / 2.0))
-    bundle.extras.update(n=n, block=m)
-    return bundle
+    # each l2 column collects 2^n entries of modulus 2^{-n}
+    return Element(host, np.ones(2 * m))
 
 
 def hadamard_mixed(n: int):
-    """(system, mixed_bundle(n)) for size n; system is None past the matrix
+    """(system, modulus_sum(n)) for size n; system is None past the matrix
     limit.
 
     The biorthogonal system (functionals = sup-block spikes) only exists
     while the sign matrix fits in memory.
     """
-    bundle = mixed_bundle(n)
+    total = modulus_sum(n)
     system = None
     if n <= _MATRIX_LIMIT:
         m = 2 ** n
         V = np.hstack([np.eye(m), 2.0 ** -n * walsh_matrix(n)])
         F = np.hstack([np.eye(m), np.zeros((m, m))])
-        system = BiorthogonalSystem(bundle.space, V, F)
-    return system, bundle
+        system = BiorthogonalSystem(total.space, V, F)
+    return system, total

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 from latmax.spaces import Element, lp_block
 from latmax.systems import BiorthogonalSystem, ConstantReport, Csr
 
@@ -132,37 +131,30 @@ def chain_prefix_join(depth: int, n: int):
     return join, join_norms, x_norms
 
 
-def lindenstrauss_witness(m: int, n: int) -> WitnessBundle:
+def lindenstrauss_witness(m: int, n: int):
     """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
-    size n, with the exact norm, join, and lower-bound constants.
+    size n, with their exact norms, join and lower-bound constants.
 
-    One chain walk certifies everything; `series["chain"]` holds its rows
-    (k, ||y_k||, norm of the running join of y_0..y_k).
+    One chain walk certifies everything.  Returns (rows, join, reports):
+    rows (k, ||y_k|| = 2, norm of the running join of y_0..y_k = k + 2), the
+    join of y_0..y_m as an element, and the bibasis and uniform-quasi-greedy
+    reports, both (m + 2) / 2 on the coefficients of y_m.
     """
     deepest = m + 1
     join, join_norms, x_norms = chain_prefix_join(deepest, n)
-    sp = lp_block(2 * n + 2, 1.0)
-    bundle = WitnessBundle(space=sp)
-    bundle.extras["index_sets"] = {f"I{k}": depth_set(k + 1)
-                                   for k in range(deepest)}
-    bundle.series["chain"] = list(zip(range(deepest), x_norms, join_norms))
     for k, x_norm in enumerate(x_norms):
         if x_norm != 2.0:  # dyadic, hence exact
             raise RuntimeError(f"chain element y{k} lost its norm 2")
-    bundle.vectors["join"] = Element(sp, join)
-    bundle.expect("chain_norm", 2.0)
-    bundle.expect("join_norm", float(m + 2))
     if join_norms[-1] != float(m + 2):
         raise RuntimeError(f"chain join norm {join_norms[-1]!r} is not {m + 2}")
 
     # the prefix join of the deepest chain element revisits every y_k, so the
     # same walk certifies both constants
     ratio = join_norms[-1] / x_norms[-1]
-    a = chain_coefficients(deepest, n)
-    for name in ("bibasis", "uniform_quasi_greedy"):
-        bundle.reports[name] = ConstantReport(name, ratio, a,
-                                              "structured_family", 1)
-    bundle.expect("lower_bound", (m + 2) / 2.0)
     if ratio != (m + 2) / 2.0:
         raise RuntimeError(f"prefix-join ratio {ratio!r} is not {(m + 2) / 2.0}")
-    return bundle
+    a = chain_coefficients(deepest, n)
+    reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)
+                    for name in ("bibasis", "uniform_quasi_greedy"))
+    rows = list(zip(range(deepest), x_norms, join_norms))
+    return rows, Element(lp_block(2 * n + 2, 1.0), join), reports

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 from latmax.estimation import growth_fit
 
 _TABLE_LIMIT = 2 ** 21
@@ -103,29 +102,19 @@ def block_series(p: float, q: float, ms):
     return [(m, float(partial[m] ** (1.0 / q))) for m in ms]
 
 
-def lorentz_blocking_demo(p: float, q: float, n: int) -> WitnessBundle:
+def lorentz_blocking_demo(p: float, q: float, n: int):
     """Fit the two fundamental-function exponents side by side.
 
     Unit-vector sums over n-grids give the 1/p scale; disjoint constant
     blocks give the 1/q scale.  Both series are exact; only the fitted
-    exponents carry sampling error.
+    exponents carry sampling error.  Returns (units, blocks, unit_fit,
+    block_fit): the two (size, norm) series and their growth fits.
     """
     _validate(p, q)
     if n < 512:
         # both grids must reach 4 points for the regression
         raise ValueError("need n >= 512 for fittable grids")
     top = int(math.log2(n))
-    unit_grid = [2 ** j for j in range(5, top + 1)]
-    block_grid = [2 ** j for j in range(6, top + 1)]
-    units = unit_fundamental(p, q, unit_grid)
-    blocks = block_series(p, q, block_grid)
-    unit_fit = growth_fit(units)
-    block_fit = growth_fit(blocks)
-
-    bundle = WitnessBundle(space=None)
-    bundle.series["unit"] = units
-    bundle.series["blocks"] = blocks
-    bundle.expect("unit_exponent", unit_fit.a)
-    bundle.expect("block_exponent", block_fit.a)
-    bundle.extras.update(p=p, q=q, unit_fit=unit_fit, block_fit=block_fit)
-    return bundle
+    units = unit_fundamental(p, q, [2 ** j for j in range(5, top + 1)])
+    blocks = block_series(p, q, [2 ** j for j in range(6, top + 1)])
+    return units, blocks, growth_fit(units), growth_fit(blocks)

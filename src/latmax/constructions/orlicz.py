@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 
 _KNOT = 0.5
 _GRID = np.linspace(1e-4, 2.0, 400)
@@ -95,14 +94,14 @@ def luxemburg_norm(phi: OrliczFunction, x) -> float:
     return hi
 
 
-def orderbound_demo(K: int) -> WitnessBundle:
+def orderbound_demo(K: int):
     """Norms of the running coordinatewise upper bounds of admissible
     singletons x_k e_k with x_k = 1/log log(k + e^e).
 
     Each singleton has norm x_k < 1, but the upper bound over the first K
     of them is the whole truncated tail, whose norm climbs without
-    levelling off; the series records that climb on a dyadic K-grid.
-    The modular is the default OrliczFunction().
+    levelling off.  Returns that climb as (k, norm) pairs on a dyadic
+    k-grid ending at K, under the default OrliczFunction().
     """
     if K < 4:
         raise ValueError("K must be >= 4")
@@ -112,14 +111,4 @@ def orderbound_demo(K: int) -> WitnessBundle:
     grid = [2 ** j for j in range(2, int(math.log2(K)) + 1)]
     if grid[-1] != K:
         grid.append(K)
-    series = [(k, luxemburg_norm(phi, tail[:k])) for k in grid]
-
-    bundle = WitnessBundle(space=None)
-    bundle.series["upper_bound_norms"] = series
-    bundle.expect("doubling_at_0.05", math.exp(10.0))
-    bundle.expect("singleton_norm", 1.0)  # ||1*e_1||
-    bundle.extras.update(K=K, phi=phi, tail=tail)
-    values = [v for _, v in series]
-    if not all(b > a for a, b in zip(values, values[1:])):
-        raise RuntimeError("upper-bound norms stopped increasing")
-    return bundle
+    return [(k, luxemburg_norm(phi, tail[:k])) for k in grid]

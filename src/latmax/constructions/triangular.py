@@ -23,11 +23,10 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 # spectral_norm stays bound here: benchmarks/tests checks the tracer rewraps it
 from latmax.estimation import (_DENSE_SVD_CUTOFF, _riesz_thorin,
                                _top_eigenvalue, pnorm_upper, spectral_norm)
-from latmax.spaces import DirectSum, Element, LpBlock
+from latmax.spaces import DirectSum, LpBlock
 from latmax.systems import BiorthogonalSystem
 
 _DENSE_LIMIT = 512
@@ -194,8 +193,9 @@ def triangular_basis(n: int, p: float = 2.0):
 
     Vectors: v_i = e_i + (shadow S e_i), then w_j = (shadow -S e_j) + e_j.
     Functionals are the rows of the Neumann inverse of A.  Returns
-    (system, bundle); the bundle carries the constant-coefficient witness
-    x = sum v_i, its prefix join, and their closed-form norms.
+    (system, alpha), alpha the kernel scaling; `witness_norm` and
+    `prefix_join_norm` give the closed-form norms of the constant-coefficient
+    witness x = sum v_i and of its prefix join.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -215,29 +215,17 @@ def triangular_basis(n: int, p: float = 2.0):
         if not np.linalg.norm(S @ z, p) <= 0.5 * np.linalg.norm(z, p):
             raise RuntimeError("scaled kernel is not a half-contraction")
 
-    E, F, iterations, residual = neumann_blocks(S)
+    E, F, _, _ = neumann_blocks(S)
     eye = np.eye(n)
     V = np.vstack([np.hstack([eye, S.T]), np.hstack([-S.T, eye])])
     funcs = np.vstack([np.hstack([E, F]), np.hstack([-F, E])])
     host = DirectSum(p, [LpBlock(n, p), LpBlock(n, p)])
     system = BiorthogonalSystem(host, V, funcs)
 
-    s, M, x_norm, join_norm = _shadow_profiles(n, alpha, p)
+    x_norm = witness_norm(n, p, alpha)
     if not x_norm <= 1.5 * n ** (1.0 / p) + 1e-9:
         raise RuntimeError(f"witness norm {x_norm!r} above 1.5 n^(1/p)")
-    bundle = WitnessBundle(space=host)
-    bundle.vectors["witness"] = Element(host, np.concatenate([np.ones(n), alpha * s]))
-    bundle.vectors["join"] = Element(host, np.concatenate([np.ones(n), alpha * M]))
-    bundle.expect("witness_norm", x_norm)
-    bundle.expect("join_norm", join_norm)
-    bundle.expect("prefix_ratio", join_norm / x_norm)
-    if n >= 4:
-        # shadow coordinate 3 of the 4-term prefix: alpha*(1 + 1/2 + 1/3)
-        bundle.expect("prefix_coefficient_4", alpha * (11.0 / 6.0))
-    bundle.extras.update(alpha=alpha, kernel_gauge=gauge, block=n,
-                         neumann_iterations=iterations,
-                         neumann_residual=residual)
-    return system, bundle
+    return system, alpha
 
 
 # ----------------------------------------------------------- trace duality
@@ -249,34 +237,24 @@ def tau_singular_values(n: int) -> np.ndarray:
     return 0.5 / np.sin((2 * k - 1) * np.pi / (2.0 * (2 * n + 1)))
 
 
-def trace_dual_certificate(n: int) -> WitnessBundle:
+def trace_dual_certificate(n: int):
     """Duality floor for the nuclear norm of the summation matrix.
 
     Pairing the kernel entrywise against tau sums 1/(k - l) over k > l,
     which telescopes to a harmonic double sum; dividing by the kernel's
     uniform spectral bound pi floors ||tau||_nuclear from below.  The
     floor sits well under the actual nuclear norm (both grow like
-    n log n), and the function checks the inequality before returning.
+    n log n); the caller checks the inequality.
 
-    Two pairing totals are reported: the double sum of H_1..H_n, and the
-    strict entrywise sum, which stops one harmonic number earlier at
-    H_1..H_{n-1} = n*H_{n-1} - (n-1).
+    Returns (double_sum, entrywise, nuclear, floor).  Of the two pairing
+    totals, the double sum runs over H_1..H_n, and the strict entrywise
+    sum stops one harmonic number earlier at H_1..H_{n-1} =
+    n*H_{n-1} - (n-1).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     H = harmonic_numbers(n)
     double_sum = float(H[1:].sum())
     entrywise = float(n * H[n - 1] - (n - 1))
-    sigma = tau_singular_values(n)
-    nuclear = float(sigma.sum())
-    floor = double_sum / math.pi
-    if not nuclear >= floor - 1e-6:
-        raise RuntimeError(f"nuclear norm {nuclear!r} below the floor {floor!r}")
-
-    bundle = WitnessBundle(space=LpBlock(n, 2.0))
-    bundle.expect("harmonic_double_sum", double_sum)
-    bundle.expect("entrywise_pairing", entrywise)
-    bundle.expect("nuclear_norm", nuclear)
-    bundle.expect("duality_floor", floor)
-    bundle.extras["singular_values"] = sigma
-    return bundle
+    nuclear = float(tau_singular_values(n).sum())
+    return double_sum, entrywise, nuclear, double_sum / math.pi

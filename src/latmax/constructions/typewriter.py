@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from latmax.constructions.bundles import WitnessBundle
 from latmax.constructions.haar import haar_rows
 from latmax.spaces import Element, dyadic_lp
 from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _scatter,
@@ -69,13 +68,13 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
     return BiorthogonalSystem(dyadic_lp(J, p), V, W_dual, check=False, index=index)
 
 
-def pass_profile(J: int, p: float) -> WitnessBundle:
+def pass_profile(J: int, p: float):
     """Walk one full pass of partial sums at the constant function.
 
-    Records, per grid point, the high and low water marks of the partial
-    sums from the first term onward, plus the running join of moduli.
-    The marks pin the oscillation at exactly 1 everywhere while the join
-    norm lands on 2.
+    Takes, per grid point, the high and low water marks of the partial
+    sums from the first term onward.  Returns (join, oscillation, terms):
+    the running join of moduli as an element, whose norm lands on 2, the
+    marks' difference, exactly 1 everywhere, and the number of terms.
     """
     system = typewriter_frame(J, p)
     dim = system.space.dim
@@ -85,11 +84,5 @@ def pass_profile(J: int, p: float) -> WitnessBundle:
     cells, table = _column_scan(system, [coeffs], [np.arange(len(system))])
     high = _scatter(cells, table.max(axis=1), 1, dim)[0]
     low = _scatter(cells, table.min(axis=1), 1, dim)[0]
-
-    bundle = WitnessBundle(space=system.space)
     # the running join of moduli is max(high, -low), exactly
-    bundle.vectors["join"] = Element(system.space, np.maximum(high, -low))
-    bundle.expect("join_norm", 2.0)
-    bundle.expect("oscillation", 1.0)
-    bundle.extras.update(J=J, p=p, oscillation=high - low, terms=len(system))
-    return bundle
+    return Element(system.space, np.maximum(high, -low)), high - low, len(system)

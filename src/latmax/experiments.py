@@ -216,7 +216,7 @@ def _run_hadamard(params, seed):
     for k in range(2, n + 1):
         sweep = _hadamard.sign_pattern_sweep(k, samples=samples, seed=seed)
         win = _hadamard.unconditionality_window(k, count=alphas, seed=seed + 1)
-        mod = lattice_norm(_hadamard.mixed_bundle(k).vectors["modulus_sum"])
+        mod = lattice_norm(_hadamard.modulus_sum(k))
         rows.append((k, sweep["mode"], sweep["count"], sweep["max"], mod,
                      mod / sweep["max"], win["low"], win["high"]))
         _push(checks, f"n{k}_sign_sums_below_host_bound",
@@ -241,9 +241,8 @@ def _run_lindenstrauss(params, seed):
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
-    bundle = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
+    rows, _, reports = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
     columns = ("m", "witness_norm", "running_join_norm")
-    rows = bundle.series["chain"]
     checks = []
     _push(checks, "witness_norms_equal_two",
           max(abs(r[1] - 2.0) for r in rows) < 1e-9, "exact telescopes")
@@ -253,10 +252,9 @@ def _run_lindenstrauss(params, seed):
     _push(checks, "join_grows_by_one_each_step",
           max(abs(r[2] - (r[0] + 2.0)) for r in rows) < 1e-9, "m + 2 at row m")
     derived = {}
-    for name in ("bibasis", "uniform_quasi_greedy"):
-        rep = bundle.reports[name]
-        derived[f"{name}_lower_bound"] = rep.value
-        _push(checks, f"{name}_lower_bound",
+    for rep in reports:
+        derived[f"{rep.constant_name}_lower_bound"] = rep.value
+        _push(checks, f"{rep.constant_name}_lower_bound",
               rep.value >= (depth + 1) / 2.0 - 1e-9, f"value {rep.value!r}")
     return _Table(columns, rows, checks, derived=derived)
 
@@ -265,17 +263,15 @@ def _run_lorentz(params, seed):
     """Two fundamental-function exponents of a Lorentz sequence space."""
     p, q, n = params["p"], params["q"], params["n"]
     try:
-        bundle = _lorentz.lorentz_blocking_demo(p, q, n)
+        units, blocks, unit_fit, block_fit = _lorentz.lorentz_blocking_demo(p, q, n)
     except ValueError as exc:
         raise UsageError(str(exc))
     columns = ("series", "size", "value")
-    rows = [("unit", k, v) for k, v in bundle.series["unit"]]
-    rows += [("blocks", k, v) for k, v in bundle.series["blocks"]]
-    unit_fit = bundle.extras["unit_fit"]
-    block_fit = bundle.extras["block_fit"]
+    rows = [("unit", k, v) for k, v in units]
+    rows += [("blocks", k, v) for k, v in blocks]
     checks = []
-    for name in ("unit", "blocks"):
-        vals = [v for _, v in bundle.series[name]]
+    for name, series in (("unit", units), ("blocks", blocks)):
+        vals = [v for _, v in series]
         _push(checks, f"{name}_series_increases",
               all(b > a for a, b in zip(vals, vals[1:])), f"{len(vals)} points")
     _push(checks, "unit_exponent_near_reciprocal_p",
@@ -289,11 +285,10 @@ def _run_lorentz(params, seed):
 
 def _run_orlicz(params, seed):
     """Running singleton upper bounds without the doubling condition."""
-    bundle = _orlicz.orderbound_demo(params["K"])
+    rows = _orlicz.orderbound_demo(params["K"])
     columns = ("K", "upper_bound_norm")
-    rows = list(bundle.series["upper_bound_norms"])
     vals = [v for _, v in rows]
-    phi = bundle.extras["phi"]
+    phi = _orlicz.OrliczFunction()
     checks = []
     _push(checks, "norms_strictly_increase",
           all(b > a for a, b in zip(vals, vals[1:])),
@@ -346,10 +341,7 @@ def _run_trace_dual(params, seed):
                "nuclear_to_n_log_n")
     rows, checks = [], []
     for n in ns:
-        bundle = _triangular.trace_dual_certificate(n)
-        double = bundle.value("harmonic_double_sum")
-        floor = bundle.value("duality_floor")
-        nuclear = bundle.value("nuclear_norm")
+        double, _, nuclear, floor = _triangular.trace_dual_certificate(n)
         scaled = nuclear / (n * math.log(n))
         rows.append((n, double, floor, nuclear, scaled))
         _push(checks, f"n{n}_floor_holds", nuclear >= floor - 1e-6,
@@ -409,9 +401,8 @@ def _run_triangular(params, seed):
 def _run_typewriter(params, seed):
     """One full pass at the constant function: oscillation 1 everywhere."""
     J, p = params["J"], params["p"]
-    bundle = _typewriter.pass_profile(J, p)
-    osc = bundle.extras["oscillation"]
-    join_norm = lattice_norm(bundle.vectors["join"])
+    join, osc, terms = _typewriter.pass_profile(J, p)
+    join_norm = lattice_norm(join)
     columns = ("point", "oscillation")
     rows = [(i, float(osc[i])) for i in range(len(osc))]
     checks = []
@@ -421,7 +412,7 @@ def _run_typewriter(params, seed):
     _push(checks, "join_norm_is_two", abs(join_norm - 2.0) <= 1e-9,
           f"norm {join_norm!r}")
     return _Table(columns, rows, checks,
-                  derived={"join_norm": join_norm, "terms": bundle.extras["terms"]})
+                  derived={"join_norm": join_norm, "terms": terms})
 
 
 # ---------------------------------------------------------------- catalog

@@ -7,8 +7,8 @@ prefix of some enumerated ordering, and permuting the zero tail never changes
 a greedy sum, so enumeration only branches inside nonzero tie groups.
 
 ``_RATIOS`` maps each constant name to its score, the systems scores and
-the two greedy ones alike; the searches and ``recompute_constant`` (also
-bound here as ``recompute_greedy_constant``) share it.
+the two greedy ones alike; the searches and ``systems.recompute_constant``
+share it.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
                             _join_ratio, _join_ratios, _joins,
                             _modulus_sum_ratio, _ordered_join,
                             _peak_prefix_norm, _prefix_norm_ratio,
-                            _ratio_search, _sums, coefficients,
-                            recompute_constant)
+                            _ratio_search, _sums, coefficients)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -259,9 +258,6 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 _RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _join_ratio,
            "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
            "uniform_quasi_greedy": _uqg_ratio, "kvee": _join_ratio}
-
-
-recompute_greedy_constant = recompute_constant
 
 
 @dataclass

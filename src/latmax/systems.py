@@ -474,6 +474,8 @@ def _peak_prefix_norm(sys, a, perm):
 
 
 def _prefix_norm_ratio(sys, a, indices=None):
+    if len(a) > len(sys):  # _peak_prefix_norm indexes the rows unchecked
+        raise ValueError(f"index out of range for {len(sys)} vectors")
     peak, full = _peak_prefix_norm(sys, a, np.arange(len(a))) if len(a) else (0, 0)
     return (peak / full, len(a), None) if full else (0.0, 0, None)
 

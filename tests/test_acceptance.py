@@ -51,11 +51,11 @@ def test_tree_chain_witness_exact_values():
     start = time.perf_counter()
     for N in range(2, 15):
         n = 3 * 2 ** (N - 1)
-        bundle = lindenstrauss_witness(N - 1, n)
-        assert abs(bundle.value("join_norm") - (N + 1)) < 1e-9
-        assert abs(bundle.value("chain_norm") - 2.0) < 1e-9
-        for name in ("bibasis", "uniform_quasi_greedy"):
-            assert bundle.reports[name].value >= (N + 1) / 2.0 - 1e-9
+        rows, join, reports = lindenstrauss_witness(N - 1, n)
+        assert abs(lattice_norm(join) - (N + 1)) < 1e-9
+        assert max(abs(r[1] - 2.0) for r in rows) < 1e-9
+        for rep in reports:
+            assert rep.value >= (N + 1) / 2.0 - 1e-9
         _, join_norms, y_norms = chain_prefix_join(N, n)
         for m in range(N):
             assert abs(y_norms[m] - 2.0) < 1e-9
@@ -112,8 +112,8 @@ def test_sign_invariant_sums_versus_modulus_growth():
             assert sweep["mode"] == "sampled" and sweep["count"] >= 10000
         assert sweep["max"] <= 3.0
         assert sweep["max"] <= 2.0 + 1e-9
-        _, bundle = hadamard_mixed(n)
-        modulus = lattice_norm(bundle.vectors["modulus_sum"])
+        _, total = hadamard_mixed(n)
+        modulus = lattice_norm(total)
         assert abs(modulus - 2.0 ** (n / 2.0)) <= 1e-9
         assert modulus / sweep["max"] >= 2.0 ** (n / 2.0 - 1.0) - 1e-9
         window = unconditionality_window(n, count=1000, seed=1)
@@ -241,16 +241,15 @@ def test_dyadic_wavelet_diagnostics():
 
 
 def test_sliding_frame_unit_oscillation():
-    bundle = pass_profile(10, 2.0)
-    assert abs(lattice_norm(bundle.vectors["join"]) - 2.0) <= 1e-9
-    oscillation = bundle.extras["oscillation"]
+    join, oscillation, _ = pass_profile(10, 2.0)
+    assert abs(lattice_norm(join) - 2.0) <= 1e-9
     assert float(np.max(np.abs(oscillation - 1.0))) <= 1e-9
 
 
 def test_lorentz_fundamental_exponents():
-    bundle = lorentz_blocking_demo(4.0, 2.0, 1024)
-    assert abs(bundle.value("unit_exponent") - 0.25) <= 0.05
-    assert abs(bundle.value("block_exponent") - 0.5) <= 0.08
+    _, _, unit_fit, block_fit = lorentz_blocking_demo(4.0, 2.0, 1024)
+    assert abs(unit_fit.a - 0.25) <= 0.05
+    assert abs(block_fit.a - 0.5) <= 0.08
 
 
 def test_catalog_determinism_and_budget(tmp_path):

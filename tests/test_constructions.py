@@ -104,18 +104,19 @@ def test_prefix_join_matches_dense_machinery():
     assert np.array_equal(gm.coords, join)
 
 
-def test_witness_bundle_exact_values():
-    bundle = lind.lindenstrauss_witness(5, 96)
-    assert bundle.value("chain_norm") == 2.0
-    assert bundle.value("join_norm") == 7.0
-    assert bundle.value("lower_bound") == 3.5
-    for name in ("bibasis", "uniform_quasi_greedy"):
-        rep = bundle.reports[name]
-        assert rep.constant_name == name
+def test_witness_exact_values():
+    rows, join, reports = lind.lindenstrauss_witness(5, 96)
+    assert [r[1] for r in rows] == [2.0] * 6
+    assert rows[-1][2] == 7.0
+    assert join.norm() == 7.0
+    assert [rep.constant_name for rep in reports] == ["bibasis",
+                                                     "uniform_quasi_greedy"]
+    for rep in reports:
         assert rep.value == 3.5
-    sets = bundle.extras["index_sets"]
-    assert sets["I1"].tolist() == [6, 7, 8, 9]
-    assert all(len(sets[f"I{k}"]) == 2 ** (k + 1) for k in range(6))
+        assert np.array_equal(rep.witness, lind.chain_coefficients(6, 96))
+    # y_k lives on the depth-(k + 1) set
+    assert lind.depth_set(2).tolist() == [6, 7, 8, 9]
+    assert all(len(lind.depth_set(k + 1)) == 2 ** (k + 1) for k in range(6))
 
 
 def test_witness_requires_room():
@@ -180,14 +181,13 @@ def test_level_walk_matches_node_by_node_walk():
 def test_witness_join_is_the_dense_chain_join():
     for m in (0, 2, 6):  # chain depths 1, 3 and 7
         n = 3 * 2 ** m
-        bundle = lind.lindenstrauss_witness(m, n)
+        rows, join, _ = lind.lindenstrauss_witness(m, n)
         dense = np.zeros(2 * n + 2)
         for k in range(m + 1):
             y = lind.chain_element(k + 1, 2 * n + 2)
             dense = np.maximum(dense, np.abs(y.coords))
-        assert np.array_equal(bundle.vectors["join"].coords, dense)
-        rows = [(k, 2.0, k + 2.0) for k in range(m + 1)]
-        assert bundle.series["chain"] == rows
+        assert np.array_equal(join.coords, dense)
+        assert rows == [(k, 2.0, k + 2.0) for k in range(m + 1)]
 
 
 # ---------------------------------------------------------------- kernel
@@ -291,17 +291,20 @@ def test_operator_extremes_match_the_block_eigenvalues():
 
 def test_witness_closed_forms_match_dense_machinery():
     n = 48
-    system, bundle = tri.triangular_basis(n)
+    system, alpha = tri.triangular_basis(n)
+    assert alpha == 0.5 / (tri.kernel_gauge(n) * (1.0 + 1e-9))
+    s, M, _, _ = tri._shadow_profiles(n, alpha, 2.0)
     a = np.concatenate([np.ones(n), np.zeros(n)])
     x = reconstruct(system, a)
-    assert abs(system.space.norm(x.coords) - bundle.value("witness_norm")) < 1e-10
+    assert np.max(np.abs(x.coords - np.concatenate([np.ones(n), alpha * s]))) < 1e-10
+    assert abs(system.space.norm(x.coords) - tri.witness_norm(n, 2.0, alpha)) < 1e-10
     dense_join = maximal_partial(system, x, n)
-    assert np.max(np.abs(dense_join.coords - bundle.vectors["join"].coords)) < 1e-10
-    assert abs(system.space.norm(dense_join.coords) - bundle.value("join_norm")) < 1e-10
-    alpha = bundle.extras["alpha"]
+    assert np.max(np.abs(dense_join.coords - np.concatenate([np.ones(n), alpha * M]))) < 1e-10
+    assert abs(system.space.norm(dense_join.coords)
+               - tri.prefix_join_norm(n, 2.0, alpha)) < 1e-10
     p4 = partial_sum(system, x, 4)
+    # shadow coordinate 3 of the 4-term prefix: alpha*(1 + 1/2 + 1/3)
     assert abs(p4.coords[n + 3] - alpha * (11.0 / 6.0)) < 1e-12
-    assert abs(bundle.value("prefix_coefficient_4") - alpha * 11.0 / 6.0) < 1e-15
 
 
 def test_round_trip_and_two_sided_equivalence():
@@ -347,13 +350,13 @@ def _tau_matrix(n):
 
 
 def test_trace_dual_small_values():
-    bundle = tri.trace_dual_certificate(2)
-    assert bundle.value("harmonic_double_sum") == 2.5
-    assert bundle.value("entrywise_pairing") == 1.0
+    double_sum, entrywise, _, floor = tri.trace_dual_certificate(2)
+    assert double_sum == 2.5
+    assert entrywise == 1.0
+    assert floor == 2.5 / math.pi
     # the two pairings differ by exactly H_n
-    b3 = tri.trace_dual_certificate(3)
-    assert b3.value("harmonic_double_sum") - b3.value("entrywise_pairing") == \
-        pytest.approx(1 + 0.5 + 1 / 3, abs=1e-12)
+    double_sum, entrywise, _, _ = tri.trace_dual_certificate(3)
+    assert double_sum - entrywise == pytest.approx(1 + 0.5 + 1 / 3, abs=1e-12)
 
 
 def test_tau_spectrum_closed_form():
@@ -366,9 +369,9 @@ def test_tau_spectrum_closed_form():
 
 def test_trace_dual_floor_and_growth_window():
     for n in (64, 256):
-        bundle = tri.trace_dual_certificate(n)
-        nuc = bundle.value("nuclear_norm")
-        assert nuc >= bundle.value("duality_floor") - 1e-6
+        _, _, nuc, floor = tri.trace_dual_certificate(n)
+        assert nuc == tri.tau_singular_values(n).sum()
+        assert nuc >= floor - 1e-6
         ratio = nuc / (n * math.log(n))
         assert 1 / math.pi - 0.05 <= ratio <= 2.0
 
@@ -377,12 +380,12 @@ def test_trace_dual_floor_and_growth_window():
 
 
 def test_registry_knows_lindenstrauss():
-    bundle = lind.lindenstrauss_witness(3, 64)
-    assert bundle.value("join_norm") == 5.0
+    rows, join, _ = lind.lindenstrauss_witness(3, 64)
+    assert rows[-1][2] == join.norm() == 5.0
     assert len(lind.lindenstrauss(64)) == 64
 
 
 def test_registry_knows_triangular():
-    system, bundle = tri.triangular_basis(16)
-    assert bundle.value("prefix_ratio") > 1.0
+    system, alpha = tri.triangular_basis(16)
+    assert tri.prefix_join_norm(16, 2.0, alpha) > tri.witness_norm(16, 2.0, alpha)
     assert len(system) == 32

@@ -162,11 +162,11 @@ def test_sign_sums_collapse_to_one():
 
 def test_modulus_sum_fills_both_blocks():
     n = 4
-    system, bundle = had.hadamard_mixed(n)
+    system, total = had.hadamard_mixed(n)
     stacked = np.abs(system.vectors).sum(axis=0)
-    assert np.array_equal(stacked, np.ones(2 ** (n + 1)))
-    norm = system.space.norm(bundle.vectors["modulus_sum"].coords)
-    assert norm == bundle.value("modulus_sum_norm") == 4.0
+    assert np.array_equal(stacked, total.coords)
+    assert total.space is system.space
+    assert system.space.norm(total.coords) == 4.0
 
 
 def test_unconditionality_window():
@@ -224,9 +224,9 @@ def test_hadamard_size_guards():
         had.hadamard_mixed(15)
     with pytest.raises(ValueError):
         had.walsh_matrix(11)
-    system, bundle = had.hadamard_mixed(12)
+    system, total = had.hadamard_mixed(12)
     assert system is None
-    assert bundle.value("modulus_sum_norm") == 64.0
+    assert total.norm() == 64.0
 
 
 # ---------------------------------------------------------------- rademacher
@@ -546,11 +546,10 @@ def test_pass_profile_marks_are_bitwise_the_dense_pass():
             c = coefficients(system, np.ones(2 ** J))
             sums = np.cumsum(c[:, None] * system.vectors, axis=0)
             high, low = sums.max(axis=0), sums.min(axis=0)
-            bundle = tw.pass_profile(J, p)
-            assert bundle.vectors["join"].coords.tobytes() == \
-                np.maximum(high, -low).tobytes(), (J, p)
-            assert bundle.extras["oscillation"].tobytes() == \
-                (high - low).tobytes(), (J, p)
+            join, oscillation, terms = tw.pass_profile(J, p)
+            assert join.coords.tobytes() == np.maximum(high, -low).tobytes(), (J, p)
+            assert oscillation.tobytes() == (high - low).tobytes(), (J, p)
+            assert terms == len(system) == 3 * 2 ** J - 2
 
 
 def test_pass_profile_scan_occupies_every_point():
@@ -566,10 +565,8 @@ def test_pass_profile_scan_occupies_every_point():
 
 def test_pass_profile_join_and_oscillation():
     for p in (2.0, 3.0):
-        bundle = tw.pass_profile(4, p)
-        join_norm = bundle.space.norm(bundle.vectors["join"].coords)
-        assert abs(join_norm - bundle.value("join_norm")) < 1e-9
-        osc = bundle.extras["oscillation"]
+        join, osc, _ = tw.pass_profile(4, p)
+        assert abs(join.norm() - 2.0) < 1e-9
         assert np.max(np.abs(osc - 1.0)) < 1e-9
 
 
@@ -667,11 +664,11 @@ def test_block_series_survives_huge_block_counts():
 
 
 def test_blocking_demo_exponents():
-    bundle = lor.lorentz_blocking_demo(4, 2, 1024)
-    assert abs(bundle.value("unit_exponent") - 0.25) < 0.05
-    assert abs(bundle.value("block_exponent") - 0.5) < 0.08
-    assert len(bundle.series["unit"]) == 6
-    assert len(bundle.series["blocks"]) == 5
+    units, blocks, unit_fit, block_fit = lor.lorentz_blocking_demo(4, 2, 1024)
+    assert abs(unit_fit.a - 0.25) < 0.05
+    assert abs(block_fit.a - 0.5) < 0.08
+    assert len(units) == 6
+    assert len(blocks) == 5
 
 
 # ---------------------------------------------------------------- orlicz
@@ -716,21 +713,21 @@ def test_luxemburg_norm_properties():
 
 
 def test_orderbound_demo_grows():
-    bundle = orl.orderbound_demo(128)
-    values = [v for _, v in bundle.series["upper_bound_norms"]]
+    series = orl.orderbound_demo(128)
+    assert [k for k, _ in series] == [4, 8, 16, 32, 64, 128]
+    values = [v for _, v in series]
     assert values == sorted(values)
     assert values[-1] > values[0] + 0.1
-    assert bundle.value("doubling_at_0.05") == math.exp(10.0)
+    assert orl.OrliczFunction().doubling_ratio(0.05) == math.exp(10.0)
 
 
 # ---------------------------------------------------------------- entry functions
 
 
 def test_registry_covers_the_gallery():
-    _system, bundle = had.hadamard_mixed(3)
-    assert bundle.expected
+    assert len(had.hadamard_mixed(3)[0]) == 8
     assert len(rad.rademacher_l1(4)) == 4
     assert len(haar.haar_system(4, 2.0)) == 16
-    for bundle in (tw.pass_profile(4, 2.0), lor.lorentz_blocking_demo(4.0, 2.0, 512),
-                   orl.orderbound_demo(32)):
-        assert bundle.expected or bundle.extras
+    assert tw.pass_profile(4, 2.0)[2] == 46
+    assert len(lor.lorentz_blocking_demo(4.0, 2.0, 512)[0]) == 5
+    assert len(orl.orderbound_demo(32)) == 4

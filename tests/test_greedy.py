@@ -10,8 +10,8 @@ from latmax.greedy import (_RATIOS, CheckReport, GreedyOrdering,
                            constant_coefficient_checks, count_greedy_orderings,
                            greedy_maximal, greedy_sum, kvee_estimate,
                            natural_greedy_ordering, ordered_projection_maximal,
-                           quasi_greedy_constant, recompute_greedy_constant,
-                           strictify, uqg_constant)
+                           quasi_greedy_constant, strictify,
+                           uqg_constant)
 from latmax.constructions.haar import haar_system
 from latmax.constructions.typewriter import typewriter_frame
 from latmax.spaces import element, lp_block
@@ -190,7 +190,7 @@ def test_quasi_greedy_and_uqg_recompute_from_report():
     wits = [rng.standard_normal(6) for _ in range(6)]
     for builder in (quasi_greedy_constant, uqg_constant):
         rep = builder(sys, wits)
-        assert recompute_greedy_constant(sys, rep) == pytest.approx(rep.value, abs=1e-9)
+        assert recompute_constant(sys, rep) == pytest.approx(rep.value, abs=1e-9)
 
 
 def test_every_report_recomputes_its_value_after_a_json_round_trip():
@@ -348,7 +348,7 @@ def test_kvee_disjoint_system_is_one():
     rep = kvee_estimate(sys, m=3, budget=300, seed=4)
     assert rep.value == pytest.approx(1.0, abs=1e-9)
     assert rep.constant_name == "kvee"
-    assert recompute_greedy_constant(sys, rep) == pytest.approx(rep.value, abs=1e-9)
+    assert recompute_constant(sys, rep) == pytest.approx(rep.value, abs=1e-9)
 
 
 def test_kvee_deterministic_and_structured_wins():
@@ -398,4 +398,15 @@ def test_join_rejects_indices_out_of_range():
     obj = rep.to_json()
     obj["indices"] = [-1] + obj["indices"][1:]
     with pytest.raises(ValueError, match="out of range"):
-        recompute_greedy_constant(sysm, report_from_json(obj))
+        recompute_constant(sysm, report_from_json(obj))
+
+
+@pytest.mark.parametrize("name", sorted(_RATIOS))
+def test_a_witness_longer_than_the_system_is_out_of_range(name):
+    # the basis score walks its prefixes on the row pointers directly, not
+    # through the range check the other five scores share
+    sysm = haar_system(2, 2.0)
+    indices = np.arange(5) if name == "kvee" else None
+    rep = ConstantReport(name, 1.0, [1.0] * 5, "structured_family", 1, indices)
+    with pytest.raises(ValueError, match="out of range"):
+        recompute_constant(sysm, rep)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from latmax import experiments
+from latmax.constructions import orlicz as _orlicz
+from latmax.constructions import triangular as _triangular
 from latmax.cli import main
 from latmax.experiments import ExperimentConfig, UsageError, list_experiments, run
 
@@ -156,6 +158,27 @@ def test_failed_check_still_writes_artifacts(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "stub-fail-manifest.json").read_text())
     assert manifest["failed"] is True
     assert (tmp_path / "stub-fail-values.csv").read_text().startswith("k,v")
+
+
+@pytest.mark.parametrize("experiment, module, name, stub, check", [
+    ("orlicz-orderbound", _orlicz, "luxemburg_norm",
+     lambda phi, x: 1.0 / len(x), "norms_strictly_increase"),
+    ("trace-dual", _triangular, "tau_singular_values", np.zeros, "_floor_holds"),
+], ids=["orlicz-orderbound", "trace-dual"])
+def test_a_broken_certification_fails_its_manifest_check(
+        tmp_path, monkeypatch, capsys, experiment, module, name, stub, check):
+    # the construction returns what it computed, and the runner's check
+    # judges it: values and a failed manifest are written, and the CLI exits 1
+    monkeypatch.setattr(module, name, stub)
+    result = run(ExperimentConfig(experiment, output_dir=str(tmp_path / "lib")))
+    assert not result.passed
+    manifest = json.loads((tmp_path / "lib" / f"{experiment}-manifest.json").read_text())
+    assert manifest["failed"] is True
+    failed = [c["name"] for c in manifest["checks"] if not c["passed"]]
+    assert any(c.endswith(check) for c in failed), failed
+    assert (tmp_path / "lib" / f"{experiment}-values.csv").exists()
+    assert main(["run", "--experiment", experiment, "--out", str(tmp_path / "cli")]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- contracts
