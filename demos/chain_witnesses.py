@@ -22,11 +22,11 @@ AMBIENT = 3 * 2 ** (DEPTH - 1)
 def main():
     print(f"chain witnesses over {AMBIENT} vectors (ambient dim {2 * AMBIENT + 2})")
     print(f"{'m':>3} {'||y_m||_1':>10} {'||join||_1':>11}")
-    _, join_norms, y_norms = chain_prefix_join(DEPTH, AMBIENT)
+    _, join_norms, y_norms, _ = chain_prefix_join(DEPTH, AMBIENT)
     for m in range(DEPTH):
         print(f"{m:>3} {y_norms[m]:>10.1f} {join_norms[m]:>11.1f}")
 
-    _, _, (_, uqg) = lindenstrauss_witness(DEPTH - 1, AMBIENT)
+    _, _, (_, uqg), _ = lindenstrauss_witness(DEPTH - 1, AMBIENT)
     ratio = uqg.value
     print(f"\nevery witness has norm 2; the join reached {DEPTH + 1}")
     print(f"certified lower bound for the uniform constants: {ratio}")

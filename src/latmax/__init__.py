@@ -39,7 +39,6 @@ from latmax.systems import (
 from latmax.greedy import (
     GreedyOrdering,
     all_greedy_orderings,
-    constant_coefficient_checks,
     greedy_maximal,
     greedy_sum,
     kvee_estimate,

@@ -38,9 +38,17 @@ class OrliczFunction:
 
     def _raw(self, t):
         t = np.asarray(t, dtype=float)
-        below = np.where(t > 0, np.exp(1.0 - 1.0 / np.where(t > 0, t, 1.0)), 0.0)
-        above = self._slope * t + self._offset
-        return np.where(t <= self.knot, below, above)
+        out = np.multiply(t, self._slope, out=np.empty_like(t))
+        out += self._offset
+        low = t <= self.knot
+        out[low] = 0.0
+        # exp(1 - 1/t) only where it is taken, 0 < t <= knot, in place
+        low &= t > 0
+        s = t[low]
+        np.divide(1.0, s, out=s)
+        np.subtract(1.0, s, out=s)
+        out[low] = np.exp(s, out=s)
+        return out
 
     def __call__(self, t):
         out = self.scale * self._raw(t)

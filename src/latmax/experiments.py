@@ -41,7 +41,9 @@ from .constructions import typewriter as _typewriter
 from .estimation import growth_fit
 from .greedy import kvee_estimate, ordered_projection_maximal
 from .spaces import LpBlock, norm as lattice_norm
-from .systems import reconstruct
+from .systems import _joins, _scan_plan, coefficients, reconstruct
+
+_BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
 
 __all__ = ["ExperimentConfig", "RunResult", "UsageError", "list_experiments", "run"]
 
@@ -133,17 +135,22 @@ def _run_uniform_bound(params, seed):
 
 
 def _run_haar_bibasis(params, seed):
-    """Observed partial-sum join envelope on random unit vectors."""
+    """Observed partial-sum join envelope on random unit vectors, joined
+    _BIBASIS_BLOCK at a time through one scan plan of the index order."""
     J, samples = params["J"], params["samples"]
     sysm = _haar.haar_system(J, 2.0)
-    full = np.arange(len(sysm))
+    plan = _scan_plan(sysm, [np.arange(len(sysm))])
     rng = np.random.default_rng(seed)
     columns = ("sample", "ratio")
     rows = []
-    for i in range(samples):
-        x = rng.standard_normal(sysm.space.dim)
-        x /= sysm.space.norm(x)
-        rows.append((i, sysm.space.norm(ordered_projection_maximal(sysm, x, full))))
+    for start in range(0, samples, _BIBASIS_BLOCK):
+        block = np.empty((min(_BIBASIS_BLOCK, samples - start), 1, len(sysm)))
+        for a in block:
+            x = rng.standard_normal(sysm.space.dim)
+            x /= sysm.space.norm(x)
+            a[0] = coefficients(sysm, x)
+        rows += [(start + i, sysm.space.norm(join))
+                 for i, join in enumerate(_joins(sysm, block, plan)[:, 0])]
     worst = max(r for _, r in rows)
     checks = []
     # the join is Doob's max_j |E_j x|; his L^2 inequality bounds it by 2
@@ -241,13 +248,17 @@ def _run_lindenstrauss(params, seed):
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
-    rows, _, reports = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
+    rows, join, reports, y = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
+    del join  # rows hold its norms; its room goes to the chain element below
     columns = ("m", "witness_norm", "running_join_norm")
     checks = []
+    # the walk is dyadic, so its norms, final join and ratio must be exact
+    _push(checks, "chain_telescopes",
+          np.array_equal(y, _lindenstrauss.chain_element(depth, len(y)).coords),
+          f"the walk ends at y{depth - 1}")
     _push(checks, "witness_norms_equal_two",
-          max(abs(r[1] - 2.0) for r in rows) < 1e-9, "exact telescopes")
-    _push(checks, "final_join_norm",
-          abs(rows[-1][2] - (depth + 1)) < 1e-9,
+          all(r[1] == 2.0 for r in rows), "exact telescopes")
+    _push(checks, "final_join_norm", rows[-1][2] == depth + 1,
           f"{rows[-1][2]!r} vs {depth + 1}")
     _push(checks, "join_grows_by_one_each_step",
           max(abs(r[2] - (r[0] + 2.0)) for r in rows) < 1e-9, "m + 2 at row m")
@@ -255,7 +266,7 @@ def _run_lindenstrauss(params, seed):
     for rep in reports:
         derived[f"{rep.constant_name}_lower_bound"] = rep.value
         _push(checks, f"{rep.constant_name}_lower_bound",
-              rep.value >= (depth + 1) / 2.0 - 1e-9, f"value {rep.value!r}")
+              rep.value == (depth + 1) / 2.0, f"value {rep.value!r}")
     return _Table(columns, rows, checks, derived=derived)
 
 
@@ -484,7 +495,7 @@ _CATALOG = {
         "coefficient l1 norm while signed means grow only like sqrt(m)",
         {"n": 12, "trials": 1000, "m_max": 20}, _run_rademacher,
         {"n": (2, 16), "trials": (1, math.inf),
-         # the fit needs four even sizes; the exact mean overflows at m = 1020
+         # the fit needs four even sizes; flat_mean is tested bitwise up to here
          "m_max": (8, 1019)}),
     "trace-dual": _Entry(
         "nuclear norm of triangular truncation certified against the "

@@ -21,10 +21,10 @@ import numpy as np
 
 from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
-                            _join_ratio, _join_ratios, _joins,
-                            _modulus_sum_ratio, _ordered_join,
-                            _peak_prefix_norm, _prefix_norm_ratio,
-                            _ratio_search, _sums, coefficients)
+                            _join_ratio, _join_ratios, _modulus_sum_ratio,
+                            _ordered_join, _peak_prefix_norm,
+                            _prefix_norm_ratio, _ratio_search, _scan_plan,
+                            _sums, coefficients)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -131,7 +131,7 @@ def strictify(coeffs, ordering: GreedyOrdering):
 def _greedy_setup(sys: BiorthogonalSystem, a: np.ndarray):
     """(coefficients of x, support size, ||x||) for x = sum a_k x_k, on raw
     coordinates."""
-    x = _sums(sys, [a], [np.flatnonzero(a)])[0]
+    x = _sums(sys, [a])[0]
     av = coefficients(sys, x)
     return av, int(np.sum(av != 0)), sys.space.norm(x)
 
@@ -207,14 +207,15 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
     rng = np.random.default_rng(seed)
     evals, best = 0, (-np.inf, None, None, None)
 
-    def consider(pairs, source):
+    def consider(pairs, source, plan=None):
         # strict '>': on a tie the earlier candidate stays the incumbent
         nonlocal evals, best
         for start in range(0, len(pairs), _SCAN_BLOCK):
             if evals >= budget:
                 return
             block = pairs[start : start + _SCAN_BLOCK]
-            for (a, A), r in zip(block, _join_ratios(sys, block)):
+            coeffs, perms = zip(*block)
+            for (a, A), r in zip(block, _join_ratios(sys, coeffs, plan or perms)):
                 if r is None:
                     continue
                 evals += 1
@@ -240,15 +241,16 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
         consider(batch, "random_ascent")
 
     # coordinate ascent polishes the incumbent: sign flips, then halvings
-    # and doublings of single coefficients, keeping improvements
+    # and doublings of single coefficients, keeping improvements; all scan A
     _, wit, A, source = best
     if wit is None:
         raise ValueError("budget too small to evaluate any witness")
+    plan = _scan_plan(sys, [A])
     for factor in (-1.0, 0.5, 2.0):
         for idx in A:
             trial = best[1].copy()
             trial[idx] *= factor
-            consider([(trial, A)], source)
+            consider([(trial, A)], source, plan)
     value, wit, A, source = best
     return ConstantReport("kvee", float(value), wit, source, evals, indices=A)
 
@@ -258,70 +260,3 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 _RATIOS = {"basis": _prefix_norm_ratio, "bibasis": _join_ratio,
            "absolute": _modulus_sum_ratio, "quasi_greedy": _quasi_greedy_ratio,
            "uniform_quasi_greedy": _uqg_ratio, "kvee": _join_ratio}
-
-
-@dataclass
-class CheckReport:
-    """Worst observed lhs/rhs ratios for the constant-coefficient
-    inequalities, evaluated with supplied (lower-bound) constants.
-
-    Keys: join_vs_flat, flat_signed_lower, signed_sum_vs_join,
-    signed_join_upper, scaled_join, modulus_ratio_bound.
-    """
-
-    worst: dict
-    passed: bool
-    instances: int
-
-    def to_json(self) -> dict:
-        return {"worst": {k: float(v) for k, v in self.worst.items()},
-                "passed": self.passed, "instances": self.instances}
-
-
-def constant_coefficient_checks(sys: BiorthogonalSystem, index_sets,
-                                sign_patterns, c_qg: float, c_qg_vee: float,
-                                seed: int = 0) -> CheckReport:
-    """Constant-coefficient permutability inequalities as observed envelopes.
-
-    For each ordered index set A and sign pattern eps, with 1_A = sum of the
-    A-vectors and joins taken along A's order:
-      join_vs_flat:        ||join prefix 1_A||            <= Cv ||1_A||
-      flat_signed_lower:   ||join prefix 1_A||            <= 2 Cv ||sum eps||
-      signed_sum_vs_join:  ||sum eps||                    <= ||join prefix eps|| (constant-free)
-      signed_join_upper:   ||join prefix eps||            <= 2 Cv ||1_A||
-      scaled_join:         ||join prefix a||              <= 2 max|a| Cv ||1_A||
-      modulus_ratio_bound: ||P_A^v x||                    <= 8 C^2 Cv (max|a|/min|a|) ||x||
-    with a drawn per instance from a seeded rng.  Supplied constants are lower
-    bounds, so ratios above 1 indicate an underestimated constant, not a
-    failed theorem; the report records the worst ratio per inequality.
-    """
-    rng = np.random.default_rng(seed)
-    worst = {k: 0.0 for k in ("join_vs_flat", "flat_signed_lower",
-                              "signed_sum_vs_join", "signed_join_upper",
-                              "scaled_join", "modulus_ratio_bound")}
-    count = 0
-    for A, eps in zip(index_sets, sign_patterns):
-        A = np.asarray(A, dtype=int)
-        eps = np.asarray(eps, dtype=float)
-        coeffs = ones, signed, a_rand = np.zeros((3, len(sys)))
-        ones[A] = 1.0
-        signed[A] = eps
-        a_rand[A] = eps * rng.uniform(0.5, 2.0, size=len(A))
-        join_flat, join_signed, join_rand = map(sys.space.norm,
-                                                _joins(sys, coeffs, [A] * 3))
-        flat, signed_sum, x_norm = map(sys.space.norm, _sums(
-            sys, coeffs, [np.flatnonzero(c) for c in coeffs]))
-        amax, amin = np.abs(a_rand[A]).max(), np.abs(a_rand[A]).min()
-        ratios = {
-            "join_vs_flat": join_flat / (c_qg_vee * flat),
-            "flat_signed_lower": join_flat / (2 * c_qg_vee * signed_sum),
-            "signed_sum_vs_join": signed_sum / join_signed,
-            "signed_join_upper": join_signed / (2 * c_qg_vee * flat),
-            "scaled_join": join_rand / (2 * amax * c_qg_vee * flat),
-            "modulus_ratio_bound": join_rand / (8 * c_qg ** 2 * c_qg_vee
-                                                * (amax / amin) * x_norm),
-        }
-        for k, v in ratios.items():
-            worst[k] = max(worst[k], float(v))
-        count += 1
-    return CheckReport(worst, all(v <= 1.0 for v in worst.values()), count)

@@ -11,10 +11,14 @@ reads only the nonzeros: ordered joins and the typewriter pass scan them
 column by column (``_column_scan``), into one running-sum row per occupied
 (pair, coordinate) cell; ``_joins`` reduces each row to its largest
 modulus and scatters it back (``_scatter``), and only the typewriter pass
-reduces the table otherwise.  A sum of terms adds each coordinate's terms
-in row order from zero (``_sums``), and ``coefficients`` sums each stored
-functional row pairwise.  The dense ``vectors`` and ``functionals`` are
-read-only views built on first access, for callers outside the kernels.
+reduces the table otherwise.  A scan is a plan, which depends only on
+the system and the orderings (``_scan_plan``: the terms stable-sorted by
+cell once, by radix on 16-bit keys where they fit, and their table
+slots), and a pass of a block of coefficients through it.  A sum of terms
+adds each coordinate's terms in row order from zero (``_sums``), and
+``coefficients`` sums each stored functional row pairwise.  The dense
+``vectors`` and ``functionals`` are read-only views built on first
+access, for callers outside the kernels.
 
 Functionals pair with elements by the plain (unweighted) dot product;
 constructions over weighted hosts bake their weights into the functional
@@ -260,57 +264,77 @@ def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
     a = np.asarray(coeffs, dtype=float)
     if len(a) > len(sys):
         raise ValueError("more coefficients than vectors")
-    return Element(sys.space, _sums(sys, [a], [np.flatnonzero(a)])[0])
+    return Element(sys.space, _sums(sys, [a])[0])
 
 
-def _gather(sys: BiorthogonalSystem, coeffs, perms):
-    """(seg, terms) for B pairs (a, perm): every term a_k x_k[c] of the rows
-    along each perm, in scan order, with seg = b * dim + c.  The one place
-    an index outside [0, n) is rejected (ValueError)."""
-    ptr, cols, vals = sys.row_support
-    perms = [np.asarray(p, dtype=np.intp) for p in perms]
-    rows = np.concatenate(perms)
+def _gather(sys: BiorthogonalSystem, pair, rows):
+    """(seg, cnt, pos) for the scanned rows rows[t] of pairs pair[t]: row
+    rows[t] has cnt[t] nonzeros, at positions pos of the row support in
+    scan order, in the cells seg = pair * dim + column.  The one place an
+    index outside [0, n) is rejected (ValueError)."""
+    ptr, cols, _ = sys.row_support
     if rows.size and (rows.min() < 0 or rows.max() >= len(sys)):
         raise ValueError(f"index out of range for {len(sys)} vectors")
     cnt = ptr[rows + 1] - ptr[rows]
-    # positions of the scanned rows' nonzeros, rows in scan order
     pos = _spans(ptr[rows], cnt)
-    w = np.concatenate([np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
-    off = np.repeat(np.arange(len(perms)) * sys.space.dim, [len(p) for p in perms])
-    return np.repeat(off, cnt) + cols[pos], np.repeat(w, cnt) * vals[pos]
+    return np.repeat(pair * sys.space.dim, cnt) + cols[pos], cnt, pos
 
 
-def _sums(sys: BiorthogonalSystem, coeffs, perms, modulus: bool = False) -> np.ndarray:
+def _pairs(perms):
+    """(pair, rows): the B orderings end to end, each row tagged with its b."""
+    perms = [np.asarray(p, dtype=np.intp) for p in perms]
+    return np.repeat(np.arange(len(perms)), [len(p) for p in perms]), np.concatenate(perms)
+
+
+def _sums(sys: BiorthogonalSystem, coeffs, perms=None, modulus: bool = False) -> np.ndarray:
     """(B, dim): row b is sum a_k x_k along perms[b] (of |a_k x_k| with
     modulus), each coordinate adding its terms in perm order from zero, so
     it is bit for bit the last row of a dense np.cumsum down the perm (up to
-    the sign of zero)."""
-    seg, terms = _gather(sys, coeffs, perms)
+    the sign of zero).  Without perms, row b runs over the nonzeros of
+    coeffs[b] in index order, all B supports found by one np.nonzero."""
+    if perms is None:
+        coeffs = np.asarray(coeffs, dtype=float)
+        B, (pair, rows) = len(coeffs), np.nonzero(coeffs)
+    else:
+        B, (pair, rows) = len(perms), _pairs(perms)
+    seg, cnt, pos = _gather(sys, pair, rows)
+    w = coeffs[pair, rows] if perms is None else np.concatenate(
+        [np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
+    terms = np.repeat(w, cnt) * sys.row_support.vals[pos]
     return np.bincount(seg, np.abs(terms) if modulus else terms,
-                       minlength=len(perms) * sys.space.dim).reshape(len(perms), -1)
+                       minlength=B * sys.space.dim).reshape(B, -1)
 
 
-def _column_scan(sys: BiorthogonalSystem, coeffs, perms):
-    """Every value each occupied coordinate's prefix sum takes, for B pairs
-    (a, perm), as (cells, table).
+@dataclass(frozen=True)
+class _ScanPlan:
+    """A column scan along B orderings less its coefficients: term t is
+    block[b, k] * vals[t], src[t] = b * n + k, into slot flat[t] of a
+    (width, len(cells)) table."""
 
-    A cell b * dim + c is occupied when some row along perms[b] is nonzero
-    at c.  cells lists the occupied cells in ascending order, and row i of
-    table is the running sum of cell cells[i]'s terms a_k x_k[c] along
-    perms[b], gathered from the row support, stable-sorted by cell and
-    zero-padded.  A dense scan adds only exact zeros between these terms
-    and the padding repeats the last value, so the table holds its prefix
-    values bit for bit (up to the sign of zero); the last column is the
-    full sum, and an empty cell's prefix sums are all 0 (``_scatter``
-    reads them so).  This is the one join kernel.
-    """
-    seg, terms = _gather(sys, coeffs, perms)
-    order = np.argsort(seg, kind="stable")
-    # each index array is freed once spent, so the scan holds no more than
-    # _gather did (5 MB for the 150k terms of the typewriter pass at J=12)
+    B: int
+    cells: np.ndarray
+    width: int
+    src: np.ndarray
+    vals: np.ndarray
+    flat: np.ndarray
+
+
+def _scan_plan(sys: BiorthogonalSystem, perms) -> _ScanPlan:
+    """Sort once: the terms along B orderings, stable-sorted by cell, each
+    cell's run of them, and their table slots.  A cell b * dim + c is
+    occupied when some row along perms[b] is nonzero at c; cells lists them
+    ascending."""
+    pair, rows = _pairs(perms)
+    seg, cnt, pos = _gather(sys, pair, rows)
+    # a stable order is unique given its keys, so 16-bit copies sort the
+    # same, and numpy sorts them by radix
+    order = np.argsort(seg.astype(np.uint16) if len(perms) * sys.space.dim <= 2 ** 16
+                       else seg, kind="stable")
+    # each index array is freed once spent: a plan keeps three per term
+    vals = sys.row_support.vals[pos[order]]
+    src = np.repeat(pair * len(sys) + rows, cnt)[order]
     seg = seg[order]
-    terms = terms[order]
-    del order
+    del pos, order
     # cell i's run of terms is bounds[i] .. bounds[i + 1] - 1: a run starts
     # where the sorted cell index changes, and the last one ends at the end
     change = np.ones(len(seg) + 1, dtype=bool)
@@ -319,29 +343,59 @@ def _column_scan(sys: BiorthogonalSystem, coeffs, perms):
     starts, lens = bounds[:-1], bounds[1:] - bounds[:-1]
     cells = seg[starts]
     del seg
-    width = int(lens.max(initial=1))
-    # term j of the run starting at starts[i] lands in table[i, j - starts[i]]
-    flat = np.repeat(np.arange(len(starts)) * width - starts, lens)
-    flat += np.arange(len(flat))
-    table = np.zeros((len(cells), width))
-    table.ravel()[flat] = terms
-    return cells, np.cumsum(table, axis=1, out=table)
+    # term t of the run starting at starts[i] lands in table[t - starts[i], i]
+    flat = np.repeat(np.arange(len(cells)) - starts * len(cells), lens)
+    flat += np.arange(len(flat)) * len(cells)
+    return _ScanPlan(len(perms), cells, int(lens.max(initial=1)), src, vals, flat)
+
+
+def _column_scan(sys: BiorthogonalSystem, coeffs, perms):
+    """Every value each occupied coordinate's prefix sum takes, for B pairs
+    (a, perm), as (cells, table): the one join kernel.
+
+    perms is the B orderings or their ``_ScanPlan``, coeffs B vectors (a
+    vector is zero past its end) or an (S, B, n) block sent through the
+    plan at once.  Row i of table, (cells, width) or (S, cells, width), is
+    the running sum of cell cells[i]'s terms a_k x_k[c] along perms[b],
+    zero-padded.  A dense scan adds only exact zeros between these terms
+    and the padding repeats the last value, so the table holds its prefix
+    values bit for bit (up to the sign of zero); the last column is the
+    full sum.  The sums are formed in a (width, cells) table, each row added
+    into the next: np.cumsum's additions along each cell, in its order.
+    """
+    plan = perms if isinstance(perms, _ScanPlan) else _scan_plan(sys, perms)
+    a = np.asarray(coeffs, dtype=float)
+    block, n = (a if a.ndim == 3 else a[None]), len(sys)
+    if block.shape[-1] != n:
+        block = np.pad(block[..., :n], [(0, 0), (0, 0), (0, max(0, n - block.shape[-1]))])
+    S = len(block)
+    cells, width, src, vals, flat = plan.cells, plan.width, plan.src, plan.vals, plan.flat
+    del plan, perms  # a plan built here is freed as it is spent
+    terms = np.take(block.reshape(S, -1), src, axis=1) * vals
+    del src, vals
+    table = np.zeros((S, width, len(cells)))
+    for row, t in zip(table.reshape(S, -1), terms):  # 1-d scatters are fastest
+        row[flat] = t
+    del flat, terms
+    for j in range(1, width):
+        table[:, j] += table[:, j - 1]
+    return cells, table.transpose(0, 2, 1) if a.ndim == 3 else table[0].T
 
 
 def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
-    """(B, dim): values[i] at flat cell cells[i], 0 at every other cell."""
-    out = np.zeros(B * dim)
-    out[cells] = values
-    return out.reshape(B, dim)
+    """(..., B, dim): values[..., i] at flat cell cells[i], 0 elsewhere."""
+    out = np.zeros(values.shape[:-1] + (B * dim,))
+    out[..., cells] = values
+    return out.reshape(values.shape[:-1] + (B, dim))
 
 
 def _joins(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
-    """(B, dim): row b is the coordinatewise max of |prefix sums| of a_k x_k
-    along perms[b], 0 at every cell no scanned row touches.  The one
-    reduction of the join kernel to joins."""
+    """(B, dim), or (S, B, dim) for a block: row b is the coordinatewise max
+    of |prefix sums| of a_k x_k along perms[b], 0 at every cell no scanned
+    row touches.  The one reduction of the join kernel to joins."""
+    B = perms.B if isinstance(perms, _ScanPlan) else len(perms)
     cells, table = _column_scan(sys, coeffs, perms)
-    return _scatter(cells, np.abs(table, out=table).max(axis=1), len(perms),
-                    sys.space.dim)
+    return _scatter(cells, np.abs(table, out=table).max(axis=-1), B, sys.space.dim)
 
 
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
@@ -349,14 +403,14 @@ def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     return _joins(sys, [a], [perm])[0]
 
 
-def _join_ratios(sys: BiorthogonalSystem, pairs) -> list:
-    """||join of |prefix sums| along A|| / ||x|| for each pair (a, A), with
+def _join_ratios(sys: BiorthogonalSystem, coeffs, perms) -> list:
+    """||join of |prefix sums| along A|| / ||x|| for B pairs (a, A) of
+    coefficient vectors of one length and orderings (or their plan), with
     x = sum a_k x_k, or None where x is zero.  The pairs share one _joins
     call, and their sums one _sums call over the nonzero coefficients."""
-    coeffs, perms = zip(*pairs)
-    xs = _sums(sys, coeffs, [np.flatnonzero(a) for a in coeffs])
+    coeffs = np.asarray(coeffs, dtype=float)
     return [sys.space.norm(join) / nx if (nx := sys.space.norm(x)) else None
-            for join, x in zip(_joins(sys, coeffs, perms), xs)]
+            for join, x in zip(_joins(sys, coeffs, perms), _sums(sys, coeffs))]
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -482,13 +536,12 @@ def _prefix_norm_ratio(sys, a, indices=None):
 
 def _join_ratio(sys, a, indices=None):
     """Along indices, kvee's ordered set, or the index order (bibasis)."""
-    r = _join_ratios(sys, [(a, np.arange(len(a)) if indices is None else indices)])[0]
+    r = _join_ratios(sys, [a], [np.arange(len(a)) if indices is None else indices])[0]
     return (0.0, 0, indices) if r is None else (r, len(a), indices)
 
 
 def _modulus_sum_ratio(sys, a, indices=None):
-    k = np.flatnonzero(a)
-    total, nx = (sys.space.norm(_sums(sys, [a], [k], modulus)[0])
+    total, nx = (sys.space.norm(_sums(sys, [a], modulus=modulus)[0])
                  for modulus in (True, False))
     return (total / nx, len(a), None) if nx else (0.0, 0, None)
 

@@ -51,12 +51,12 @@ def test_tree_chain_witness_exact_values():
     start = time.perf_counter()
     for N in range(2, 15):
         n = 3 * 2 ** (N - 1)
-        rows, join, reports = lindenstrauss_witness(N - 1, n)
+        rows, join, reports, _ = lindenstrauss_witness(N - 1, n)
         assert abs(lattice_norm(join) - (N + 1)) < 1e-9
         assert max(abs(r[1] - 2.0) for r in rows) < 1e-9
         for rep in reports:
             assert rep.value >= (N + 1) / 2.0 - 1e-9
-        _, join_norms, y_norms = chain_prefix_join(N, n)
+        _, join_norms, y_norms, _ = chain_prefix_join(N, n)
         for m in range(N):
             assert abs(y_norms[m] - 2.0) < 1e-9
             assert abs(join_norms[m] - (m + 2.0)) < 1e-9

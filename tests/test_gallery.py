@@ -686,6 +686,31 @@ def test_spliced_generator_values():
     assert abs(left - right) < 1e-5
 
 
+def _raw_both_branches(phi, t):
+    """The generator as it was first written: both branches over the whole
+    vector, spliced by np.where."""
+    t = np.asarray(t, dtype=float)
+    below = np.where(t > 0, np.exp(1.0 - 1.0 / np.where(t > 0, t, 1.0)), 0.0)
+    above = phi._slope * t + phi._offset
+    return np.where(t <= phi.knot, below, above)
+
+
+def test_generator_is_bitwise_the_two_branch_splice():
+    rng = np.random.default_rng(5)
+    for knot in (0.5, 0.25, 0.1):
+        phi = orl.OrliczFunction(knot)
+        grid = np.concatenate([
+            [0.0, -0.0, -1.0, 1e-300, knot, np.nextafter(knot, 0.0),
+             np.nextafter(knot, 1.0), 1.0, 1.5, 1e3],
+            np.linspace(-0.5, 3.0, 1001), rng.uniform(0.0, 2.0 * knot, 4096)])
+        for t in (grid, grid[:0], grid[1:].reshape(2, -1)[:, ::7]):
+            assert phi._raw(t).tobytes() == _raw_both_branches(phi, t).tobytes()
+        for s in (0.0, knot, 0.3, 1.0, 2.0):
+            assert phi._raw(s).shape == ()
+            assert phi._raw(s).tobytes() == _raw_both_branches(phi, s).tobytes()
+            assert phi(s) == float(phi.scale * _raw_both_branches(phi, s))
+
+
 def test_doubling_ratio_blows_up():
     phi = orl.OrliczFunction()
     assert phi.doubling_ratio(0.05) == math.exp(10.0)

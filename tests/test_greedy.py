@@ -5,10 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latmax.greedy import (_RATIOS, CheckReport, GreedyOrdering,
-                           all_greedy_orderings,
-                           constant_coefficient_checks, count_greedy_orderings,
-                           greedy_maximal, greedy_sum, kvee_estimate,
+from latmax.greedy import (_RATIOS, GreedyOrdering, all_greedy_orderings,
+                           count_greedy_orderings, greedy_maximal, greedy_sum,
+                           kvee_estimate,
                            natural_greedy_ordering, ordered_projection_maximal,
                            quasi_greedy_constant, strictify,
                            uqg_constant)
@@ -364,23 +363,6 @@ def test_kvee_deterministic_and_structured_wins():
     assert big.value >= r1.value - 1e-12
 
 
-def test_constant_coefficient_checks_disjoint():
-    sys = unit_system(8, p=2.0)
-    rng = np.random.default_rng(13)
-    sets, signs = [], []
-    for k in range(25):
-        size = int(rng.integers(1, 6))
-        sets.append(rng.permutation(8)[:size])
-        signs.append(rng.choice([-1.0, 1.0], size=size))
-    rep = constant_coefficient_checks(sys, sets, signs, c_qg=1.0, c_qg_vee=1.0)
-    assert isinstance(rep, CheckReport)
-    assert rep.instances == 25
-    assert rep.passed
-    assert all(v <= 1.0 + 1e-12 for v in rep.worst.values())
-    d = rep.to_json()
-    assert set(d) == {"worst", "passed", "instances"}
-
-
 def test_join_rejects_indices_out_of_range():
     # a negative index used to pair one row's coefficient with another
     # row's nonzeros, and n itself ran past the row support
@@ -392,8 +374,6 @@ def test_join_rejects_indices_out_of_range():
     a = np.zeros(8); a[[1, 2]] = 1.0
     with pytest.raises(ValueError, match="out of range"):
         kvee_estimate(sysm, 3, budget=20, structured=[(a, [1, 2, -3])])
-    with pytest.raises(ValueError, match="out of range"):
-        constant_coefficient_checks(sysm, [[1, -3]], [[1.0, -1.0]], 1.0, 1.0)
     rep = kvee_estimate(sysm, 3, budget=20)
     obj = rep.to_json()
     obj["indices"] = [-1] + obj["indices"][1:]

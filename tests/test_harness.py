@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from latmax import experiments
+from latmax.constructions import lindenstrauss as _lindenstrauss
 from latmax.constructions import orlicz as _orlicz
 from latmax.constructions import triangular as _triangular
 from latmax.cli import main
@@ -160,11 +161,31 @@ def test_failed_check_still_writes_artifacts(tmp_path, monkeypatch):
     assert (tmp_path / "stub-fail-values.csv").read_text().startswith("k,v")
 
 
+_chain_prefix_join = _lindenstrauss.chain_prefix_join
+
+
+def _off_by_one_join(depth, n):
+    join, join_norms, x_norms, y = _chain_prefix_join(depth, n)
+    return join, [v + 1.0 for v in join_norms], x_norms, y
+
+
+def _walk_off_the_chain(depth, n):
+    join, join_norms, x_norms, y = _chain_prefix_join(depth, n)
+    y = y.copy()
+    y[-1] = 1.0
+    return join, join_norms, x_norms, y
+
+
 @pytest.mark.parametrize("experiment, module, name, stub, check", [
     ("orlicz-orderbound", _orlicz, "luxemburg_norm",
      lambda phi, x: 1.0 / len(x), "norms_strictly_increase"),
     ("trace-dual", _triangular, "tau_singular_values", np.zeros, "_floor_holds"),
-], ids=["orlicz-orderbound", "trace-dual"])
+    ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _off_by_one_join,
+     "final_join_norm"),
+    ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _walk_off_the_chain,
+     "chain_telescopes"),
+], ids=["orlicz-orderbound", "trace-dual", "lindenstrauss-witness",
+        "lindenstrauss-telescopes"])
 def test_a_broken_certification_fails_its_manifest_check(
         tmp_path, monkeypatch, capsys, experiment, module, name, stub, check):
     # the construction returns what it computed, and the runner's check

@@ -1,6 +1,7 @@
 """Property tests for the column-segmented prefix scan over each system's
-row support, for the row-order sums beside it, and for the blocked prefix
-sums behind the per-prefix norms."""
+row support, for its scan plans reused over blocks of coefficients, for the
+row-order sums beside it, and for the blocked prefix sums behind the
+per-prefix norms."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from latmax.constructions.haar import (branch_coefficients, branch_ordering,
                                        haar_system)
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.spaces import LpBlock
-from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, _column_scan,
-                            _ordered_join, _peak_prefix_norm, _scatter, _sums)
+from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, Csr, _column_scan,
+                            _joins, _ordered_join, _peak_prefix_norm,
+                            _scan_plan, _scatter, _sums)
 
 
 @st.composite
@@ -104,6 +106,85 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
     cells, table = _column_scan(sys, coeffs, [np.arange(0)] * B)
     assert len(cells) == len(table) == 0
     assert not _scatter(cells, np.abs(table).max(axis=1), B, dim).any()
+
+
+@st.composite
+def planned_scans(draw):
+    """A sparse system, B orderings of its rows and blocks of coefficients.
+
+    The width dim is small, or the largest whose B * dim cell keys fit 16
+    bits, or one past it, so both sorts of the plan run; the last ordering
+    scans every row, and the last row reaches the last column, so the
+    largest key is in play.  The other orderings may be empty.  Integer
+    values and coefficients, zeros and negative zeros among them, put
+    cancelling and signed-zero running sums in play.
+    """
+    B = draw(st.integers(1, 4), label="B")
+    dim = draw(st.sampled_from((draw(st.integers(1, 6), label="small"),
+                                2 ** 16 // B, 2 ** 16 // B + 1)), label="dim")
+    n = draw(st.integers(1, 12), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    rows = [np.sort(rng.choice(dim, size=rng.integers(1, min(dim, 4) + 1), replace=False))
+            for _ in range(n)]
+    rows[-1] = np.union1d(rows[-1], [dim - 1])
+    cols = np.concatenate(rows)
+    V = Csr(np.concatenate([[0], np.cumsum([len(r) for r in rows])]), cols,
+            np.round(2 * rng.standard_normal(len(cols))))
+    sys = BiorthogonalSystem(LpBlock(dim, 2.0), V, V, check=False)
+    perms = [rng.permutation(n)[:rng.integers(0, n + 1)] for _ in range(B - 1)]
+    perms.append(rng.permutation(n))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3), label="blocks")):
+        block = np.round(rng.standard_normal((draw(st.integers(1, 3), label="S"), B, n)))
+        block[rng.random(block.shape) < 0.2] = -0.0
+        blocks.append(block)
+    return sys, perms, blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(planned_scans())
+def test_a_plan_reused_over_blocks_is_bitwise_the_fresh_scans(scan):
+    sys, perms, blocks = scan
+    B, dim = len(perms), sys.space.dim
+    plan = _scan_plan(sys, perms)
+    V = sys.vectors
+    for block in blocks:
+        joins = _joins(sys, block, plan)
+        cells, table = _column_scan(sys, block, plan)
+        assert np.all(np.diff(cells) > 0) and cells[-1] == B * dim - 1
+        assert joins.shape == (len(block), B, dim)
+        assert table.shape[:2] == (len(block), len(cells))
+        for s, coeffs in enumerate(block):
+            # the same additions as a one-shot scan, so the same table,
+            # signed zeros included
+            fresh_cells, fresh = _column_scan(sys, list(coeffs), perms)
+            assert fresh_cells.tobytes() == cells.tobytes()
+            assert fresh.tobytes() == table[s].tobytes()
+            for b, (a, order) in enumerate(zip(coeffs, perms)):
+                assert joins[s, b].tobytes() == _ordered_join(sys, a, order).tobytes()
+                assert joins[s, b].tobytes() == _cumsum_oracle(V, a, order)[0].tobytes()
+
+
+def test_scan_plan_keeps_signed_zero_sums():
+    # sample 0: cell 0 runs two -0.0 terms (zeros times -1 and 1) and stays
+    # -0.0; cell 3 holds one -0.0 term in a width-2 table, and its padding
+    # slot adds it to +0.0.  Sample 1: cell 0 cancels, -3 + 3 = +0.0
+    V = Csr(np.array([0, 2, 3]), np.array([0, 1, 0]), np.array([-1.0, 2.0, 1.0]))
+    sys = BiorthogonalSystem(LpBlock(2, 2.0), V, V, check=False)
+    perms = [np.array([0, 1]), np.array([0])]
+    block = np.array([[[0.0, -0.0], [-0.0, 5.0]], [[3.0, 3.0], [1.0, 0.0]]])
+    plan = _scan_plan(sys, perms)
+    cells, table = _column_scan(sys, block, plan)
+    assert cells.tolist() == [0, 1, 2, 3] and table.shape == (2, 4, 2)
+    assert np.signbit(table[0, :, 0]).tolist() == [True, False, False, True]
+    assert np.signbit(table[0, :, 1]).tolist() == [True, False, False, False]
+    assert table[1].tolist() == [[-3.0, 0.0], [6.0, 6.0], [-1.0, -1.0], [2.0, 2.0]]
+    for s in range(2):
+        assert _column_scan(sys, list(block[s]), perms)[1].tobytes() == table[s].tobytes()
+    # a plan of empty orderings occupies no cell, and its joins are zero
+    empty = _scan_plan(sys, [np.arange(0)] * 2)
+    assert not _joins(sys, block, empty).any()
+    assert _joins(sys, block, empty).shape == (2, 2, 2)
 
 
 @settings(max_examples=30, deadline=None)
