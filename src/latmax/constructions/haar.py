@@ -19,7 +19,7 @@ import numpy as np
 from latmax.spaces import dyadic_lp
 from latmax.systems import BiorthogonalSystem, Csr
 
-_DEPTH_LIMIT = 14
+_DEPTH_LIMIT = 16
 
 
 def _conjugate(p: float) -> float:

@@ -20,6 +20,10 @@ adds each coordinate's terms in row order from zero (``_sums``), and
 ``vectors`` and ``functionals`` are read-only views built on first
 access, for callers outside the kernels.
 
+Construction checks f_j(x_k) = delta_jk for every slot j and vector k
+(``_gram_error``).  Unless the rows are nearly dense, it forms only the
+pair products of nonzeros that share a column, never an n x n slab.
+
 Functionals pair with elements by the plain (unweighted) dot product;
 constructions over weighted hosts bake their weights into the functional
 coordinates.
@@ -56,7 +60,7 @@ CONSTANT_NAMES = (
 SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
-_GRAM_CELLS = 2 ** 20  # gram entries held per slab of the full check
+_GRAM_SLAB = 2 ** 18  # pair products (sparse) or gram cells (BLAS) per slab
 _GRAM_DENSE_SHARE = 16  # BLAS once column pairs reach 1/16 of the dense flops
 _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
 
@@ -173,46 +177,89 @@ class BiorthogonalSystem:
             self._check_gram()
 
     def _check_gram(self):
-        """max |f_j(x_k) - delta_jk| over every pair, against _GRAM_TOL.
+        """Reject the system unless _gram_error is within _GRAM_TOL (a NaN
+        error is rejected too)."""
+        err = self._gram_error()
+        if not err <= _GRAM_TOL:
+            raise ValueError(f"biorthogonality violated: max error {err:.3e}")
 
-        The gram U V^T is formed a slab of vectors at a time.  Column c
-        pairs each nonzero of U in c with each nonzero of V in c; when those
-        pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop count
-        n_U * n * dim (nearly dense rows), a BLAS product of the densified
-        rows does the slab instead.
+    def _gram_error(self) -> float:
+        """max |f_j(x_k) - delta_jk| over every slot j and vector k.
+
+        Column c pairs each nonzero of U in c with each nonzero of V in c.
+        When those pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop
+        count n_U * n * dim (nearly dense rows), BLAS products of the
+        densified rows form the gram U V^T, _GRAM_SLAB cells at a time.
+        Otherwise only the pair products are formed (row-by-row sparse
+        multiplication; Gustavson, ACM TOMS 4(3), 1978), a slab of whole
+        vectors of at most _GRAM_SLAB products at a time (or one vector
+        past it).  A stable sort groups them by cell (vector k, functional
+        row r), and each cell adds its products in column order from zero,
+        as a dense slab's np.bincount would, so the error is the same bit
+        for bit.  A cell that no pair produces is an exact zero: off the
+        diagonal it is no error, and a diagonal cell r = idx[k] left empty
+        is an error of 1.  A row that several slots read is every other such
+        slot's off-diagonal cell, so its diagonal value is held to 0 as
+        well, and a row that no slot reads is not checked.
         """
         U, V, dim = self.functional_rows, self.row_support, self.space.dim
-        n, nU = len(self), U.n_rows
+        n, nU, idx = len(self), U.n_rows, self.functional_index
         per_col = np.bincount(U.cols, minlength=dim)
         pairs = int(per_col @ np.bincount(V.cols, minlength=dim))
-        dense = _GRAM_DENSE_SHARE * pairs >= nU * n * dim
-        if dense:
+        err = 0.0  # np.max keeps a NaN error, where max() would drop it
+        if _GRAM_DENSE_SHARE * pairs >= nU * n * dim:
             Ud = U.dense(dim)
-        else:
-            # U's nonzeros column by column, rows ascending inside a column
-            by_col = np.argsort(U.cols, kind="stable")
-            u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
-            u_vals = U.vals[by_col]
-            col_start = np.cumsum(per_col) - per_col
-        step = max(1, _GRAM_CELLS // max(n, nU, 1))
-        err = 0.0
-        for k0 in range(0, n, step):
-            k1 = min(n, k0 + step)
+            step = max(1, _GRAM_SLAB // max(n, nU, 1))
+            for k0 in range(0, n, step):
+                k1 = min(n, k0 + step)
+                gram = (Ud @ V.slice(k0, k1).dense(dim).T)[idx]
+                gram[np.arange(k0, k1), np.arange(k1 - k0)] -= 1.0
+                err = np.max([err, np.abs(gram, out=gram).max()])
+            return float(err)
+        # U's nonzeros column by column, rows ascending inside a column
+        by_col = np.argsort(U.cols, kind="stable")
+        u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
+        u_vals = U.vals[by_col]
+        col_start = np.cumsum(per_col) - per_col
+        readers = np.bincount(idx, minlength=nU)  # slots that read each row
+        # the pair products of vectors 0 .. k - 1 number ends[k]
+        ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
+        k0 = 0
+        while k0 < n:
+            k1 = int(np.searchsorted(ends, ends[k0] + _GRAM_SLAB, side="right")) - 1
+            k1 = max(k1, k0 + 1)
             slab = V.slice(k0, k1)
-            if dense:
-                gram = Ud @ slab.dense(dim).T
-            else:
-                cnt = per_col[slab.cols]
-                pos = _spans(col_start[slab.cols], cnt)
-                k = np.repeat(np.arange(k1 - k0), np.diff(slab.indptr))
-                cells = u_rows[pos] * (k1 - k0) + np.repeat(k, cnt)
-                gram = np.bincount(cells, u_vals[pos] * np.repeat(slab.vals, cnt),
-                                   minlength=nU * (k1 - k0)).reshape(nU, k1 - k0)
-            gram = gram[self.functional_index]
-            gram[np.arange(k0, k1), np.arange(k1 - k0)] -= 1.0
-            err = max(err, float(np.abs(gram, out=gram).max()))
-        if err > _GRAM_TOL:
-            raise ValueError(f"biorthogonality violated: max error {err:.3e}")
+            cnt = per_col[slab.cols]
+            pos = _spans(col_start[slab.cols], cnt)
+            r = u_rows[pos]
+            # cell (k, r) is key r * w + k - k0; the products come in order of
+            # k, so a stable sort by r alone orders them by key, by radix when
+            # r fits 16 bits
+            w = k1 - k0
+            key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
+            key += r * w
+            prod = u_vals[pos] * np.repeat(slab.vals, cnt)
+            del cnt, pos
+            order = np.argsort(r.astype(np.uint16) if nU <= 2 ** 16 else key, kind="stable")
+            del r
+            key, prod = key[order], prod[order]
+            del order
+            # cell i's products are the run of equal keys it numbers
+            start = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=start[1:])
+            gram = np.bincount(np.cumsum(start) - 1, prod)
+            r, k = np.divmod(key[start], w)
+            del key, prod, start
+            diag = r == idx[k0 + k]
+            shared = np.abs(gram[diag & (readers[r] > 1)])
+            gram -= diag
+            np.abs(gram, out=gram)
+            gram[readers[r] == 0] = 0.0
+            # each vector has one diagonal cell, an error of 1 if never produced
+            missing = float(np.count_nonzero(diag) < w)
+            err = np.max([err, gram.max(initial=0.0), shared.max(initial=0.0), missing])
+            k0 = k1
+        return float(err)
 
     def __len__(self) -> int:
         return self.row_support.n_rows

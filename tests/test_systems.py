@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from latmax.constructions.haar import haar_system
+from latmax.constructions.haar import haar_rows, haar_system
 from latmax.spaces import element, lp_block
-from latmax.systems import (BiorthogonalSystem, ConstantReport,
-                            absolute_constant, basis_constant,
-                            bibasis_constant, coefficients, maximal_partial,
-                            partial_sum, reconstruct, recompute_constant,
-                            report_from_json, witness_rows_csv)
+from latmax.systems import (_GRAM_DENSE_SHARE, BiorthogonalSystem,
+                            ConstantReport, Csr, _spans, absolute_constant,
+                            basis_constant, bibasis_constant, coefficients,
+                            maximal_partial, partial_sum, reconstruct,
+                            recompute_constant, report_from_json,
+                            witness_rows_csv)
 
 
 def unit_system(dim, p=2.0, weights=None):
@@ -63,6 +66,178 @@ def test_gram_check_reads_every_row_of_a_large_system():
     F[row, np.flatnonzero(F[row])[0]] *= 1.001
     with pytest.raises(ValueError, match="biorthogonality"):
         BiorthogonalSystem(sysm.space, sysm.vectors, F)
+
+
+def _slab_gram_error(sys):
+    """The dense-slab gram check the pair-only one replaced, kept as a
+    reference: U V^T a slab of 2^20 cells at a time, from the nonzeros by
+    np.bincount, or by BLAS when the rows are nearly dense."""
+    U, V, dim = sys.functional_rows, sys.row_support, sys.space.dim
+    n, nU = len(sys), U.n_rows
+    per_col = np.bincount(U.cols, minlength=dim)
+    pairs = int(per_col @ np.bincount(V.cols, minlength=dim))
+    dense = _GRAM_DENSE_SHARE * pairs >= nU * n * dim
+    if dense:
+        Ud = U.dense(dim)
+    else:
+        by_col = np.argsort(U.cols, kind="stable")
+        u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
+        u_vals = U.vals[by_col]
+        col_start = np.cumsum(per_col) - per_col
+    step = max(1, 2 ** 20 // max(n, nU, 1))
+    err = 0.0
+    for k0 in range(0, n, step):
+        k1 = min(n, k0 + step)
+        slab = V.slice(k0, k1)
+        if dense:
+            gram = Ud @ slab.dense(dim).T
+        else:
+            cnt = per_col[slab.cols]
+            pos = _spans(col_start[slab.cols], cnt)
+            k = np.repeat(np.arange(k1 - k0), np.diff(slab.indptr))
+            cells = u_rows[pos] * (k1 - k0) + np.repeat(k, cnt)
+            gram = np.bincount(cells, u_vals[pos] * np.repeat(slab.vals, cnt),
+                               minlength=nU * (k1 - k0)).reshape(nU, k1 - k0)
+        gram = gram[sys.functional_index]
+        gram[np.arange(k0, k1), np.arange(k1 - k0)] -= 1.0
+        err = max(err, float(np.abs(gram, out=gram).max()))
+    return err
+
+
+def _csr(rows, keep):
+    """The entries of rows where keep holds, stored even when zero."""
+    flat = np.flatnonzero(keep)
+    dim = rows.shape[1]
+    return Csr(np.searchsorted(flat, np.arange(len(rows) + 1) * dim), flat % dim,
+               rows.ravel()[flat])
+
+
+@st.composite
+def sparse_gram_systems(draw):
+    """An unchecked sparse system near biorthogonal, in the pair-only regime.
+
+    Vector k and functional row k share a home column k, with values near
+    1 there, and a few more random entries of one scale; rounded draws make
+    cells cancel exactly.  Stored entries may be 0.0 or -0.0, a vector may be empty, a
+    home entry may be dropped (its diagonal is then never produced), extra
+    functional rows that no slot reads may carry large values, and index=
+    may send two slots to one row.
+    """
+    n = draw(st.integers(1, 40))
+    dim = n + draw(st.integers(16, 24))
+    nU = n + draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from((0.02, 0.05, 0.1)))
+    V, U = (rng.standard_normal((rows, dim)) for rows in (n, nU))
+    if draw(st.booleans()):
+        V, U = np.round(4 * V) / 4, np.round(4 * U) / 4
+    scale = draw(st.sampled_from((1e-12, 1e-6, 1.0)))  # off the home columns
+    V, U = V * scale, U * scale
+    keep_v, keep_u = rng.random((n, dim)) < density, rng.random((nU, dim)) < density
+    for rows in (V, U):
+        zeros = rng.random(rows.shape) < 0.1
+        rows[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    home = np.arange(n)
+    V[home, home] = 1.0 + draw(st.sampled_from((0.0, 1e-12, 1e-6))) * rng.standard_normal(n)
+    U[home, home] = 1.0
+    keep_v[home, home] = keep_u[home, home] = True
+    U[n:] = 1e6 * rng.standard_normal((nU - n, dim))  # no slot reads these rows
+    # each defect in about one system of four
+    if draw(st.integers(0, 3)) == 0:
+        keep_v[rng.integers(n)] = False  # an empty vector
+    if draw(st.integers(0, 3)) == 0:
+        keep_v[rng.integers(n), rng.integers(n)] = False  # a diagonal never produced
+    index = np.arange(n)
+    if draw(st.integers(0, 3)) == 0:
+        index[rng.integers(n)] = rng.integers(n)  # a shared row, or none
+    return BiorthogonalSystem(lp_block(dim, 2.0), _csr(V, keep_v), _csr(U, keep_u),
+                              check=False, index=index)
+
+
+def _shared_row_system():
+    # slots 0 and 1 both read row 0, f_0 = f_1 = e_0, and x_0 = x_1 = e_0:
+    # every diagonal is exactly 1, but f_0(x_1) = f_1(x_0) = 1
+    V, index = np.eye(20), np.arange(20)
+    V[1], index[1] = V[0], 0
+    return BiorthogonalSystem(lp_block(20, 2.0), V, np.eye(20), check=False, index=index)
+
+
+def _unproduced_diagonal_system():
+    # x_1 lives on column 20, which no functional reads
+    V = np.eye(20, 21)
+    V[1] = np.eye(21)[20]
+    return BiorthogonalSystem(lp_block(21, 2.0), V, np.eye(20, 21), check=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_gram_systems())
+@example(_shared_row_system())
+@example(_unproduced_diagonal_system())
+def test_pair_only_gram_error_is_bitwise_the_slab_check(sysm):
+    U, V, dim = sysm.functional_rows, sysm.row_support, sysm.space.dim
+    pairs = int(np.bincount(U.cols, minlength=dim) @ np.bincount(V.cols, minlength=dim))
+    assume(_GRAM_DENSE_SHARE * pairs < U.n_rows * len(sysm) * dim)
+    if not pairs:
+        # the slab check failed on a gram with no products, by a numpy
+        # casting error: an empty weighted bincount is int64
+        assert sysm._gram_error() == 1.0
+        return
+    assert sysm._gram_error().hex() == _slab_gram_error(sysm).hex()
+
+
+def test_gram_check_rejects_a_shared_row_and_a_missing_diagonal():
+    shared = _shared_row_system()
+    assert shared._gram_error() == 1.0
+    missing = _unproduced_diagonal_system()
+    assert missing._gram_error() == 1.0
+    for sysm in (shared, missing):
+        with pytest.raises(ValueError, match="biorthogonality"):
+            sysm._check_gram()
+    # a row that no slot reads is not checked
+    U = np.vstack([np.eye(20), np.full((1, 20), 7.0)])
+    assert BiorthogonalSystem(lp_block(20, 2.0), np.eye(20), U,
+                              index=np.arange(20))._gram_error() == 0.0
+
+
+def test_gram_check_past_16_bit_functional_rows():
+    # more than 2^16 functional rows: the products are sorted by their
+    # int64 cell keys, not by 16-bit rows
+    n = 2 ** 16 + 3
+    eye = Csr(np.arange(n + 1), np.arange(n), np.ones(n))
+    for last, err in ((1.0, 2.0 ** -30), (-1.0, 2.0)):
+        vals = np.ones(n)
+        vals[[5, n - 1]] = 1.0 + 2.0 ** -30, last
+        sysm = BiorthogonalSystem(lp_block(n, 2.0), eye, Csr(eye.indptr, eye.cols, vals),
+                                  check=False)
+        assert sysm._gram_error() == err
+
+
+def test_gram_check_rejects_nan():
+    # max() dropped a NaN error, so the slab check passed both systems
+    rng = np.random.default_rng(0)
+    for V in (np.eye(40), np.eye(40) + 0.01 * rng.standard_normal((40, 40))):
+        F = np.linalg.inv(V).T
+        F[1, 2] = np.nan
+        with pytest.raises(ValueError, match="biorthogonality"):
+            BiorthogonalSystem(lp_block(40, 2.0), V, F)
+
+
+def test_gram_check_holds_pair_products_not_slabs():
+    # the 2^20-cell slabs of the dense-slab check peaked at 60 MiB here
+    sysm = haar_system(14, 2.0)
+    tracemalloc.start()
+    try:
+        sysm._check_gram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_haar_depth_limit():
+    assert len(haar_rows(16, 2.0)[0].indptr) == 2 ** 16 + 1
+    with pytest.raises(ValueError, match="J must be in 0..16"):
+        haar_rows(17, 2.0)
 
 
 def test_gram_check_rejects_non_biorthogonal():
