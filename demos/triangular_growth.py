@@ -19,8 +19,8 @@ a first-power logarithm.
 import math
 
 from latmax.constructions.triangular import (certificate_series, hilbert_kernel,
-                                             kernel_gauge, operator_extremes,
-                                             prefix_join_norm)
+                                             kernel_gauge, kernel_scaling,
+                                             operator_extremes, prefix_join_norm)
 from latmax.estimation import growth_fit
 
 SIZES = (64, 128, 256, 512, 1024)
@@ -31,14 +31,13 @@ def main():
     gauges = {}
     for n in SIZES:
         gauges[n] = kernel_gauge(n, 2.0)
-        alpha = 0.5 / (gauges[n] * (1.0 + 1e-9))
+        alpha = kernel_scaling(n, 2.0)
         ratio = prefix_join_norm(n, 2.0, alpha) / (math.sqrt(n) * math.log(n))
         print(f"{n:>5} {gauges[n]:>10.6f} {ratio:>19.4f}")
     print(f"gauges rise toward pi = {math.pi:.6f}; all below it")
 
     n = 256
-    alpha = 0.5 / (gauges[n] * (1.0 + 1e-9))
-    upper, inv_upper = operator_extremes(alpha * hilbert_kernel(n))
+    upper, inv_upper = operator_extremes(kernel_scaling(n, 2.0) * hilbert_kernel(n))
     print(f"\noperator extremes at n = {n}: ||A|| = {upper:.6f}, "
           f"||A^-1|| = {inv_upper:.6f} (product < 3)")
 

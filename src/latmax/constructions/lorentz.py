@@ -28,6 +28,16 @@ def _validate(p: float, q: float):
         raise ValueError("need 1 <= q < p < inf")
 
 
+def _sigma_fits(log2N: float, e: float) -> bool:
+    """Whether sigma(N) ~ N^(1 + e) / (1 + e) stays inside float64's range."""
+    return log2N * (1.0 + e) <= 1000.0
+
+
+def _block_end_log2(i: int) -> float:
+    """log2 N_i of the cumulative length N_i = 2^(i+1) - 2 of blocks 1..i."""
+    return (i + 1) + math.log1p(-(2.0 ** -i)) / _LOG2_LN
+
+
 @functools.lru_cache(maxsize=4)
 def _sigma_table(e: float) -> np.ndarray:
     """Read-only cumulative sums of k^e, k up to the table limit, per exponent
@@ -58,7 +68,7 @@ def weight_sum_log2(log2N: float, p: float, q: float) -> float:
     if log2N <= 21:
         N = int(round(2.0 ** log2N))
         return float(_sigma_table(e)[N - 1])
-    if log2N * (1.0 + e) > 1000.0:
+    if not _sigma_fits(log2N, e):
         raise ValueError("sigma itself would overflow float64")
     zeta = _zeta(e)
     lead = 2.0 ** (log2N * (1.0 + e)) / (1.0 + e)
@@ -95,7 +105,7 @@ def block_series(p: float, q: float, ms):
     terms = np.zeros(top + 1)
     prev = 0.0  # sigma(N_0) = sigma(0)
     for i in range(1, top + 1):
-        cur = weight_sum_log2((i + 1) + math.log1p(-(2.0 ** -i)) / _LOG2_LN, p, q)
+        cur = weight_sum_log2(_block_end_log2(i), p, q)
         terms[i] = (cur - prev) / weight_sum_log2(float(i), p, q)
         prev = cur
     partial = np.cumsum(terms)
@@ -115,6 +125,10 @@ def lorentz_blocking_demo(p: float, q: float, n: int):
         # both grids must reach 4 points for the regression
         raise ValueError("need n >= 512 for fittable grids")
     top = int(math.log2(n))
+    # the last block's sum is the largest sigma: check it before any lookup
+    if not _sigma_fits(_block_end_log2(2 ** top), q / p - 1.0):
+        raise ValueError(f"n = {n} needs {2 ** top} blocks, past the float "
+                         f"range of sigma for p = {p}, q = {q}")
     units = unit_fundamental(p, q, [2 ** j for j in range(5, top + 1)])
     blocks = block_series(p, q, [2 ** j for j in range(6, top + 1)])
     return units, blocks, growth_fit(units), growth_fit(blocks)

@@ -69,6 +69,11 @@ def kernel_gauge(n: int, p: float = 2.0) -> float:
     return _riesz_thorin(p, _fft_spectral_norm(n)[0], edge)
 
 
+def kernel_scaling(n: int, p: float = 2.0) -> float:
+    """alpha: 1/2 over the gauge shaved by 1 + 1e-9, so ||alpha T||_p < 1/2."""
+    return 0.5 / (kernel_gauge(n, p) * (1.0 + 1e-9))
+
+
 @functools.lru_cache(maxsize=None)
 def _fft_spectral_norm(n: int):
     """(||T||_2, Lanczos steps, residual) without forming T.
@@ -95,7 +100,7 @@ def gauge_route(n: int) -> dict:
     The Ritz value theta = gauge^2 lies below ||T||^2, and (once converged
     to it) within the residual, which Lanczos holds to 1e-9 theta.  So the
     gauge is low by at most residual / (2 theta) relative, at most 5e-10:
-    inside the (1 + 1e-9) shave that scales alpha.
+    inside the shave of kernel_scaling.
     """
     if n <= _DENSE_SVD_CUTOFF:
         return {"route": "dense_svd"}
@@ -131,16 +136,15 @@ def operator_extremes(S: np.ndarray):
 
     For antisymmetric S the block [[0, -S], [S, 0]] is symmetric with
     eigenvalues +/- sigma_i(S), so s = ||S||_2 gives both: 1 + s and
-    1 / (1 - s).  Raises ValueError unless S is antisymmetric, and
-    RuntimeError when s >= 1 (A is then not positive definite).
+    1 / (1 - s), or inf when s >= 1 (A is then not positive definite), so
+    the caller's checks judge it.  Raises ValueError unless S is
+    antisymmetric.
     """
     S = np.asarray(S, dtype=float)
     if not np.array_equal(S, -S.T):
         raise ValueError("S must be antisymmetric")
     s = spectral_norm(S)
-    if not s < 1.0:
-        raise RuntimeError(f"||S|| = {s!r} >= 1: A is not positive definite")
-    return 1.0 + s, 1.0 / (1.0 - s)
+    return 1.0 + s, 1.0 / (1.0 - s) if s < 1.0 else math.inf
 
 
 def _shadow_profiles(n: int, alpha: float, p: float):
@@ -203,11 +207,8 @@ def triangular_basis(n: int, p: float = 2.0):
         raise ValueError("p must lie in (1, inf)")
     if n > _DENSE_LIMIT:
         raise ValueError(f"dense build capped at n = {_DENSE_LIMIT}")
-    T = hilbert_kernel(n)
-    gauge = kernel_gauge(n, p)
-    # shave the certified gauge so ||S|| < 1/2 holds strictly
-    alpha = 0.5 / (gauge * (1.0 + 1e-9))
-    S = alpha * T
+    alpha = kernel_scaling(n, p)
+    S = alpha * hilbert_kernel(n)
 
     rng = np.random.default_rng(0)
     for _ in range(8):

@@ -375,8 +375,7 @@ def _run_triangular(params, seed):
                "ratio_to_scale")
     rows, checks = [], []
     for n in ns:
-        gauge = _triangular.kernel_gauge(n, p)
-        alpha = 0.5 / (gauge * (1.0 + 1e-9))
+        gauge, alpha = _triangular.kernel_gauge(n, p), _triangular.kernel_scaling(n, p)
         wit = float(_triangular.witness_norm(n, p, alpha))
         join = float(_triangular.prefix_join_norm(n, p, alpha))
         ratio = join / (n ** (1.0 / p) * math.log(n))
@@ -386,9 +385,8 @@ def _run_triangular(params, seed):
                   f"gauge {gauge!r}")
         _push(checks, f"n{n}_ratio_window", 0.02 <= ratio <= 5.0,
               f"ratio {ratio!r}")
-    m = min(params["extremes_at"], 512)
-    S = (0.5 / (_triangular.kernel_gauge(m, p) * (1.0 + 1e-9))) \
-        * _triangular.hilbert_kernel(m)
+    m = params["extremes_at"]
+    S = _triangular.kernel_scaling(m, p) * _triangular.hilbert_kernel(m)
     upper, inv_upper = _triangular.operator_extremes(S)
     _push(checks, "perturbation_norm", upper <= 1.5 + 1e-6, f"{upper!r}")
     _push(checks, "perturbation_inverse_norm", inv_upper <= 2.0 + 1e-6,
@@ -510,7 +508,7 @@ _CATALOG = {
         {"p": 2.0, "n_min": 64, "n_max": 512, "extremes_at": 256},
         _run_triangular,
         {"p": _EXPONENT, "n_min": (2, 2048), "n_max": (2, 2048),
-         "extremes_at": (2, math.inf)}),  # clipped at 512 by the runner
+         "extremes_at": (2, 512)}),  # a dense kernel, capped as in triangular_basis
     "typewriter": _Entry(
         "sliding indicator frame whose partial sums at the constant function "
         "keep unit oscillation at every grid point under a bounded join",
@@ -549,7 +547,7 @@ def _installed_version(dist: str):
     """The version in the name of an installed distribution's
     ``<dist>-<version>.dist-info`` directory, from the first sys.path entry
     that holds one (where importlib.metadata finds it), or None.  Neither
-    the package nor importlib.metadata is imported: scipy would add ~15 ms
+    the package nor importlib.metadata is imported: mpmath would add ~40 ms
     to every run, importlib.metadata ~25 ms (it loads the email package)."""
     for entry in sys.path:
         try:
@@ -661,7 +659,7 @@ def run(config: ExperimentConfig) -> RunResult:
         "config": {"params": params, "seed": seed,
                    "format": config.format, "output_dir": str(config.output_dir)},
         "versions": {"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": _installed_version("scipy"),
+                     "numpy": np.__version__, "mpmath": _installed_version("mpmath"),
                      "latmax": __version__},
         "wall_time_seconds": wall,
         "search": table.search,

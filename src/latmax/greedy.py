@@ -78,30 +78,29 @@ def all_greedy_orderings(coeffs, limit: int = 100000):
         yield GreedyOrdering(tuple(head + zeros), tuple(a.tolist()))
 
 
-def _resolve_ordering(a: np.ndarray, ordering) -> np.ndarray:
+def _greedy_prefix(sys: BiorthogonalSystem, x, m: int, ordering):
+    """(coefficients a of x, the first m indices of the ordering of a, the
+    natural one by default): the terms of G_m(x), m in 0..n."""
+    a = coefficients(sys, x)
+    if not 0 <= m <= len(sys):
+        raise ValueError("m out of range")
     if ordering is None:
         ordering = natural_greedy_ordering(a)
     if not np.allclose(np.asarray(ordering.source), a, rtol=0, atol=0):
         raise ValueError("ordering was built from different coefficients")
-    return np.asarray(ordering.permutation, dtype=int)
+    return a, np.asarray(ordering.permutation, dtype=int)[:m]
 
 
 def greedy_sum(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
     """G_m(x): the sum of the first m terms in greedy order."""
-    a = coefficients(sys, x)
-    if not 0 <= m <= len(sys):
-        raise ValueError("m out of range")
-    perm = _resolve_ordering(a, ordering)[:m]
+    a, perm = _greedy_prefix(sys, x, m, ordering)
     return Element(sys.space, _sums(sys, [a], [perm])[0])
 
 
 def greedy_maximal(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element:
     """G^v_m(x) = join of |G_1(x)|, ..., |G_m(x)|; coordinatewise
     nondecreasing in m by construction."""
-    a = coefficients(sys, x)
-    if not 0 <= m <= len(sys):
-        raise ValueError("m out of range")
-    perm = _resolve_ordering(a, ordering)[:m]
+    a, perm = _greedy_prefix(sys, x, m, ordering)
     return Element(sys.space, _ordered_join(sys, a, perm))
 
 

@@ -189,39 +189,35 @@ class BiorthogonalSystem:
         Column c pairs each nonzero of U in c with each nonzero of V in c.
         When those pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop
         count n_U * n * dim (nearly dense rows), BLAS products of the
-        densified rows form the gram U V^T, _GRAM_SLAB cells at a time.
-        Otherwise only the pair products are formed (row-by-row sparse
-        multiplication; Gustavson, ACM TOMS 4(3), 1978), a slab of whole
-        vectors of at most _GRAM_SLAB products at a time (or one vector
-        past it).  A stable sort groups them by cell (vector k, functional
-        row r), and each cell adds its products in column order from zero,
-        as a dense slab's np.bincount would, so the error is the same bit
-        for bit.  A cell that no pair produces is an exact zero: off the
-        diagonal it is no error, and a diagonal cell r = idx[k] left empty
-        is an error of 1.  A row that several slots read is every other such
-        slot's off-diagonal cell, so its diagonal value is held to 0 as
-        well, and a row that no slot reads is not checked.
+        densified rows form the n_U x w row blocks U V^T, _GRAM_SLAB cells
+        at a time.  Otherwise only the pair products are formed (row-by-row
+        sparse multiplication; Gustavson, ACM TOMS 4(3), 1978), a slab of
+        whole vectors of at most _GRAM_SLAB products at a time (or one
+        vector past it).  A stable sort groups them by cell (vector k,
+        functional row r), and each cell adds its products in column order
+        from zero, as a dense slab's np.bincount would, so the error is the
+        same bit for bit.  Both paths score their cells by _cell_error.
         """
         U, V, dim = self.functional_rows, self.row_support, self.space.dim
         n, nU, idx = len(self), U.n_rows, self.functional_index
         per_col = np.bincount(U.cols, minlength=dim)
         pairs = int(per_col @ np.bincount(V.cols, minlength=dim))
+        readers = np.bincount(idx, minlength=nU)  # slots that read each row
         err = 0.0  # np.max keeps a NaN error, where max() would drop it
         if _GRAM_DENSE_SHARE * pairs >= nU * n * dim:
             Ud = U.dense(dim)
             step = max(1, _GRAM_SLAB // max(n, nU, 1))
             for k0 in range(0, n, step):
                 k1 = min(n, k0 + step)
-                gram = (Ud @ V.slice(k0, k1).dense(dim).T)[idx]
-                gram[np.arange(k0, k1), np.arange(k1 - k0)] -= 1.0
-                err = np.max([err, np.abs(gram, out=gram).max()])
+                gram = Ud @ V.slice(k0, k1).dense(dim).T
+                diag = idx[k0:k1], np.arange(k1 - k0)
+                err = np.max([err, _cell_error(gram, readers, diag, k1 - k0)])
             return float(err)
         # U's nonzeros column by column, rows ascending inside a column
         by_col = np.argsort(U.cols, kind="stable")
         u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
         u_vals = U.vals[by_col]
         col_start = np.cumsum(per_col) - per_col
-        readers = np.bincount(idx, minlength=nU)  # slots that read each row
         # the pair products of vectors 0 .. k - 1 number ends[k]
         ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
         k0 = 0
@@ -250,14 +246,8 @@ class BiorthogonalSystem:
             gram = np.bincount(np.cumsum(start) - 1, prod)
             r, k = np.divmod(key[start], w)
             del key, prod, start
-            diag = r == idx[k0 + k]
-            shared = np.abs(gram[diag & (readers[r] > 1)])
-            gram -= diag
-            np.abs(gram, out=gram)
-            gram[readers[r] == 0] = 0.0
-            # each vector has one diagonal cell, an error of 1 if never produced
-            missing = float(np.count_nonzero(diag) < w)
-            err = np.max([err, gram.max(initial=0.0), shared.max(initial=0.0), missing])
+            diag = np.nonzero(r == idx[k0 + k])
+            err = np.max([err, _cell_error(gram, readers[r], diag, w)])
             k0 = k1
         return float(err)
 
@@ -279,6 +269,21 @@ class BiorthogonalSystem:
         out = self.functional_rows.dense(self.space.dim)[self.functional_index]
         out.flags.writeable = False
         return out
+
+
+def _cell_error(gram, reads, diag, w: int) -> float:
+    """max |f_j(x_k) - delta_jk| over the formed cells of a slab of w
+    vectors, scored in place: gram[i] holds cells of a row that reads[i]
+    slots read, diag indexes the diagonal cells r = idx[k] formed.  A
+    diagonal cell is held to 1, and to 0 too when another slot reads its
+    row; one never formed is an error of 1.  An unread row is skipped."""
+    cells = gram[diag]
+    shared = np.abs(cells[reads[diag[0]] > 1])
+    gram[diag] = cells - 1.0  # a slab of no products is an empty int64 gram
+    np.abs(gram, out=gram)
+    gram[reads == 0] = 0.0
+    return np.max([gram.max(initial=0.0), shared.max(initial=0.0),
+                   float(len(diag[0]) < w)])
 
 
 def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:
@@ -549,21 +554,19 @@ def _peak_prefix_norm(sys, a, perm):
     """(max norm over the prefix sums along perm, norm of the last one).
 
     The sums are formed _SCAN_BLOCK rows at a time, each block's terms
-    scattered from the row support into a zeroed block: the previous block's
-    last sum is added into each block's first row, then each row adds the
-    one before it.  These are the additions of one np.cumsum(axis=0) in the
-    same order, so the sums agree bit for bit, while only a block of rows
-    is ever held.  (np.cumsum runs axis 0 of a C-ordered block as a strided
+    read by _gather into a zeroed block: the previous block's last sum is
+    added into each block's first row, then each row adds the one before
+    it.  These are the additions of one np.cumsum(axis=0) in the same
+    order, so the sums agree bit for bit, while only a block of rows is
+    ever held.  (np.cumsum runs axis 0 of a C-ordered block as a strided
     inner loop, several times slower.)
     """
-    ptr, cols, vals = sys.row_support
     peak, carry = -np.inf, None
     for start in range(0, len(perm), _SCAN_BLOCK):
         idx = perm[start : start + _SCAN_BLOCK]
-        cnt = ptr[idx + 1] - ptr[idx]
-        pos = _spans(ptr[idx], cnt)
+        seg, cnt, pos = _gather(sys, np.arange(len(idx)), idx)
         rows = np.zeros((len(idx), sys.space.dim))
-        rows[np.repeat(np.arange(len(idx)), cnt), cols[pos]] = np.repeat(a[idx], cnt) * vals[pos]
+        rows.ravel()[seg] = np.repeat(a[idx], cnt) * sys.row_support.vals[pos]
         if carry is not None:
             rows[0] += carry
         for i in range(1, len(rows)):
@@ -575,8 +578,6 @@ def _peak_prefix_norm(sys, a, perm):
 
 
 def _prefix_norm_ratio(sys, a, indices=None):
-    if len(a) > len(sys):  # _peak_prefix_norm indexes the rows unchecked
-        raise ValueError(f"index out of range for {len(sys)} vectors")
     peak, full = _peak_prefix_norm(sys, a, np.arange(len(a))) if len(a) else (0, 0)
     return (peak / full, len(a), None) if full else (0.0, 0, None)
 

@@ -12,6 +12,7 @@ import pytest
 
 from latmax import experiments
 from latmax.constructions import lindenstrauss as _lindenstrauss
+from latmax.constructions import lorentz as _lorentz
 from latmax.constructions import orlicz as _orlicz
 from latmax.constructions import triangular as _triangular
 from latmax.cli import main
@@ -84,19 +85,21 @@ def test_every_experiment_round_trips_with_defaults(tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
-def test_manifest_records_the_installed_scipy_or_null(tmp_path, monkeypatch):
-    import scipy
+def test_manifest_records_the_installed_mpmath_or_null(tmp_path, monkeypatch):
+    import mpmath
     run(ExperimentConfig("typewriter", output_dir=str(tmp_path)))
     manifest = json.loads((tmp_path / "typewriter-manifest.json").read_text())
-    assert manifest["versions"]["scipy"] == scipy.__version__
-    # a distribution whose name extends scipy's is not scipy
-    (tmp_path / "site" / "scipy_stubs-1.0.dist-info").mkdir(parents=True)
-    (tmp_path / "site" / "scipy-stubs-2.0.dist-info").mkdir()
+    assert manifest["versions"]["mpmath"] == mpmath.__version__
+    # no module imports scipy, so the manifest does not name it
+    assert "scipy" not in manifest["versions"]
+    # a distribution whose name extends mpmath's is not mpmath
+    (tmp_path / "site" / "mpmath_stubs-1.0.dist-info").mkdir(parents=True)
+    (tmp_path / "site" / "mpmath-stubs-2.0.dist-info").mkdir()
     monkeypatch.setattr(sys, "path", [str(tmp_path / "site")])
-    assert experiments._installed_version("scipy") is None
+    assert experiments._installed_version("mpmath") is None
     run(ExperimentConfig("typewriter", output_dir=str(tmp_path)))
     manifest = json.loads((tmp_path / "typewriter-manifest.json").read_text())
-    assert manifest["versions"]["scipy"] is None
+    assert manifest["versions"]["mpmath"] is None
 
 
 def test_growth_json_only_where_a_fit_applies(tmp_path):
@@ -184,8 +187,11 @@ def _walk_off_the_chain(depth, n):
      "final_join_norm"),
     ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _walk_off_the_chain,
      "chain_telescopes"),
+    # at ||S|| = 1 the inverse bound is inf, not a ZeroDivisionError
+    ("triangular", _triangular, "spectral_norm", lambda S: 1.0,
+     "perturbation_inverse_norm"),
 ], ids=["orlicz-orderbound", "trace-dual", "lindenstrauss-witness",
-        "lindenstrauss-telescopes"])
+        "lindenstrauss-telescopes", "triangular"])
 def test_a_broken_certification_fails_its_manifest_check(
         tmp_path, monkeypatch, capsys, experiment, module, name, stub, check):
     # the construction returns what it computed, and the runner's check
@@ -272,8 +278,8 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     assert main(["run", "--experiment", "rademacher-l1", "--param", "m_max=1020",
                  "--out", str(tmp_path)]) == 2
-    # the perturbation extremes need a kernel of size 2 or more
-    for extremes_at in ("1", "0", "-1"):
+    # the perturbation extremes take a dense kernel of size 2 to 512
+    for extremes_at in ("1", "0", "-1", "513"):
         assert main(["run", "--experiment", "triangular",
                      "--param", f"extremes_at={extremes_at}",
                      "--out", str(tmp_path)]) == 2
@@ -378,7 +384,7 @@ def test_library_run_rejects_a_seed_outside_uint64(tmp_path):
 # counts cost time, not memory, so they alone have no finite cap
 _UNCAPPED = {("haar-bibasis", "samples"), ("haar-kvee", "budget"),
              ("hadamard-mixed", "samples"), ("hadamard-mixed", "alphas"),
-             ("rademacher-l1", "trials"), ("triangular", "extremes_at")}
+             ("rademacher-l1", "trials")}
 
 
 def test_every_declared_range_end_is_enforced_through_main(tmp_path, capsys):
@@ -430,6 +436,18 @@ def test_trace_dual_n_min_16_exits_two(tmp_path, capsys):
     assert code == 2
     assert "trace-dual: parameter n_min must lie in 32..512" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def test_lorentz_float_range_rule_fires_before_any_lookup(tmp_path, monkeypatch, capsys):
+    # at (p, q) = (4, 2), sigma of the 2048-block sum would pass 2^1000
+    assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=2047",
+                 "--out", str(tmp_path / "ok")]) == 0
+    calls = []
+    monkeypatch.setattr(_lorentz, "_sigma_table", calls.append)
+    assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=2048",
+                 "--out", str(tmp_path / "never")]) == 2
+    assert "past the float range of sigma" in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "never").exists()
 
 
 def test_rerun_leaves_only_the_files_its_manifest_names(tmp_path, monkeypatch):

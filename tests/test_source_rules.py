@@ -15,6 +15,10 @@ The join kernel's table is reduced in one place: ``_column_scan`` and
 ``_scatter`` are called only from ``systems._joins`` (the abs-max of every
 join) and ``typewriter.pass_profile`` (its high and low marks).
 
+An index outside [0, n) is rejected in one place: the only "index out of
+range" raise in ``systems.py`` is in ``_gather``, which every kernel reads
+its rows through.
+
 Single precision stays in ``constructions/hadamard.py``: its float32 Walsh
 transforms are exact only because their inputs are +/-1 rows, whose every
 partial sum is an integer below 2^24.
@@ -71,6 +75,17 @@ def test_column_scan_is_reduced_only_by_joins_and_the_typewriter_pass():
                     in ("_column_scan", "_scatter")}
     assert callers == {("systems.py", "_joins"),
                        ("constructions/typewriter.py", "pass_profile")}, callers
+
+
+def test_only_gather_raises_index_out_of_range_in_systems():
+    tree = ast.parse((SRC / "systems.py").read_text())
+    # ast.walk is breadth first, so a nested function's name wins
+    inside = {id(node): fn.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    raisers = [inside.get(id(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.Raise)
+               and "index out of range" in ast.unparse(node)]
+    assert raisers == ["_gather"], raisers
 
 
 def test_float32_appears_only_in_the_hadamard_module():
