@@ -19,8 +19,8 @@ import numpy as np
 
 from latmax.constructions.haar import haar_rows
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _scatter,
-                            coefficients)
+from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _scan_plan,
+                            _scatter, coefficients)
 
 _DEPTH_LIMIT = 12
 
@@ -34,9 +34,10 @@ def indicator_blocks(J: int) -> Csr:
     if not 1 <= J <= _DEPTH_LIMIT:
         raise ValueError(f"J must be in 1..{_DEPTH_LIMIT}")
     m = 2 ** J
-    counts = np.concatenate([np.full(2 ** level, m >> level) for level in range(J)])
-    return Csr(np.concatenate([[0], np.cumsum(counts)]), np.tile(np.arange(m), J),
-               np.ones(J * m))
+    # rows 1.. of the wavelet layout: row 0 covers the cells once, and so
+    # does each level after it
+    indptr, cols, _ = haar_rows(J, 2.0)[0]
+    return Csr(indptr[1:] - m, cols[m:], np.ones(J * m))
 
 
 def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
@@ -81,7 +82,8 @@ def pass_profile(J: int, p: float):
     coeffs = coefficients(system, np.ones(dim))
     # slot 0 (the constant) is nonzero everywhere: every point is an
     # occupied cell, and its row holds every partial sum
-    cells, table = _column_scan(system, [coeffs], [np.arange(len(system))])
+    plan = _scan_plan(system, [np.arange(len(system))])
+    cells, (table,) = _column_scan(system, coeffs[None, None], plan)
     high = _scatter(cells, table.max(axis=1), 1, dim)[0]
     low = _scatter(cells, table.min(axis=1), 1, dim)[0]
     # the running join of moduli is max(high, -low), exactly

@@ -41,7 +41,7 @@ from .constructions import typewriter as _typewriter
 from .estimation import growth_fit
 from .greedy import kvee_estimate, ordered_projection_maximal
 from .spaces import LpBlock, norm as lattice_norm
-from .systems import _joins, _scan_plan, coefficients, reconstruct
+from .systems import Csr, _joins, _scan_plan, coefficients, reconstruct
 
 _BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
 
@@ -317,8 +317,9 @@ def _run_rademacher(params, seed):
     n, trials = params["n"], params["trials"]
     sysm = _rademacher.rademacher_l1(n)
     # only the space and |x_k| are read below, so the rows need not stay
-    space, V = sysm.space, np.abs(sysm.vectors)
-    del sysm
+    indptr, cols, vals = sysm.row_support
+    space, V = sysm.space, Csr(indptr, cols, np.abs(vals)).dense(sysm.space.dim)
+    del sysm, indptr, cols, vals
     rng = np.random.default_rng(seed)
     # trials drawn 4096 at a time and their modulus sums formed 16 at a time
     # (16 x 2^n floats, 8 MB at n = 16), so memory stays flat in trials

@@ -214,7 +214,8 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
                 return
             block = pairs[start : start + _SCAN_BLOCK]
             coeffs, perms = zip(*block)
-            for (a, A), r in zip(block, _join_ratios(sys, coeffs, plan or perms)):
+            ratios = _join_ratios(sys, np.array(coeffs), plan or _scan_plan(sys, perms))
+            for (a, A), r in zip(block, ratios):
                 if r is None:
                     continue
                 evals += 1

@@ -182,10 +182,7 @@ def dyadic_lp(J: int, p: float) -> SpaceDescriptor:
     """L_p[0,1) sampled on 2^J dyadic cells: weights 2^-J (a probability grid)."""
     if J < 0:
         raise ValueError("J must be >= 0")
-    n = 2 ** J
-    if math.isinf(float(p)):
-        return SupBlock(n)
-    return LpBlock(n, p, np.full(n, 2.0 ** (-J)))
+    return lp_block(2 ** J, p, np.full(2 ** J, 2.0 ** -J))
 
 
 def space_from_json(obj: dict) -> SpaceDescriptor:

@@ -14,7 +14,9 @@ modulus and scatters it back (``_scatter``), and only the typewriter pass
 reduces the table otherwise.  A scan is a plan, which depends only on
 the system and the orderings (``_scan_plan``: the terms stable-sorted by
 cell once, by radix on 16-bit keys where they fit, and their table
-slots), and a pass of a block of coefficients through it.  A sum of terms
+slots), and a pass of an (S, B, n) block of coefficients through it.  A
+plan is the one way orderings enter the kernel: a one-shot caller builds
+its own.  A sum of terms
 adds each coordinate's terms in row order from zero (``_sums``), and
 ``coefficients`` sums each stored functional row pairwise.  The dense
 ``vectors`` and ``functionals`` are read-only views built on first
@@ -401,37 +403,28 @@ def _scan_plan(sys: BiorthogonalSystem, perms) -> _ScanPlan:
     return _ScanPlan(len(perms), cells, int(lens.max(initial=1)), src, vals, flat)
 
 
-def _column_scan(sys: BiorthogonalSystem, coeffs, perms):
-    """Every value each occupied coordinate's prefix sum takes, for B pairs
-    (a, perm), as (cells, table): the one join kernel.
+def _column_scan(sys: BiorthogonalSystem, block, plan: _ScanPlan):
+    """Every value each occupied coordinate's prefix sum takes, for an
+    (S, B, n) block of coefficients sent through the plan of B orderings,
+    as (cells, table): the one join kernel.
 
-    perms is the B orderings or their ``_ScanPlan``, coeffs B vectors (a
-    vector is zero past its end) or an (S, B, n) block sent through the
-    plan at once.  Row i of table, (cells, width) or (S, cells, width), is
-    the running sum of cell cells[i]'s terms a_k x_k[c] along perms[b],
-    zero-padded.  A dense scan adds only exact zeros between these terms
-    and the padding repeats the last value, so the table holds its prefix
-    values bit for bit (up to the sign of zero); the last column is the
-    full sum.  The sums are formed in a (width, cells) table, each row added
-    into the next: np.cumsum's additions along each cell, in its order.
+    Row i of table[s], (S, cells, width), is the running sum of cell
+    cells[i]'s terms block[s, b, k] x_k[c] along ordering b, zero-padded.  A
+    dense scan adds only exact zeros between these terms and the padding
+    repeats the last value, so the table holds its prefix values bit for
+    bit (up to the sign of zero); the last column is the full sum.  The
+    sums are formed in a (width, cells) table, each row added into the
+    next: np.cumsum's additions along each cell, in its order.
     """
-    plan = perms if isinstance(perms, _ScanPlan) else _scan_plan(sys, perms)
-    a = np.asarray(coeffs, dtype=float)
-    block, n = (a if a.ndim == 3 else a[None]), len(sys)
-    if block.shape[-1] != n:
-        block = np.pad(block[..., :n], [(0, 0), (0, 0), (0, max(0, n - block.shape[-1]))])
     S = len(block)
-    cells, width, src, vals, flat = plan.cells, plan.width, plan.src, plan.vals, plan.flat
-    del plan, perms  # a plan built here is freed as it is spent
-    terms = np.take(block.reshape(S, -1), src, axis=1) * vals
-    del src, vals
-    table = np.zeros((S, width, len(cells)))
+    terms = np.take(block.reshape(S, -1), plan.src, axis=1) * plan.vals
+    table = np.zeros((S, plan.width, len(plan.cells)))
     for row, t in zip(table.reshape(S, -1), terms):  # 1-d scatters are fastest
-        row[flat] = t
-    del flat, terms
-    for j in range(1, width):
+        row[plan.flat] = t
+    del terms
+    for j in range(1, plan.width):
         table[:, j] += table[:, j - 1]
-    return cells, table.transpose(0, 2, 1) if a.ndim == 3 else table[0].T
+    return plan.cells, table.transpose(0, 2, 1)
 
 
 def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
@@ -441,28 +434,27 @@ def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
     return out.reshape(values.shape[:-1] + (B, dim))
 
 
-def _joins(sys: BiorthogonalSystem, coeffs, perms) -> np.ndarray:
-    """(B, dim), or (S, B, dim) for a block: row b is the coordinatewise max
-    of |prefix sums| of a_k x_k along perms[b], 0 at every cell no scanned
-    row touches.  The one reduction of the join kernel to joins."""
-    B = perms.B if isinstance(perms, _ScanPlan) else len(perms)
-    cells, table = _column_scan(sys, coeffs, perms)
-    return _scatter(cells, np.abs(table, out=table).max(axis=-1), B, sys.space.dim)
+def _joins(sys: BiorthogonalSystem, block, plan: _ScanPlan) -> np.ndarray:
+    """(S, B, dim): row [s, b] is the coordinatewise max of |prefix sums| of
+    block[s, b, k] x_k along ordering b, 0 at every cell no scanned row
+    touches.  The one reduction of the join kernel to joins."""
+    cells, table = _column_scan(sys, block, plan)
+    return _scatter(cells, np.abs(table, out=table).max(axis=-1), plan.B, sys.space.dim)
 
 
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
-    return _joins(sys, [a], [perm])[0]
+    block = np.asarray(a, dtype=float).reshape(1, 1, -1)
+    return _joins(sys, block, _scan_plan(sys, [perm]))[0, 0]
 
 
-def _join_ratios(sys: BiorthogonalSystem, coeffs, perms) -> list:
-    """||join of |prefix sums| along A|| / ||x|| for B pairs (a, A) of
-    coefficient vectors of one length and orderings (or their plan), with
-    x = sum a_k x_k, or None where x is zero.  The pairs share one _joins
-    call, and their sums one _sums call over the nonzero coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def _join_ratios(sys: BiorthogonalSystem, coeffs, plan: _ScanPlan) -> list:
+    """||join of |prefix sums| along A|| / ||x|| for B pairs (a, A), the
+    (B, n) coefficients and the plan of their orderings, with x = sum a_k
+    x_k, or None where x is zero.  The pairs share one _joins call, and
+    their sums one _sums call over the nonzero coefficients."""
     return [sys.space.norm(join) / nx if (nx := sys.space.norm(x)) else None
-            for join, x in zip(_joins(sys, coeffs, perms), _sums(sys, coeffs))]
+            for join, x in zip(_joins(sys, coeffs[None], plan)[0], _sums(sys, coeffs))]
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -583,8 +575,12 @@ def _prefix_norm_ratio(sys, a, indices=None):
 
 
 def _join_ratio(sys, a, indices=None):
-    """Along indices, kvee's ordered set, or the index order (bibasis)."""
-    r = _join_ratios(sys, [a], [np.arange(len(a)) if indices is None else indices])[0]
+    """Along indices, kvee's ordered set, or the index order (bibasis).  A
+    witness is zero past its end; a longer one keeps its tail, which
+    _sums rejects unless it is zero."""
+    perm = np.arange(len(a)) if indices is None else indices
+    padded = np.pad(np.asarray(a, dtype=float), (0, max(0, len(sys) - len(a))))
+    r = _join_ratios(sys, padded[None], _scan_plan(sys, [perm]))[0]
     return (0.0, 0, indices) if r is None else (r, len(a), indices)
 
 

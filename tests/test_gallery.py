@@ -18,7 +18,7 @@ from latmax.constructions import rademacher as rad
 from latmax.constructions import typewriter as tw
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.systems import (BiorthogonalSystem, _column_scan, _ordered_join,
-                            coefficients, reconstruct)
+                            _scan_plan, coefficients, reconstruct)
 
 
 # ---------------------------------------------------------------- hadamard
@@ -558,7 +558,8 @@ def test_pass_profile_scan_occupies_every_point():
     for J in range(1, 13):
         system = tw.typewriter_frame(J, 2.0)
         c = coefficients(system, np.ones(2 ** J))
-        cells, table = _column_scan(system, [c], [np.arange(len(system))])
+        plan = _scan_plan(system, [np.arange(len(system))])
+        cells, (table,) = _column_scan(system, c[None, None], plan)
         assert len(cells) == len(table) == system.space.dim, J
         assert np.array_equal(cells, np.arange(2 ** J)), J
 

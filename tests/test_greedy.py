@@ -15,7 +15,7 @@ from latmax.constructions.haar import haar_system
 from latmax.constructions.typewriter import typewriter_frame
 from latmax.spaces import element, lp_block
 from latmax.systems import (BiorthogonalSystem, ConstantReport, _column_scan,
-                            _scatter, absolute_constant, basis_constant,
+                            _scan_plan, _scatter, absolute_constant, basis_constant,
                             bibasis_constant, coefficients, maximal_partial,
                             recompute_constant, reconstruct, report_from_json)
 
@@ -265,7 +265,8 @@ def _table_bibasis(sysm, a):
     """The bibasis ratio from one column scan along the index order: the
     table's last column is the full sum, its abs-max the join."""
     dim = sysm.space.dim
-    cells, table = _column_scan(sysm, [a], [np.arange(len(a))])
+    plan = _scan_plan(sysm, [np.arange(len(a))])
+    cells, (table,) = _column_scan(sysm, a[None, None], plan)
     full = sysm.space.norms(_scatter(cells, table[:, -1], 1, dim))[0]
     join = _scatter(cells, np.abs(table).max(axis=1), 1, dim)[0]
     return sysm.space.norm(join) / full
@@ -379,6 +380,40 @@ def test_join_rejects_indices_out_of_range():
     obj["indices"] = [-1] + obj["indices"][1:]
     with pytest.raises(ValueError, match="out of range"):
         recompute_constant(sysm, report_from_json(obj))
+
+
+def _unit_triangular_sup_system(n):
+    """x_k = e_k + e_{k+1} on a sup block: integer rows with integer duals,
+    so every sum and norm below is exact whatever the summation order."""
+    V = np.eye(n) + np.eye(n, k=1)
+    return BiorthogonalSystem(lp_block(n, np.inf), V, np.linalg.inv(V).T)
+
+
+@pytest.mark.parametrize("name", sorted(_RATIOS))
+def test_a_witness_shorter_than_the_system_scores_as_its_zero_padded_copy(name):
+    # Haar at p = 1 has dyadic rows and weights: with integer coefficients
+    # its sums and norms are exact too, so the padded scans may add their
+    # zeros in any order
+    short = np.array([1.0, -2.0, 0.0, 3.0, 1.0])
+    # a kvee ordering may reach past the witness's end
+    indices = np.array([3, 0, 6]) if name == "kvee" else None
+    for sysm in (haar_system(3, 1.0), _unit_triangular_sup_system(8)):
+        padded = np.pad(short, (0, len(sysm) - len(short)))
+        r_short, r_padded = (_RATIOS[name](sysm, a, indices)[0] for a in (short, padded))
+        assert float(r_short).hex() == float(r_padded).hex(), (name, sysm.space)
+        back = [recompute_constant(sysm, ConstantReport(
+            name, 1.0, a, "structured_family", 1, indices)) for a in (short, padded)]
+        assert back[0].hex() == back[1].hex() == float(r_short).hex()
+
+
+def test_a_kvee_witness_with_a_tail_past_the_system_is_out_of_range():
+    # the indices are in range; zero-padding a short witness must not turn
+    # into truncating a long one, which would drop the nonzero tail
+    sysm = haar_system(2, 2.0)
+    rep = ConstantReport("kvee", 1.0, [1.0, 2.0, 0.0, 0.0, 5.0],
+                         "structured_family", 1, np.array([1, 0]))
+    with pytest.raises(ValueError, match="out of range"):
+        recompute_constant(sysm, rep)
 
 
 @pytest.mark.parametrize("name", sorted(_RATIOS))

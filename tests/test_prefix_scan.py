@@ -87,7 +87,7 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
         V[pairs[0][1][0], rng.integers(dim)] = 0.0
     sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
     coeffs, perms = [a for a, _ in pairs], [p for _, p in pairs]
-    cells, table = _column_scan(sys, coeffs, perms)
+    cells, (table,) = _column_scan(sys, np.array(coeffs)[None], _scan_plan(sys, perms))
     # one row per cell (pair b, coordinate c) that some scanned row touches
     occupied = {b * dim + c for b, (_, order) in enumerate(pairs)
                 for k in order for c in np.flatnonzero(V[k])}
@@ -107,7 +107,8 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
         assert (modulus + 0.0).tobytes() == \
             (_cumsum_oracle(np.abs(V), np.abs(a), order)[1] + 0.0).tobytes()
     # a batch that scans no rows occupies no cell, and its join is zero
-    cells, table = _column_scan(sys, coeffs, [np.arange(0)] * B)
+    cells, (table,) = _column_scan(sys, np.array(coeffs)[None],
+                                   _scan_plan(sys, [np.arange(0)] * B))
     assert len(cells) == len(table) == 0
     assert not _scatter(cells, np.abs(table).max(axis=1), B, dim).any()
 
@@ -159,9 +160,9 @@ def test_a_plan_reused_over_blocks_is_bitwise_the_fresh_scans(scan):
         assert joins.shape == (len(block), B, dim)
         assert table.shape[:2] == (len(block), len(cells))
         for s, coeffs in enumerate(block):
-            # the same additions as a one-shot scan, so the same table,
-            # signed zeros included
-            fresh_cells, fresh = _column_scan(sys, list(coeffs), perms)
+            # the same additions as a fresh plan's scan of this sample
+            # alone, so the same table, signed zeros included
+            fresh_cells, (fresh,) = _column_scan(sys, coeffs[None], _scan_plan(sys, perms))
             assert fresh_cells.tobytes() == cells.tobytes()
             assert fresh.tobytes() == table[s].tobytes()
             for b, (a, order) in enumerate(zip(coeffs, perms)):
@@ -184,7 +185,8 @@ def test_scan_plan_keeps_signed_zero_sums():
     assert np.signbit(table[0, :, 1]).tolist() == [True, False, False, False]
     assert table[1].tolist() == [[-3.0, 0.0], [6.0, 6.0], [-1.0, -1.0], [2.0, 2.0]]
     for s in range(2):
-        assert _column_scan(sys, list(block[s]), perms)[1].tobytes() == table[s].tobytes()
+        fresh = _column_scan(sys, block[s : s + 1], _scan_plan(sys, perms))[1]
+        assert fresh.tobytes() == table[s : s + 1].tobytes()
     # a plan of empty orderings occupies no cell, and its joins are zero
     empty = _scan_plan(sys, [np.arange(0)] * 2)
     assert not _joins(sys, block, empty).any()

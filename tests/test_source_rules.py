@@ -9,7 +9,8 @@ and the spectral norms (one numpy Lanczos) are pure numpy, the manifest
 reads scipy's installed version from its dist-info directory, and
 importing the CLI stays cheap.  scipy is a test dependency only.
 
-Kernels read a system's stored sparse rows, never its dense views.
+No module of the package reads a system's dense views: kernels and
+runners read its stored sparse rows.
 
 The join kernel's table is reduced in one place: ``_column_scan`` and
 ``_scatter`` are called only from ``systems._joins`` (the abs-max of every
@@ -45,19 +46,12 @@ def test_library_code_has_no_assert_statements():
 
 def test_no_module_reads_the_dense_system_views():
     # a system stores its rows sparse; .vectors and .functionals are dense
-    # views for callers outside the package, and only _run_rademacher, which
-    # sums |x_k| over every coordinate, reads one.
-    found = []
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        exempt = {id(node) for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef) and fn.name == "_run_rademacher"
-                  for node in ast.walk(fn)}
-        found += [f"{path.relative_to(SRC.parent)}:{node.lineno} .{node.attr}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)
-                  and node.attr in ("vectors", "functionals")
-                  and id(node) not in exempt]
+    # views for callers outside the package
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} .{node.attr}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("vectors", "functionals")]
     assert not found, "dense system views read in the package: " + ", ".join(found)
 
 
