@@ -17,7 +17,8 @@ and in any summation order, is an integer of magnitude at most 2^14, well
 inside float32's exact integers (below 2^24).  The squared l2 norms are
 summed in float64, where each is an integer below 2^53, so the square roots
 see the same operands as the float64 path and return the same bits.
-Gaussian coefficients (the unconditionality window) stay in float64.
+Gaussian coefficients (the unconditionality window) stay in float64.  Both
+streams run in batches of at most _BATCH_CELLS entries; neither depends on the split.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from latmax.systems import BiorthogonalSystem
 _MATRIX_LIMIT = 10  # largest n whose 2^n x 2^n matrix we will hold
 _SIZE_LIMIT = 14
 _EXHAUSTIVE_LIMIT = 4  # 2^(2^4) = 65536 patterns is still enumerable
-_CHUNK = 512  # sign patterns or coefficient rows drawn and evaluated per batch
+_BATCH_CELLS = 2 ** 18  # entries per batch of sign or coefficient rows
 
 
 def walsh_matrix(n: int) -> np.ndarray:
@@ -128,20 +129,19 @@ def _norm_range(n: int, batches):
     return low, high, count
 
 
-def _sign_batches(m: int, samples: int, seed: int):
-    """`samples` seeded +/-1 rows of length m, as float32 batches.
-
-    Each batch is drawn as bools (the stream does not depend on how the
-    rows are split into draws) and written into one reused buffer, so a
-    batch is a view that the next one overwrites.
-    """
-    rng = np.random.default_rng(seed)
-    buffer = np.empty((min(_CHUNK, samples), m), dtype=np.float32)
-    for s in range(0, samples, _CHUNK):
-        bits = rng.integers(0, 2, size=(min(_CHUNK, samples - s), m),
-                            dtype=bool)
-        rows = buffer[:len(bits)]
-        np.multiply(bits, np.float32(2.0), out=rows)
+def _sign_batches(m: int, samples: int, rng):
+    """`samples` +/-1 rows of length m >= 32 from rng, as float32 views of
+    one reused buffer: rng.integers(0, 2, (samples, m), dtype=bool)'s rows
+    however split, since that draw takes its bools least significant bit
+    first from successive 32-bit words, so r * m / 32 uint32 words unpacked
+    little-endian are the same r rows and leave rng in the same state."""
+    step = max(1, _BATCH_CELLS // m)
+    buffer = np.empty((min(step, samples), m), dtype=np.float32)
+    for s in range(0, samples, step):
+        rows = buffer[:min(step, samples - s)]
+        words = rng.integers(0, 2 ** 32, size=rows.size // 32, dtype=np.uint32)
+        bits = np.unpackbits(words.astype("<u4").view(np.uint8), bitorder="little")
+        np.multiply(bits.reshape(rows.shape), np.float32(2.0), out=rows)
         rows -= 1.0
         yield rows
 
@@ -162,10 +162,11 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
         # row w of the cube takes sign +1 in column k when bit k of w is set
         cube = sign_matrix(m).T.astype(np.float32)
         cube *= -1.0
-        batches = (cube[s : s + _CHUNK] for s in range(0, len(cube), _CHUNK))
+        step = max(1, _BATCH_CELLS // m)
+        batches = (cube[s : s + step] for s in range(0, len(cube), step))
         mode = "exhaustive"
     else:
-        batches = _sign_batches(m, samples, seed)
+        batches = _sign_batches(m, samples, np.random.default_rng(seed))
         mode = "sampled"
     best, worst, count = _norm_range(n, batches)
     return {"max": worst, "min": best, "count": count, "mode": mode}
@@ -180,9 +181,10 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     so memory does not grow with count.
     """
     rng = np.random.default_rng(seed)
-    buffer = np.empty((min(_CHUNK, count), 2 ** n))
-    draws = (rng.standard_normal(out=buffer[:min(_CHUNK, count - s)])
-             for s in range(0, count, _CHUNK))
+    step = max(1, _BATCH_CELLS // 2 ** n)
+    buffer = np.empty((min(step, count), 2 ** n))
+    draws = (rng.standard_normal(out=buffer[:min(step, count - s)])
+             for s in range(0, count, step))
     # max|a| = max(max a, -min a) takes no abs copy, and each row over it
     # peaks at exactly 1: x / x == 1 in IEEE arithmetic, |a_j| / max|a| <= 1
     low, high, _ = _norm_range(

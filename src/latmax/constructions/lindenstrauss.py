@@ -73,15 +73,20 @@ def lindenstrauss(n: int) -> BiorthogonalSystem:
     return BiorthogonalSystem(sp, V, F)
 
 
-def chain_element(d: int, dim: int) -> Element:
-    """y_d = e_0 - 2^{-d} * indicator(depth-d set), an l1-norm-2 vector."""
+def chain_coords(d: int, dim: int) -> np.ndarray:
+    """y_d's coordinates, e_0 - 2^{-d} * indicator(depth-d set)."""
     idx = depth_set(d)
     if idx[-1] >= dim:
         raise ValueError("ambient dimension too small for this depth")
     coords = np.zeros(dim)
     coords[0] = 1.0
     coords[idx] = -(2.0 ** -d)
-    return Element(lp_block(dim, 1.0), coords)
+    return coords
+
+
+def chain_element(d: int, dim: int) -> Element:
+    """y_d as an l1-norm-2 element of l1 over dim coordinates."""
+    return Element(lp_block(dim, 1.0), chain_coords(d, dim))
 
 
 def chain_coefficients(depth: int, n: int) -> np.ndarray:
@@ -107,6 +112,9 @@ def chain_prefix_join(depth: int, n: int):
     partial-sum join and the greedy-maximal join.  Level d adds 2^{-d} to its
     nodes and takes half that from their children, all distinct coordinates,
     so one vectorized update per level is the node-by-node walk exactly.
+    The l1 norms trade those slices' old sums for their new ones: all partial
+    sums are multiples of 2^-depth below 2^5, so this is exact, bitwise a full
+    pass (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4).
 
     Returns (join coordinates, [l1 norm of the join], [l1 norm of the running
     sum], the last running sum), one norm per level; after level d the
@@ -117,26 +125,28 @@ def chain_prefix_join(depth: int, n: int):
         raise ValueError(f"system size {n} too small; need at least {need}")
     dim = 2 * n + 2
     running, join = np.zeros(dim), np.zeros(dim)
-    join_norms, x_norms = [], []
+    join_norms, x_norms, norms = [], [], np.zeros(2)
     for d in range(depth):
         lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2  # level d is lo .. hi - 1
-        nodes, kids = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)
-        running[nodes] += 2.0 ** -d
-        running[kids] -= 2.0 ** -d / 2.0
-        for s in (nodes, kids):
+        touched = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)  # nodes, kids
+        norms -= [sum(np.abs(v[s]).sum() for s in touched) for v in (join, running)]
+        running[touched[0]] += 2.0 ** -d
+        running[touched[1]] -= 2.0 ** -d / 2.0
+        for s in touched:
             np.maximum(join[s], np.abs(running[s]), out=join[s])
-        join_norms.append(float(np.abs(join).sum()))
-        x_norms.append(float(np.abs(running).sum()))
+        norms += [sum(np.abs(v[s]).sum() for s in touched) for v in (join, running)]
+        join_norms.append(float(norms[0]))
+        x_norms.append(float(norms[1]))
     return join, join_norms, x_norms, running
 
 
-def lindenstrauss_witness(m: int, n: int):
+def chain_witness(m: int, n: int):
     """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
     size n, with their exact norms, join and lower-bound constants.
 
     One chain walk yields everything.  Returns (rows, join, reports, y):
     rows (k, ||y_k|| = 2, norm of the running join of y_0..y_k = k + 2), the
-    join of y_0..y_m as an element, the bibasis and uniform-quasi-greedy
+    join of y_0..y_m's coordinates, the bibasis and uniform-quasi-greedy
     reports, both (m + 2) / 2 on the coefficients of y_m, and the
     coordinates the walk ended at, y_m's when it telescopes.  Every one of
     these values is dyadic, hence exact; the caller checks them.
@@ -150,4 +160,10 @@ def lindenstrauss_witness(m: int, n: int):
     reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)
                     for name in ("bibasis", "uniform_quasi_greedy"))
     rows = list(zip(range(deepest), x_norms, join_norms))
+    return rows, join, reports, y
+
+
+def lindenstrauss_witness(m: int, n: int):
+    """chain_witness(m, n), the join as an element of l1 over 2n + 2 points."""
+    rows, join, reports, y = chain_witness(m, n)
     return rows, Element(lp_block(2 * n + 2, 1.0), join), reports, y

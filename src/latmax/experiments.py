@@ -3,8 +3,8 @@
 Each experiment computes a table of values, evaluates the assertions
 attached to it, and writes its artifacts into an output directory:
 
-* ``<id>-manifest.json``: config echo, library versions, wall time,
-  search seeds/budgets, check outcomes, and a ``failed`` flag;
+* ``<id>-manifest.json``: config echo, library versions, wall time and
+  peak RSS, search seeds/budgets, check outcomes, and a ``failed`` flag;
 * ``<id>-values.csv`` (or ``.json``): the value table, floats printed
   with 17 significant digits so reruns are byte-identical;
 * ``<id>-growth.json``: fitted growth parameters, for experiments that
@@ -41,7 +41,7 @@ from .constructions import typewriter as _typewriter
 from .estimation import growth_fit
 from .greedy import kvee_estimate, ordered_projection_maximal
 from .spaces import LpBlock, norm as lattice_norm
-from .systems import Csr, _joins, _scan_plan, coefficients, reconstruct
+from .systems import _joins, _scan_plan, coefficients, reconstruct
 
 _BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
 
@@ -248,13 +248,13 @@ def _run_lindenstrauss(params, seed):
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
-    rows, join, reports, y = _lindenstrauss.lindenstrauss_witness(depth - 1, n)
-    del join  # rows hold its norms; its room goes to the chain element below
+    rows, join, reports, y = _lindenstrauss.chain_witness(depth - 1, n)
+    del join  # rows hold its norms; its room goes to y's closed form below
     columns = ("m", "witness_norm", "running_join_norm")
     checks = []
     # the walk is dyadic, so its norms, final join and ratio must be exact
     _push(checks, "chain_telescopes",
-          np.array_equal(y, _lindenstrauss.chain_element(depth, len(y)).coords),
+          np.array_equal(y, _lindenstrauss.chain_coords(depth, len(y))),
           f"the walk ends at y{depth - 1}")
     _push(checks, "witness_norms_equal_two",
           all(r[1] == 2.0 for r in rows), "exact telescopes")
@@ -316,18 +316,21 @@ def _run_rademacher(params, seed):
     """Modulus sums hit the l1 norm; signed means grow only like sqrt(m)."""
     n, trials = params["n"], params["trials"]
     sysm = _rademacher.rademacher_l1(n)
-    # only the space and |x_k| are read below, so the rows need not stay
-    indptr, cols, vals = sysm.row_support
-    space, V = sysm.space, Csr(indptr, cols, np.abs(vals)).dense(sysm.space.dim)
-    del sysm, indptr, cols, vals
+    # only the space and |x_k| are read below: with the system gone its rows
+    # are the runner's own, made |x_k| in place and densified
+    space, V = sysm.space, sysm.row_support
+    del sysm
+    np.abs(V.vals, out=V.vals)
+    V = V.dense(space.dim)
     rng = np.random.default_rng(seed)
     # trials drawn 4096 at a time and their modulus sums formed 16 at a time
-    # (16 x 2^n floats, 8 MB at n = 16), so memory stays flat in trials
-    peaks = []
+    # into one reused 16 x 2^n buffer (8 MB at n = 16), so memory stays flat
+    # in trials; 16-row products keep BLAS from re-packing V for every few rows
+    sums, peaks = np.empty((min(16, trials), space.dim)), []
     for s in range(0, trials, 4096):
         A = np.abs(rng.standard_normal((min(4096, trials - s), n)))
-        norms = np.concatenate([space.norms(A[b:b + 16] @ V)
-                                for b in range(0, len(A), 16)])
+        norms = np.concatenate([space.norms(np.matmul(a, V, out=sums[:len(a)]))
+                                for a in np.split(A, range(16, len(A), 16))])
         peaks.append(np.max(np.abs(norms / A.sum(axis=1) - 1.0)))
     worst = float(np.max(peaks))
     ms = list(range(2, params["m_max"] + 1, 2))
@@ -655,6 +658,12 @@ def run(config: ExperimentConfig) -> RunResult:
         _atomic_write(growth_path, json.dumps(payload, indent=2) + "\n")
         files["growth"] = str(growth_path)
 
+    try:  # the process's peak RSS so far: getrusage gives kB on Linux, B on macOS
+        import resource
+        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (
+            2 ** 20 if sys.platform == "darwin" else 1024)
+    except ImportError:  # Windows
+        peak_rss = None
     manifest = {
         "experiment": config.experiment,
         "config": {"params": params, "seed": seed,
@@ -663,6 +672,7 @@ def run(config: ExperimentConfig) -> RunResult:
                      "numpy": np.__version__, "mpmath": _installed_version("mpmath"),
                      "latmax": __version__},
         "wall_time_seconds": wall,
+        "peak_rss_mb": peak_rss,
         "search": table.search,
         "derived": table.derived,
         "checks": table.checks,

@@ -43,6 +43,7 @@ along the index order, kvee along its stored ordered set.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -70,6 +71,16 @@ _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
 def _spans(starts, counts):
     """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _cuts(ends, cap: int) -> list:
+    """Greedy cuts 0 = c_0 < ... = len(ends) - 1 of items holding ends[i + 1] - ends[i]
+    units each: a piece between two cuts holds at most cap units, or one item."""
+    cuts = [0]
+    while cuts[-1] < len(ends) - 1:
+        stop = int(np.searchsorted(ends, ends[cuts[-1]] + cap, side="right")) - 1
+        cuts.append(max(stop, cuts[-1] + 1))
+    return cuts
 
 
 class Csr:
@@ -120,11 +131,10 @@ class Csr:
                    self.vals[pos])
 
     def dense(self, dim: int) -> np.ndarray:
-        """The rows as a dense (n_rows, dim) array."""
+        """The rows as a dense (n_rows, dim) array, filled row by row."""
         out = np.zeros((self.n_rows, dim))
-        flat = np.repeat(np.arange(self.n_rows) * dim, np.diff(self.indptr))
-        flat += self.cols
-        out.ravel()[flat] = self.vals
+        for row, lo, hi in zip(out, self.indptr[:-1], self.indptr[1:]):
+            row[self.cols[lo:hi]] = self.vals[lo:hi]
         return out
 
 
@@ -191,66 +201,67 @@ class BiorthogonalSystem:
         Column c pairs each nonzero of U in c with each nonzero of V in c.
         When those pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop
         count n_U * n * dim (nearly dense rows), BLAS products of the
-        densified rows form the n_U x w row blocks U V^T, _GRAM_SLAB cells
-        at a time.  Otherwise only the pair products are formed (row-by-row
-        sparse multiplication; Gustavson, ACM TOMS 4(3), 1978), a slab of
-        whole vectors of at most _GRAM_SLAB products at a time (or one
-        vector past it).  A stable sort groups them by cell (vector k,
-        functional row r), and each cell adds its products in column order
-        from zero, as a dense slab's np.bincount would, so the error is the
-        same bit for bit.  Both paths score their cells by _cell_error.
+        densified rows form the n_U x w row blocks U V^T, w densified rows
+        within _GRAM_SLAB cells.  Otherwise only the pair products are formed
+        (Gustavson, ACM TOMS 4(3), 1978): blocks of U's rows of at most
+        _GRAM_SLAB nonzeros, each against slabs of whole vectors of at most
+        _GRAM_SLAB products, a hard cap, as a vector meets a nonzero at most
+        once.  A stable sort groups them by cell (vector k, functional row
+        r), and each cell adds its products in column order from zero, as a
+        dense slab's np.bincount would, so the error is the same bit for bit.
+        Both paths score their cells by _cell_error.
         """
         U, V, dim = self.functional_rows, self.row_support, self.space.dim
         n, nU, idx = len(self), U.n_rows, self.functional_index
-        per_col = np.bincount(U.cols, minlength=dim)
-        pairs = int(per_col @ np.bincount(V.cols, minlength=dim))
+        pairs = int(np.bincount(U.cols, minlength=dim) @ np.bincount(V.cols, minlength=dim))
         readers = np.bincount(idx, minlength=nU)  # slots that read each row
         err = 0.0  # np.max keeps a NaN error, where max() would drop it
         if _GRAM_DENSE_SHARE * pairs >= nU * n * dim:
             Ud = U.dense(dim)
-            step = max(1, _GRAM_SLAB // max(n, nU, 1))
+            step = max(1, _GRAM_SLAB // max(n, nU, dim))
             for k0 in range(0, n, step):
                 k1 = min(n, k0 + step)
                 gram = Ud @ V.slice(k0, k1).dense(dim).T
                 diag = idx[k0:k1], np.arange(k1 - k0)
                 err = np.max([err, _cell_error(gram, readers, diag, k1 - k0)])
             return float(err)
-        # U's nonzeros column by column, rows ascending inside a column
-        by_col = np.argsort(U.cols, kind="stable")
-        u_rows = np.repeat(np.arange(nU), np.diff(U.indptr))[by_col]
-        u_vals = U.vals[by_col]
-        col_start = np.cumsum(per_col) - per_col
-        # the pair products of vectors 0 .. k - 1 number ends[k]
-        ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
-        k0 = 0
-        while k0 < n:
-            k1 = int(np.searchsorted(ends, ends[k0] + _GRAM_SLAB, side="right")) - 1
-            k1 = max(k1, k0 + 1)
-            slab = V.slice(k0, k1)
-            cnt = per_col[slab.cols]
-            pos = _spans(col_start[slab.cols], cnt)
-            r = u_rows[pos]
-            # cell (k, r) is key r * w + k - k0; the products come in order of
-            # k, so a stable sort by r alone orders them by key, by radix when
-            # r fits 16 bits
-            w = k1 - k0
-            key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
-            key += r * w
-            prod = u_vals[pos] * np.repeat(slab.vals, cnt)
-            del cnt, pos
-            order = np.argsort(r.astype(np.uint16) if nU <= 2 ** 16 else key, kind="stable")
-            del r
-            key, prod = key[order], prod[order]
-            del order
-            # cell i's products are the run of equal keys it numbers
-            start = np.ones(len(key), dtype=bool)
-            np.not_equal(key[1:], key[:-1], out=start[1:])
-            gram = np.bincount(np.cumsum(start) - 1, prod)
-            r, k = np.divmod(key[start], w)
-            del key, prod, start
-            diag = np.nonzero(r == idx[k0 + k])
-            err = np.max([err, _cell_error(gram, readers[r], diag, w)])
-            k0 = k1
+        # each block's nonzeros column by column, rows ascending in a column
+        for r0, r1 in itertools.pairwise(_cuts(U.indptr, _GRAM_SLAB)):
+            B = U.slice(r0, r1)
+            by_col = np.argsort(B.cols, kind="stable")
+            u_rows = np.repeat(np.arange(r1 - r0), np.diff(B.indptr))[by_col]
+            u_vals, per_col = B.vals[by_col], np.bincount(B.cols, minlength=dim)
+            col_start = np.cumsum(per_col) - per_col
+            # the pair products of vectors 0 .. k - 1 with the block number ends[k]
+            ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
+            del B, by_col
+            for k0, k1 in itertools.pairwise(_cuts(ends, _GRAM_SLAB)):
+                slab, w = V.slice(k0, k1), k1 - k0
+                cnt = per_col[slab.cols]
+                pos = _spans(col_start[slab.cols], cnt)
+                r = u_rows[pos]
+                # cell (k, r) is key r * w + k - k0, r counted from r0; the
+                # products come in order of k, so a stable sort by r alone
+                # orders them by key, by radix when r fits 16 bits
+                key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
+                key += r * w
+                prod = u_vals[pos] * np.repeat(slab.vals, cnt)
+                del cnt, pos
+                order = np.argsort(r.astype(np.uint16) if r1 - r0 <= 2 ** 16 else key,
+                                   kind="stable")
+                del r
+                key, prod = key[order], prod[order]
+                del order
+                # cell i's products are the run of equal keys it numbers
+                start = np.ones(len(key), dtype=bool)
+                np.not_equal(key[1:], key[:-1], out=start[1:])
+                gram = np.bincount(np.cumsum(start) - 1, prod)
+                r, k = np.divmod(key[start], w)
+                r += r0
+                del key, prod, start
+                diag = np.nonzero(r == idx[k0 + k])
+                due = np.count_nonzero((r0 <= idx[k0:k1]) & (idx[k0:k1] < r1))
+                err = np.max([err, _cell_error(gram, readers[r], diag, due)])
         return float(err)
 
     def __len__(self) -> int:
@@ -273,19 +284,20 @@ class BiorthogonalSystem:
         return out
 
 
-def _cell_error(gram, reads, diag, w: int) -> float:
-    """max |f_j(x_k) - delta_jk| over the formed cells of a slab of w
-    vectors, scored in place: gram[i] holds cells of a row that reads[i]
-    slots read, diag indexes the diagonal cells r = idx[k] formed.  A
-    diagonal cell is held to 1, and to 0 too when another slot reads its
-    row; one never formed is an error of 1.  An unread row is skipped."""
+def _cell_error(gram, reads, diag, due: int) -> float:
+    """max |f_j(x_k) - delta_jk| over the formed cells of a slab that can
+    form due diagonal cells, scored in place: gram[i] holds cells of a row
+    that reads[i] slots read, diag indexes the diagonal cells r = idx[k]
+    formed.  A diagonal cell is held to 1, and to 0 too when another slot
+    reads its row; one never formed is an error of 1.  An unread row is
+    skipped."""
     cells = gram[diag]
     shared = np.abs(cells[reads[diag[0]] > 1])
     gram[diag] = cells - 1.0  # a slab of no products is an empty int64 gram
     np.abs(gram, out=gram)
     gram[reads == 0] = 0.0
     return np.max([gram.max(initial=0.0), shared.max(initial=0.0),
-                   float(len(diag[0]) < w)])
+                   float(len(diag[0]) < due)])
 
 
 def _coords(sys: BiorthogonalSystem, x) -> np.ndarray:

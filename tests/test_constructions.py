@@ -167,6 +167,46 @@ def test_level_walk_matches_node_by_node_walk():
         assert len(join_norms) == depth
 
 
+def _full_pass_walk(depth, n):
+    """Reference: the level walk with both l1 norms summed over all 2n + 2
+    coordinates after every level, as chain_prefix_join took them before it
+    updated them from the touched slices only."""
+    running, join = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
+    join_norms, x_norms = [], []
+    for d in range(depth):
+        lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2
+        nodes, kids = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)
+        running[nodes] += 2.0 ** -d
+        running[kids] -= 2.0 ** -d / 2.0
+        for s in (nodes, kids):
+            np.maximum(join[s], np.abs(running[s]), out=join[s])
+        join_norms.append(float(np.abs(join).sum()))
+        x_norms.append(float(np.abs(running).sum()))
+    return join, join_norms, x_norms, running
+
+
+def test_incremental_chain_norms_are_the_full_pass():
+    for depth in range(1, 21):
+        n = 3 * 2 ** (depth - 1)
+        got, want = lind.chain_prefix_join(depth, n), _full_pass_walk(depth, n)
+        for a, b in zip(got[::3], want[::3]):  # the join and the last sum
+            assert np.array_equal(a, b), depth
+        for a, b in zip(got[1:3], want[1:3]):  # the two norm lists
+            assert [type(v) for v in a] == [float] * depth
+            assert [v.hex() for v in a] == [v.hex() for v in b], depth
+        del got, want
+
+
+def test_witness_element_wraps_the_coordinate_walk():
+    rows, join, reports, y = lind.lindenstrauss_witness(4, 48)
+    rows_c, coords, reports_c, y_c = lind.chain_witness(4, 48)
+    assert join.space == lind.chain_element(1, 98).space
+    assert np.array_equal(join.coords, coords) and np.array_equal(y, y_c)
+    assert rows == rows_c
+    assert [r.to_json() for r in reports] == [r.to_json() for r in reports_c]
+    assert np.array_equal(lind.chain_coords(5, 98), lind.chain_element(5, 98).coords)
+
+
 def test_witness_join_is_the_dense_chain_join():
     for m in (0, 2, 6):  # chain depths 1, 3 and 7
         n = 3 * 2 ** m

@@ -135,6 +135,61 @@ def test_sign_pattern_sweep_memory_at_n12():
     assert peak < 32e6, peak
 
 
+def test_sign_batches_draw_the_bool_stream():
+    # uint32 words unpacked little-endian are integers(0, 2, dtype=bool)'s
+    # rows, and leave the generator where that draw leaves it; a numpy change
+    # to either draw fails here rather than moving the sampled stream
+    for seed in range(4):
+        for m in (32, 64, 1024, 4096, 16384):
+            for rows in (1, 3, 17, 33):
+                mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = np.concatenate([b.copy() for b in had._sign_batches(m, rows, mine)])
+                want = ref.integers(0, 2, size=(rows, m), dtype=bool) * 2.0 - 1.0
+                assert got.dtype == np.float32 and np.array_equal(got, want)
+                assert mine.random() == ref.random(), (seed, m, rows)
+
+
+def _sweeps_under(monkeypatch, cells):
+    """Both streams' results at a cell budget, and per call the rows they
+    evaluated, concatenated."""
+    monkeypatch.setattr(had, "_BATCH_CELLS", cells)
+    seen, norm_range = [], had._norm_range
+
+    def recording(n, batches):
+        rows = [b.copy() for b in batches]
+        seen.append(np.concatenate(rows))
+        return norm_range(n, rows)
+
+    monkeypatch.setattr(had, "_norm_range", recording)
+    out = [(had.sign_pattern_sweep(n, samples=77, seed=n),
+            had.unconditionality_window(n, count=45, seed=n)) for n in (3, 4, 5, 9)]
+    monkeypatch.undo()
+    return out, seen
+
+
+def test_sweeps_do_not_depend_on_the_cell_budget(monkeypatch):
+    want, want_rows = _sweeps_under(monkeypatch, had._BATCH_CELLS)
+    for cells in (64, 2 ** 24):
+        got, rows = _sweeps_under(monkeypatch, cells)
+        assert got == want, cells
+        assert len(rows) == len(want_rows) == 8
+        for a, b in zip(rows, want_rows):
+            assert a.dtype == b.dtype and np.array_equal(a, b), cells
+
+
+def test_unconditionality_window_memory_at_n12():
+    had.unconditionality_window(12, count=1)  # build the cached Walsh factors
+    tracemalloc.start()
+    try:
+        report = had.unconditionality_window(12, count=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["low"] == report["high"] == 1.0
+    # 2^18-cell batches of 64 rows take 2 MB each; 512-row ones peaked at 50 MB
+    assert peak < 8e6, peak
+
+
 def test_walsh_rows_orthogonal():
     for n in (2, 6):
         H = had.walsh_matrix(n)

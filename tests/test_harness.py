@@ -85,6 +85,16 @@ def test_every_experiment_round_trips_with_defaults(tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_manifest_records_the_peak_rss(tmp_path):
+    run(ExperimentConfig("typewriter", params={"J": 3}, output_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "typewriter-manifest.json").read_text())
+    # the interpreter and numpy alone take more than 10 MB
+    assert 10.0 < manifest["peak_rss_mb"] < 1e6
+    keys = list(manifest)
+    assert keys.index("peak_rss_mb") == keys.index("wall_time_seconds") + 1
+
+
 def test_manifest_records_the_installed_mpmath_or_null(tmp_path, monkeypatch):
     import mpmath
     run(ExperimentConfig("typewriter", output_dir=str(tmp_path)))
@@ -482,6 +492,26 @@ def test_rademacher_memory_is_flat_in_trials(tmp_path):
     assert result.passed
     # the 200000 x 4 draw alone takes 6.4 MB
     assert peak < 4e6, peak
+
+
+def test_lindenstrauss_runner_holds_under_two_and_a_half_vectors(tmp_path):
+    # the walk holds the running sum and the join, and the check y and its
+    # closed form; wrapping the join in an Element and taking norms over
+    # every coordinate at each level took about 4.3 vectors
+    run(ExperimentConfig("lindenstrauss-witness", params={"depth": 2},
+                         output_dir=str(tmp_path)))
+    depth = 16
+    n = 3 * 2 ** (depth - 1)
+    tracemalloc.start()
+    try:
+        result = run(ExperimentConfig("lindenstrauss-witness", params={"depth": depth},
+                                      output_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    vector, witness = 8 * (2 * n + 2), 8 * n  # y's coefficients are the witness
+    assert peak < 2.5 * vector + witness, peak / vector
 
 
 def test_rademacher_modulus_sums_stay_small_at_n14(tmp_path):

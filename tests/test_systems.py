@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latmax import systems
 from latmax.constructions.haar import haar_rows, haar_system
-from latmax.spaces import element, lp_block
+from latmax.constructions.rademacher import rademacher_l1
+from latmax.spaces import dyadic_lp, element, lp_block
 from latmax.systems import (_GRAM_DENSE_SHARE, BiorthogonalSystem,
                             ConstantReport, Csr, _spans, absolute_constant,
                             basis_constant, bibasis_constant, coefficients,
@@ -232,6 +234,73 @@ def test_gram_check_holds_pair_products_not_slabs():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_gram_systems())
+@example(_shared_row_system())
+@example(_unproduced_diagonal_system())
+def test_gram_error_is_the_same_under_a_tiny_slab_cap(sysm):
+    # a 64-product cap takes U's rows in blocks of at most 64 nonzeros and
+    # the vectors in slabs of at most 64 products: every cell keeps its
+    # products in column order, and a diagonal is missing only if the block
+    # that holds its row does not form it
+    U, V, dim = sysm.functional_rows, sysm.row_support, sysm.space.dim
+    pairs = int(np.bincount(U.cols, minlength=dim) @ np.bincount(V.cols, minlength=dim))
+    assume(_GRAM_DENSE_SHARE * pairs < U.n_rows * len(sysm) * dim)
+    want = sysm._gram_error().hex()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_GRAM_SLAB", 64)
+        assert sysm._gram_error().hex() == want
+
+
+def test_haar_gram_error_is_the_same_under_a_tiny_slab_cap(monkeypatch):
+    for J in range(0, 11):
+        for p in (1.0, 2.0, 3.0):
+            sysm = haar_system(J, p)
+            want = sysm._gram_error().hex()
+            monkeypatch.setattr(systems, "_GRAM_SLAB", 64)
+            assert sysm._gram_error().hex() == want, (J, p)
+            monkeypatch.undo()
+
+
+def test_gram_check_of_haar_16_keeps_its_slab_cap():
+    # the constant vector alone makes 17 * 2^16 pair products; formed whole,
+    # as one slab, they took the check to 71.6 MiB, and with U's rows in
+    # blocks of at most 2^18 nonzeros it peaks near 28.5 MiB
+    V, U = haar_rows(16, 2.0)
+    sysm = BiorthogonalSystem(dyadic_lp(16, 2.0), V, U, check=False)
+    tracemalloc.start()
+    try:
+        err = sysm._gram_error()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= systems._GRAM_TOL
+    assert peak < 36 * 2 ** 20, peak
+
+
+def test_rademacher_gram_check_holds_one_dense_block_and_one_slab():
+    # the BLAS path densifies U once and the vectors a 2^18-cell slab at a
+    # time, filling both row by row: no index as long as the nonzeros
+    rademacher_l1(3)
+    tracemalloc.start()
+    try:
+        sysm = rademacher_l1(14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    U = sysm.functional_rows
+    arrays = (*sysm.row_support, *U, sysm.functional_index, sysm.space.weights)
+    stored = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
+    assert peak < stored + U.n_rows * 2 ** 14 * 8 + 2 ** 18 * 8, (peak, stored)
+
+
+def test_csr_dense_fills_every_stored_entry():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((30, 17)) * (rng.random((30, 17)) < 0.3)
+    rows[4] = 0.0  # an empty row
+    assert np.array_equal(Csr.from_dense(rows).dense(17), rows)
 
 
 def test_haar_depth_limit():
