@@ -18,7 +18,7 @@ inside float32's exact integers (below 2^24).  The squared l2 norms are
 summed in float64, where each is an integer below 2^53, so the square roots
 see the same operands as the float64 path and return the same bits.
 Gaussian coefficients (the unconditionality window) stay in float64.  Both
-streams run in batches of at most _BATCH_CELLS entries; neither depends on the split.
+streams run in batches of systems._batch_size rows; neither depends on the split.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import numpy as np
 
 from latmax.constructions.rademacher import sign_matrix
 from latmax.spaces import DirectSum, Element, LpBlock, SupBlock
-from latmax.systems import BiorthogonalSystem
+from latmax.systems import BiorthogonalSystem, _batch_size
 
 _MATRIX_LIMIT = 10  # largest n whose 2^n x 2^n matrix we will hold
 _SIZE_LIMIT = 14
 _EXHAUSTIVE_LIMIT = 4  # 2^(2^4) = 65536 patterns is still enumerable
-_BATCH_CELLS = 2 ** 18  # entries per batch of sign or coefficient rows
 
 
 def walsh_matrix(n: int) -> np.ndarray:
@@ -135,7 +134,7 @@ def _sign_batches(m: int, samples: int, rng):
     however split, since that draw takes its bools least significant bit
     first from successive 32-bit words, so r * m / 32 uint32 words unpacked
     little-endian are the same r rows and leave rng in the same state."""
-    step = max(1, _BATCH_CELLS // m)
+    step = _batch_size(m)
     buffer = np.empty((min(step, samples), m), dtype=np.float32)
     for s in range(0, samples, step):
         rows = buffer[:min(step, samples - s)]
@@ -162,7 +161,7 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
         # row w of the cube takes sign +1 in column k when bit k of w is set
         cube = sign_matrix(m).T.astype(np.float32)
         cube *= -1.0
-        step = max(1, _BATCH_CELLS // m)
+        step = _batch_size(m)
         batches = (cube[s : s + step] for s in range(0, len(cube), step))
         mode = "exhaustive"
     else:
@@ -181,7 +180,7 @@ def unconditionality_window(n: int, count: int = 1000, seed: int = 0) -> dict:
     so memory does not grow with count.
     """
     rng = np.random.default_rng(seed)
-    step = max(1, _BATCH_CELLS // 2 ** n)
+    step = _batch_size(2 ** n)
     buffer = np.empty((min(step, count), 2 ** n))
     draws = (rng.standard_normal(out=buffer[:min(step, count - s)])
              for s in range(0, count, step))

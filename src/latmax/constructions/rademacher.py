@@ -37,7 +37,8 @@ def sign_matrix(n: int) -> np.ndarray:
 
 def rademacher_l1(n: int) -> BiorthogonalSystem:
     """The n sign vectors with their expectation functionals."""
-    R = Csr.from_dense(sign_matrix(n))
+    # no sign is zero: every row holds all 2^n columns
+    R = Csr(np.arange(n + 1) * 2 ** n, np.tile(np.arange(2 ** n), n), sign_matrix(n).ravel())
     host = LpBlock(2 ** n, 1.0, weights=np.full(2 ** n, 2.0 ** -n))
     # E[r_j r_k] = delta: the plain pairing needs the 2^-n weight folded in
     return BiorthogonalSystem(host, R, Csr(R.indptr, R.cols, R.vals * 2.0 ** -n))

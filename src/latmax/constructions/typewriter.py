@@ -19,8 +19,8 @@ import numpy as np
 
 from latmax.constructions.haar import haar_rows
 from latmax.spaces import Element, dyadic_lp
-from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _scan_plan,
-                            _scatter, coefficients)
+from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _mark_join,
+                            _scan_plan, _scatter, coefficients)
 
 _DEPTH_LIMIT = 12
 
@@ -79,12 +79,9 @@ def pass_profile(J: int, p: float):
     """
     system = typewriter_frame(J, p)
     dim = system.space.dim
-    coeffs = coefficients(system, np.ones(dim))
+    block = coefficients(system, np.ones(dim))[None, None]
     # slot 0 (the constant) is nonzero everywhere: every point is an
-    # occupied cell, and its row holds every partial sum
-    plan = _scan_plan(system, [np.arange(len(system))])
-    cells, (table,) = _column_scan(system, coeffs[None, None], plan)
-    high = _scatter(cells, table.max(axis=1), 1, dim)[0]
-    low = _scatter(cells, table.min(axis=1), 1, dim)[0]
-    # the running join of moduli is max(high, -low), exactly
-    return Element(system.space, np.maximum(high, -low)), high - low, len(system)
+    # occupied cell, and its marks hold every partial sum's
+    cells, *marks = _column_scan(system, block, _scan_plan(system, [np.arange(len(system))]))
+    high, low = (_scatter(cells, m, 1, dim)[0, 0] for m in marks)
+    return Element(system.space, _mark_join(high, low)), high - low, len(system)

@@ -8,15 +8,15 @@ rows U plus a row-index map idx, f_k = U[idx[k]], so a functional that
 several slots share is stored once.  Constructions build these rows
 directly; a dense input is converted once, at construction.  Every kernel
 reads only the nonzeros: ordered joins and the typewriter pass scan them
-column by column (``_column_scan``), into one running-sum row per occupied
-(pair, coordinate) cell; ``_joins`` reduces each row to its largest
-modulus and scatters it back (``_scatter``), and only the typewriter pass
-reduces the table otherwise.  A scan is a plan, which depends only on
-the system and the orderings (``_scan_plan``: the terms stable-sorted by
-cell once, by radix on 16-bit keys where they fit, and their table
-slots), and a pass of an (S, B, n) block of coefficients through it.  A
+column by column (``_column_scan``), one running sum per occupied (pair,
+coordinate) cell, folded as it goes into the cell's high and low marks;
+``_joins`` turns the marks into joins (``_mark_join``) and scatters them
+back (``_scatter``).  A scan is a plan, which depends only on the system
+and the orderings (``_scan_plan``: the terms in jagged-diagonal order,
+cells by decreasing run length, so step j of every run is one contiguous
+slice), and a pass of an (S, B, n) block of coefficients through it.  A
 plan is the one way orderings enter the kernel: a one-shot caller builds
-its own.  A sum of terms
+its own, and only this module reads its fields.  A sum of terms
 adds each coordinate's terms in row order from zero (``_sums``), and
 ``coefficients`` sums each stored functional row pairwise.  The dense
 ``vectors`` and ``functionals`` are read-only views built on first
@@ -63,9 +63,20 @@ CONSTANT_NAMES = (
 SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
 
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
-_GRAM_SLAB = 2 ** 18  # pair products (sparse) or gram cells (BLAS) per slab
+_WORKING_SET = 2 ** 18  # entries one batch may hold: products, cells or signs
 _GRAM_DENSE_SHARE = 16  # BLAS once column pairs reach 1/16 of the dense flops
 _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
+
+
+def _batch_size(cost: int) -> int:
+    """Items per batch when each holds cost entries: at least one."""
+    return max(1, _WORKING_SET // cost)
+
+
+def _stable_order(keys, top: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for keys in [0, top): a stable order is
+    unique given its keys, so numpy may radix-sort 16-bit copies."""
+    return np.argsort(keys.astype(np.uint16) if top <= 2 ** 16 else keys, kind="stable")
 
 
 def _spans(starts, counts):
@@ -202,10 +213,10 @@ class BiorthogonalSystem:
         When those pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop
         count n_U * n * dim (nearly dense rows), BLAS products of the
         densified rows form the n_U x w row blocks U V^T, w densified rows
-        within _GRAM_SLAB cells.  Otherwise only the pair products are formed
+        within _WORKING_SET cells.  Otherwise only the pair products are formed
         (Gustavson, ACM TOMS 4(3), 1978): blocks of U's rows of at most
-        _GRAM_SLAB nonzeros, each against slabs of whole vectors of at most
-        _GRAM_SLAB products, a hard cap, as a vector meets a nonzero at most
+        _WORKING_SET nonzeros, each against slabs of whole vectors of at most
+        _WORKING_SET products, a hard cap, as a vector meets a nonzero at most
         once.  A stable sort groups them by cell (vector k, functional row
         r), and each cell adds its products in column order from zero, as a
         dense slab's np.bincount would, so the error is the same bit for bit.
@@ -218,7 +229,7 @@ class BiorthogonalSystem:
         err = 0.0  # np.max keeps a NaN error, where max() would drop it
         if _GRAM_DENSE_SHARE * pairs >= nU * n * dim:
             Ud = U.dense(dim)
-            step = max(1, _GRAM_SLAB // max(n, nU, dim))
+            step = _batch_size(max(n, nU, dim))
             for k0 in range(0, n, step):
                 k1 = min(n, k0 + step)
                 gram = Ud @ V.slice(k0, k1).dense(dim).T
@@ -226,7 +237,7 @@ class BiorthogonalSystem:
                 err = np.max([err, _cell_error(gram, readers, diag, k1 - k0)])
             return float(err)
         # each block's nonzeros column by column, rows ascending in a column
-        for r0, r1 in itertools.pairwise(_cuts(U.indptr, _GRAM_SLAB)):
+        for r0, r1 in itertools.pairwise(_cuts(U.indptr, _WORKING_SET)):
             B = U.slice(r0, r1)
             by_col = np.argsort(B.cols, kind="stable")
             u_rows = np.repeat(np.arange(r1 - r0), np.diff(B.indptr))[by_col]
@@ -235,20 +246,18 @@ class BiorthogonalSystem:
             # the pair products of vectors 0 .. k - 1 with the block number ends[k]
             ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
             del B, by_col
-            for k0, k1 in itertools.pairwise(_cuts(ends, _GRAM_SLAB)):
+            for k0, k1 in itertools.pairwise(_cuts(ends, _WORKING_SET)):
                 slab, w = V.slice(k0, k1), k1 - k0
                 cnt = per_col[slab.cols]
                 pos = _spans(col_start[slab.cols], cnt)
                 r = u_rows[pos]
-                # cell (k, r) is key r * w + k - k0, r counted from r0; the
-                # products come in order of k, so a stable sort by r alone
-                # orders them by key, by radix when r fits 16 bits
+                # cell (k, r) is key r * w + k - k0, r counted from r0: products
+                # come in order of k, so a stable sort by r orders them by key
                 key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
                 key += r * w
                 prod = u_vals[pos] * np.repeat(slab.vals, cnt)
                 del cnt, pos
-                order = np.argsort(r.astype(np.uint16) if r1 - r0 <= 2 ** 16 else key,
-                                   kind="stable")
+                order = _stable_order(r, r1 - r0)
                 del r
                 key, prod = key[order], prod[order]
                 del order
@@ -327,10 +336,7 @@ def coefficients(sys: BiorthogonalSystem, x) -> np.ndarray:
 
 def reconstruct(sys: BiorthogonalSystem, coeffs) -> Element:
     """sum_k a_k x_k as an element of the host."""
-    a = np.asarray(coeffs, dtype=float)
-    if len(a) > len(sys):
-        raise ValueError("more coefficients than vectors")
-    return Element(sys.space, _sums(sys, [a])[0])
+    return Element(sys.space, _sums(sys, [coeffs])[0])
 
 
 def _gather(sys: BiorthogonalSystem, pair, rows):
@@ -357,86 +363,85 @@ def _sums(sys: BiorthogonalSystem, coeffs, perms=None, modulus: bool = False) ->
     modulus), each coordinate adding its terms in perm order from zero, so
     it is bit for bit the last row of a dense np.cumsum down the perm (up to
     the sign of zero).  Without perms, row b runs over the nonzeros of
-    coeffs[b] in index order, all B supports found by one np.nonzero."""
-    if perms is None:
-        coeffs = np.asarray(coeffs, dtype=float)
-        B, (pair, rows) = len(coeffs), np.nonzero(coeffs)
-    else:
-        B, (pair, rows) = len(perms), _pairs(perms)
+    coeffs[b] in index order, all B supports found by one np.nonzero.  Every
+    score reads its witness here: more than n entries are out of range."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[1] > len(sys):
+        raise ValueError(f"coefficients out of range for {len(sys)} vectors")
+    B, (pair, rows) = len(coeffs), np.nonzero(coeffs) if perms is None else _pairs(perms)
     seg, cnt, pos = _gather(sys, pair, rows)
-    w = coeffs[pair, rows] if perms is None else np.concatenate(
-        [np.asarray(a, dtype=float)[p] for a, p in zip(coeffs, perms)])
-    terms = np.repeat(w, cnt) * sys.row_support.vals[pos]
+    terms = np.repeat(coeffs[pair, rows], cnt) * sys.row_support.vals[pos]
     return np.bincount(seg, np.abs(terms) if modulus else terms,
                        minlength=B * sys.space.dim).reshape(B, -1)
 
 
 @dataclass(frozen=True)
 class _ScanPlan:
-    """A column scan along B orderings less its coefficients: term t is
-    block[b, k] * vals[t], src[t] = b * n + k, into slot flat[t] of a
-    (width, len(cells)) table."""
+    """A column scan along B orderings less its coefficients, in
+    jagged-diagonal order (Saad, 2003, section 3.4): term t is block[b, k] *
+    factors[t], src[t] = b * n + k.  cells run by decreasing run length,
+    ties ascending, and step j, terms steps[j] .. steps[j + 1] - 1, holds
+    term j of each of the first steps[j + 1] - steps[j] cells."""
 
-    B: int
     cells: np.ndarray
-    width: int
+    steps: tuple
     src: np.ndarray
-    vals: np.ndarray
-    flat: np.ndarray
+    factors: np.ndarray
 
 
 def _scan_plan(sys: BiorthogonalSystem, perms) -> _ScanPlan:
-    """Sort once: the terms along B orderings, stable-sorted by cell, each
-    cell's run of them, and their table slots.  A cell b * dim + c is
-    occupied when some row along perms[b] is nonzero at c; cells lists them
-    ascending."""
+    """Sort once: the terms along B orderings by cell, then step by step.
+    Cell b * dim + c runs the nonzeros at c of the rows along perms[b]."""
     pair, rows = _pairs(perms)
     seg, cnt, pos = _gather(sys, pair, rows)
-    # a stable order is unique given its keys, so 16-bit copies sort the
-    # same, and numpy sorts them by radix
-    order = np.argsort(seg.astype(np.uint16) if len(perms) * sys.space.dim <= 2 ** 16
-                       else seg, kind="stable")
-    # each index array is freed once spent: a plan keeps three per term
-    vals = sys.row_support.vals[pos[order]]
-    src = np.repeat(pair * len(sys) + rows, cnt)[order]
-    seg = seg[order]
-    del pos, order
-    # cell i's run of terms is bounds[i] .. bounds[i + 1] - 1: a run starts
+    by_cell = _stable_order(seg, len(perms) * sys.space.dim)
+    seg = seg[by_cell]
+    # cell i's run is bounds[i] .. bounds[i + 1] - 1 of by_cell: a run starts
     # where the sorted cell index changes, and the last one ends at the end
     change = np.ones(len(seg) + 1, dtype=bool)
     np.not_equal(seg[1:], seg[:-1], out=change[1:-1])
     bounds = np.flatnonzero(change)
-    starts, lens = bounds[:-1], bounds[1:] - bounds[:-1]
+    starts, lens = bounds[:-1], np.diff(bounds)
+    width = int(lens.max(initial=0))
+    starts = starts[_stable_order(width - lens, width + 1)]
     cells = seg[starts]
-    del seg
-    # term t of the run starting at starts[i] lands in table[t - starts[i], i]
-    flat = np.repeat(np.arange(len(cells)) - starts * len(cells), lens)
-    flat += np.arange(len(flat)) * len(cells)
-    return _ScanPlan(len(perms), cells, int(lens.max(initial=1)), src, vals, flat)
+    # step j holds term j of the cells whose run is longer than j, a prefix
+    # of the ranked cells; each index array is freed once spent
+    longer = len(lens) - np.cumsum(np.bincount(lens, minlength=width + 1))[:-1]
+    steps = tuple(np.concatenate([[0], np.cumsum(longer)]).tolist())
+    del seg, change
+    order = np.empty_like(by_cell)
+    for j, (lo, hi) in enumerate(itertools.pairwise(steps)):
+        order[lo:hi] = by_cell[starts[: hi - lo] + j]
+    del by_cell
+    factors = sys.row_support.vals[pos[order]]
+    del pos
+    return _ScanPlan(cells, steps, np.repeat(pair * len(sys) + rows, cnt)[order], factors)
 
 
 def _column_scan(sys: BiorthogonalSystem, block, plan: _ScanPlan):
-    """Every value each occupied coordinate's prefix sum takes, for an
-    (S, B, n) block of coefficients sent through the plan of B orderings,
-    as (cells, table): the one join kernel.
+    """(cells, high, low): every occupied cell's high and low marks, the
+    largest and smallest values its prefix sum takes, (S, len(cells)) each,
+    for an (S, B, n) block sent through the plan of B orderings: the one
+    join kernel.  A dense scan adds only exact zeros between a cell's
+    terms, so its running sums are the prefix values bit for bit (up to the
+    sign of zero).  They are formed in place, step j onto the prefix of
+    step j - 1 (np.cumsum's additions along each cell, in its order), and
+    folded into the marks as they are formed."""
+    run = np.take(block.reshape(len(block), -1), plan.src, axis=1)
+    run *= plan.factors
+    high, low = run[:, : len(plan.cells)].copy(), run[:, : len(plan.cells)].copy()
+    for prev, lo, hi in zip(plan.steps, plan.steps[1:], plan.steps[2:]):
+        cur, n = run[:, lo:hi], hi - lo
+        cur += run[:, prev : prev + n]
+        np.maximum(high[:, :n], cur, out=high[:, :n])
+        np.minimum(low[:, :n], cur, out=low[:, :n])
+    return plan.cells, high, low
 
-    Row i of table[s], (S, cells, width), is the running sum of cell
-    cells[i]'s terms block[s, b, k] x_k[c] along ordering b, zero-padded.  A
-    dense scan adds only exact zeros between these terms and the padding
-    repeats the last value, so the table holds its prefix values bit for
-    bit (up to the sign of zero); the last column is the full sum.  The
-    sums are formed in a (width, cells) table, each row added into the
-    next: np.cumsum's additions along each cell, in its order.
-    """
-    S = len(block)
-    terms = np.take(block.reshape(S, -1), plan.src, axis=1) * plan.vals
-    table = np.zeros((S, plan.width, len(plan.cells)))
-    for row, t in zip(table.reshape(S, -1), terms):  # 1-d scatters are fastest
-        row[plan.flat] = t
-    del terms
-    for j in range(1, plan.width):
-        table[:, j] += table[:, j - 1]
-    return plan.cells, table.transpose(0, 2, 1)
+
+def _mark_join(high, low):
+    """The join of |prefix sums| from their marks: bitwise their abs-max, zeros included."""
+    return np.abs(np.maximum(high, -low))
 
 
 def _scatter(cells, values, B: int, dim: int) -> np.ndarray:
@@ -450,14 +455,13 @@ def _joins(sys: BiorthogonalSystem, block, plan: _ScanPlan) -> np.ndarray:
     """(S, B, dim): row [s, b] is the coordinatewise max of |prefix sums| of
     block[s, b, k] x_k along ordering b, 0 at every cell no scanned row
     touches.  The one reduction of the join kernel to joins."""
-    cells, table = _column_scan(sys, block, plan)
-    return _scatter(cells, np.abs(table, out=table).max(axis=-1), plan.B, sys.space.dim)
+    cells, high, low = _column_scan(sys, block, plan)
+    return _scatter(cells, _mark_join(high, low), block.shape[1], sys.space.dim)
 
 
 def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     """Coordinatewise max of |prefix sums| along perm; zero for empty perm."""
-    block = np.asarray(a, dtype=float).reshape(1, 1, -1)
-    return _joins(sys, block, _scan_plan(sys, [perm]))[0, 0]
+    return _joins(sys, np.asarray(a, dtype=float).reshape(1, 1, -1), _scan_plan(sys, [perm]))[0, 0]
 
 
 def _join_ratios(sys: BiorthogonalSystem, coeffs, plan: _ScanPlan) -> list:
@@ -588,8 +592,7 @@ def _prefix_norm_ratio(sys, a, indices=None):
 
 def _join_ratio(sys, a, indices=None):
     """Along indices, kvee's ordered set, or the index order (bibasis).  A
-    witness is zero past its end; a longer one keeps its tail, which
-    _sums rejects unless it is zero."""
+    witness is zero past its end; _sums rejects a longer one."""
     perm = np.arange(len(a)) if indices is None else indices
     padded = np.pad(np.asarray(a, dtype=float), (0, max(0, len(sys) - len(a))))
     r = _join_ratios(sys, padded[None], _scan_plan(sys, [perm]))[0]

@@ -17,7 +17,8 @@ from latmax.constructions import orlicz as orl
 from latmax.constructions import rademacher as rad
 from latmax.constructions import typewriter as tw
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
-from latmax.systems import (BiorthogonalSystem, _column_scan, _ordered_join,
+from latmax import systems
+from latmax.systems import (BiorthogonalSystem, Csr, _column_scan, _ordered_join,
                             _scan_plan, coefficients, reconstruct)
 
 
@@ -152,7 +153,7 @@ def test_sign_batches_draw_the_bool_stream():
 def _sweeps_under(monkeypatch, cells):
     """Both streams' results at a cell budget, and per call the rows they
     evaluated, concatenated."""
-    monkeypatch.setattr(had, "_BATCH_CELLS", cells)
+    monkeypatch.setattr(systems, "_WORKING_SET", cells)
     seen, norm_range = [], had._norm_range
 
     def recording(n, batches):
@@ -168,7 +169,7 @@ def _sweeps_under(monkeypatch, cells):
 
 
 def test_sweeps_do_not_depend_on_the_cell_budget(monkeypatch):
-    want, want_rows = _sweeps_under(monkeypatch, had._BATCH_CELLS)
+    want, want_rows = _sweeps_under(monkeypatch, systems._WORKING_SET)
     for cells in (64, 2 ** 24):
         got, rows = _sweeps_under(monkeypatch, cells)
         assert got == want, cells
@@ -299,6 +300,15 @@ def test_rademacher_round_trip():
     rng = np.random.default_rng(2)
     a = rng.standard_normal(6)
     assert np.max(np.abs(coefficients(system, reconstruct(system, a)) - a)) < 1e-12
+
+
+def test_rademacher_rows_are_the_dense_conversion_array_by_array():
+    # the rows are built straight from the signs, none of which is zero:
+    # the same arrays, dtype for dtype, as converting the dense signs
+    for n in (1, 2, 5, 9):
+        built = rad.rademacher_l1(n).row_support
+        for mine, ref in zip(built, Csr.from_dense(rad.sign_matrix(n))):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), n
 
 
 def test_modulus_sum_is_l1():
@@ -608,14 +618,15 @@ def test_pass_profile_marks_are_bitwise_the_dense_pass():
 
 
 def test_pass_profile_scan_occupies_every_point():
-    # pass_profile reads its marks off the scan's rows: slot 0 (the
-    # constant) is nonzero everywhere, so every point is an occupied cell
+    # pass_profile scatters the scan's marks: slot 0 (the constant) is
+    # nonzero everywhere, so every point is an occupied cell, and every run
+    # is as long, so the cells keep their ascending order
     for J in range(1, 13):
         system = tw.typewriter_frame(J, 2.0)
         c = coefficients(system, np.ones(2 ** J))
         plan = _scan_plan(system, [np.arange(len(system))])
-        cells, (table,) = _column_scan(system, c[None, None], plan)
-        assert len(cells) == len(table) == system.space.dim, J
+        cells, high, low = _column_scan(system, c[None, None], plan)
+        assert high.shape == low.shape == (1, system.space.dim), J
         assert np.array_equal(cells, np.arange(2 ** J)), J
 
 

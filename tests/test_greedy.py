@@ -15,7 +15,8 @@ from latmax.constructions.haar import haar_system
 from latmax.constructions.typewriter import typewriter_frame
 from latmax.spaces import element, lp_block
 from latmax.systems import (BiorthogonalSystem, ConstantReport, _column_scan,
-                            _scan_plan, _scatter, absolute_constant, basis_constant,
+                            _mark_join, _scan_plan, _scatter, absolute_constant,
+                            basis_constant,
                             bibasis_constant, coefficients, maximal_partial,
                             recompute_constant, reconstruct, report_from_json)
 
@@ -261,15 +262,13 @@ def test_a_zero_sum_witness_has_zero_support_for_every_constant():
         recompute_constant(sysm, report_from_json(obj))
 
 
-def _table_bibasis(sysm, a):
+def _marks_bibasis(sysm, a):
     """The bibasis ratio from one column scan along the index order: the
-    table's last column is the full sum, its abs-max the join."""
-    dim = sysm.space.dim
+    join from its marks, over the norm of the reconstructed sum."""
     plan = _scan_plan(sysm, [np.arange(len(a))])
-    cells, (table,) = _column_scan(sysm, a[None, None], plan)
-    full = sysm.space.norms(_scatter(cells, table[:, -1], 1, dim))[0]
-    join = _scatter(cells, np.abs(table).max(axis=1), 1, dim)[0]
-    return sysm.space.norm(join) / full
+    cells, high, low = _column_scan(sysm, a[None, None], plan)
+    join = _scatter(cells, _mark_join(high, low), 1, sysm.space.dim)[0, 0]
+    return sysm.space.norm(join) / reconstruct(sysm, a).norm()
 
 
 @st.composite
@@ -301,7 +300,7 @@ def test_every_reported_value_is_exactly_its_recomputed_value(case):
     for rep in reports:
         back = report_from_json(json.dumps(rep.to_json()))
         assert recompute_constant(sysm, back) == rep.value, rep.constant_name
-    assert [r for _, r, _ in reports[1].rows] == [_table_bibasis(sysm, a) for a in wits]
+    assert [r for _, r, _ in reports[1].rows] == [_marks_bibasis(sysm, a) for a in wits]
 
 
 @st.composite
@@ -419,9 +418,12 @@ def test_a_kvee_witness_with_a_tail_past_the_system_is_out_of_range():
 @pytest.mark.parametrize("name", sorted(_RATIOS))
 def test_a_witness_longer_than_the_system_is_out_of_range(name):
     # the basis score walks its prefixes on the row pointers directly, not
-    # through the range check the other five scores share
+    # through the range check the other five scores share; a zero tail is
+    # out of range too, though no index reaches it (kvee's stays in range)
     sysm = haar_system(2, 2.0)
-    indices = np.arange(5) if name == "kvee" else None
-    rep = ConstantReport(name, 1.0, [1.0] * 5, "structured_family", 1, indices)
-    with pytest.raises(ValueError, match="out of range"):
-        recompute_constant(sysm, rep)
+    for witness, kvee_indices in (([1.0] * 5, np.arange(5)),
+                                  ([1.0, 2.0, 0.0, 0.0, 0.0], np.array([1, 0]))):
+        indices = kvee_indices if name == "kvee" else None
+        rep = ConstantReport(name, 1.0, witness, "structured_family", 1, indices)
+        with pytest.raises(ValueError, match="out of range"):
+            recompute_constant(sysm, rep)

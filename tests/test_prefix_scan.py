@@ -1,20 +1,23 @@
 """Property tests for the column-segmented prefix scan over each system's
-row support, for its scan plans reused over blocks of coefficients, for the
-row-order sums beside it, and for the blocked prefix sums behind the
-per-prefix norms."""
+row support: its high and low marks against the padded-table kernel it
+replaced, its scan plans reused over blocks of coefficients, the row-order
+sums beside it, and the blocked prefix sums behind the per-prefix norms."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latmax.constructions import typewriter as tw
 from latmax.constructions.haar import (branch_coefficients, branch_ordering,
                                        haar_system)
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
 from latmax.spaces import LpBlock
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, Csr, _column_scan,
-                            _joins, _ordered_join, _peak_prefix_norm,
-                            _scan_plan, _scatter, _sums)
+                            _gather, _joins, _mark_join, _ordered_join, _pairs,
+                            _peak_prefix_norm, _scan_plan, _scatter, _sums)
 
 
 @st.composite
@@ -47,6 +50,40 @@ def _cumsum_oracle(V, a, order):
         return np.zeros(V.shape[1]), np.zeros(V.shape[1])
     sums = np.cumsum(a[order][:, None] * V[order], axis=0)
     return np.max(np.abs(sums), axis=0), sums[-1]
+
+
+def _table_scan(sys, block, perms):
+    """The padded-table kernel the marks pass replaced, kept as its
+    reference: (cells, lens, table), the occupied cells ascending, their run
+    lengths, and table[s, i] cell cells[i]'s running sums for sample s,
+    zero-padded to the longest run.  Each term goes to its table slot, each
+    table row is added into the next, and the (S, cells, width) view is
+    returned."""
+    pair, rows = _pairs(perms)
+    seg, cnt, pos = _gather(sys, pair, rows)
+    order = np.argsort(seg, kind="stable")
+    seg, vals = seg[order], sys.row_support.vals[pos[order]]
+    src = np.repeat(pair * len(sys) + rows, cnt)[order]
+    cells, starts, lens = np.unique(seg, return_index=True, return_counts=True)
+    C, S = len(cells), len(block)
+    flat = np.repeat(np.arange(C) - starts * C, lens) + np.arange(len(seg)) * C
+    table = np.zeros((S, int(lens.max(initial=1)), C))
+    for row, t in zip(table.reshape(S, -1), block.reshape(S, -1)[:, src] * vals):
+        row[flat] = t
+    for j in range(1, table.shape[1]):
+        table[:, j] += table[:, j - 1]
+    return cells, lens, table.transpose(0, 2, 1)
+
+
+def _table_marks(lens, table):
+    """(high, low) folded over each cell's own run in scan order, padding
+    left out, np.maximum and np.minimum keeping the mark on a tie."""
+    high, low = table[..., 0].copy(), table[..., 0].copy()
+    for j in range(1, table.shape[-1]):
+        live = j < lens
+        high[:, live] = np.maximum(high[:, live], table[:, live, j])
+        low[:, live] = np.minimum(low[:, live], table[:, live, j])
+    return high, low
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,30 +124,36 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
         V[pairs[0][1][0], rng.integers(dim)] = 0.0
     sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
     coeffs, perms = [a for a, _ in pairs], [p for _, p in pairs]
-    cells, (table,) = _column_scan(sys, np.array(coeffs)[None], _scan_plan(sys, perms))
-    # one row per cell (pair b, coordinate c) that some scanned row touches
+    cells, high, low = _column_scan(sys, np.array(coeffs)[None], _scan_plan(sys, perms))
+    # one pair of marks per cell (pair b, coordinate c) that some scanned row touches
     occupied = {b * dim + c for b, (_, order) in enumerate(pairs)
                 for k in order for c in np.flatnonzero(V[k])}
-    assert len(cells) == len(table) == len(occupied)
+    assert len(cells) == high.shape[1] == low.shape[1] == len(occupied)
     assert set(cells.tolist()) == occupied
-    assert np.all(np.diff(cells) > 0)
     B = len(pairs)
-    joins = _scatter(cells, np.abs(table).max(axis=1), B, dim)
-    fulls = _scatter(cells, table[:, -1], B, dim)
+    joins = _scatter(cells, _mark_join(high, low)[0], B, dim)
+    highs, lows = (_scatter(cells, m[0], B, dim) for m in (high, low))
     sums, moduli = _sums(sys, coeffs, perms), _sums(sys, coeffs, perms, modulus=True)
-    for (a, order), join, last, total, modulus in zip(pairs, joins, fulls, sums, moduli):
+    for (a, order), join, hi, lo, total, modulus in zip(pairs, joins, highs, lows,
+                                                          sums, moduli):
         ref_join, full = _cumsum_oracle(V, a, order)
         assert join.tobytes() == ref_join.tobytes()
+        # the marks are the extremes of each coordinate's sums after the
+        # rows that touch it, equal up to the sign of zero (== ignores it)
+        dense = np.cumsum(a[order][:, None] * V[order], axis=0)
+        touched = V[order] != 0
+        for mark, extreme, pad in ((hi, np.max, -np.inf), (lo, np.min, np.inf)):
+            want = extreme(np.where(touched, dense, pad), axis=0, initial=pad)
+            assert np.array_equal(mark, np.where(touched.any(axis=0), want, 0.0))
         # equal up to the sign of zero, which no norm sees
-        assert (last + 0.0).tobytes() == (full + 0.0).tobytes()
         assert (total + 0.0).tobytes() == (full + 0.0).tobytes()
         assert (modulus + 0.0).tobytes() == \
             (_cumsum_oracle(np.abs(V), np.abs(a), order)[1] + 0.0).tobytes()
     # a batch that scans no rows occupies no cell, and its join is zero
-    cells, (table,) = _column_scan(sys, np.array(coeffs)[None],
-                                   _scan_plan(sys, [np.arange(0)] * B))
-    assert len(cells) == len(table) == 0
-    assert not _scatter(cells, np.abs(table).max(axis=1), B, dim).any()
+    cells, high, low = _column_scan(sys, np.array(coeffs)[None],
+                                    _scan_plan(sys, [np.arange(0)] * B))
+    assert len(cells) == high.shape[1] == low.shape[1] == 0
+    assert not _scatter(cells, _mark_join(high, low), B, dim).any()
 
 
 @st.composite
@@ -155,42 +198,103 @@ def test_a_plan_reused_over_blocks_is_bitwise_the_fresh_scans(scan):
     V = sys.vectors
     for block in blocks:
         joins = _joins(sys, block, plan)
-        cells, table = _column_scan(sys, block, plan)
-        assert np.all(np.diff(cells) > 0) and cells[-1] == B * dim - 1
+        cells, high, low = _column_scan(sys, block, plan)
+        assert len(set(cells.tolist())) == len(cells) and cells.max() == B * dim - 1
         assert joins.shape == (len(block), B, dim)
-        assert table.shape[:2] == (len(block), len(cells))
+        assert high.shape == low.shape == (len(block), len(cells))
         for s, coeffs in enumerate(block):
             # the same additions as a fresh plan's scan of this sample
-            # alone, so the same table, signed zeros included
-            fresh_cells, (fresh,) = _column_scan(sys, coeffs[None], _scan_plan(sys, perms))
+            # alone, so the same marks, signed zeros included
+            fresh_cells, fresh_high, fresh_low = _column_scan(sys, coeffs[None],
+                                                              _scan_plan(sys, perms))
             assert fresh_cells.tobytes() == cells.tobytes()
-            assert fresh.tobytes() == table[s].tobytes()
+            assert fresh_high.tobytes() == high[s : s + 1].tobytes()
+            assert fresh_low.tobytes() == low[s : s + 1].tobytes()
             for b, (a, order) in enumerate(zip(coeffs, perms)):
                 assert joins[s, b].tobytes() == _ordered_join(sys, a, order).tobytes()
                 assert joins[s, b].tobytes() == _cumsum_oracle(V, a, order)[0].tobytes()
 
 
 def test_scan_plan_keeps_signed_zero_sums():
-    # sample 0: cell 0 runs two -0.0 terms (zeros times -1 and 1) and stays
-    # -0.0; cell 3 holds one -0.0 term in a width-2 table, and its padding
-    # slot adds it to +0.0.  Sample 1: cell 0 cancels, -3 + 3 = +0.0
+    # sample 0: cell 0 runs two -0.0 terms (zeros times -1 and 1) and both
+    # its marks stay -0.0; cell 3 holds one -0.0 term, so its marks are
+    # -0.0 too (a padded table added +0.0 after it).  Sample 1: cell 0
+    # cancels, -3 + 3 = +0.0, its high mark
     V = Csr(np.array([0, 2, 3]), np.array([0, 1, 0]), np.array([-1.0, 2.0, 1.0]))
     sys = BiorthogonalSystem(LpBlock(2, 2.0), V, V, check=False)
     perms = [np.array([0, 1]), np.array([0])]
     block = np.array([[[0.0, -0.0], [-0.0, 5.0]], [[3.0, 3.0], [1.0, 0.0]]])
     plan = _scan_plan(sys, perms)
-    cells, table = _column_scan(sys, block, plan)
-    assert cells.tolist() == [0, 1, 2, 3] and table.shape == (2, 4, 2)
-    assert np.signbit(table[0, :, 0]).tolist() == [True, False, False, True]
-    assert np.signbit(table[0, :, 1]).tolist() == [True, False, False, False]
-    assert table[1].tolist() == [[-3.0, 0.0], [6.0, 6.0], [-1.0, -1.0], [2.0, 2.0]]
+    cells, high, low = _column_scan(sys, block, plan)
+    assert cells.tolist() == [0, 1, 2, 3] and high.shape == low.shape == (2, 4)
+    assert np.signbit(high[0]).tolist() == [True, False, False, True]
+    assert np.signbit(low[0]).tolist() == [True, False, False, True]
+    assert high[1].tolist() == [0.0, 6.0, -1.0, 2.0] and not np.signbit(high[1, 0])
+    assert low[1].tolist() == [-3.0, 6.0, -1.0, 2.0]
     for s in range(2):
-        fresh = _column_scan(sys, block[s : s + 1], _scan_plan(sys, perms))[1]
-        assert fresh.tobytes() == table[s : s + 1].tobytes()
+        fresh = _column_scan(sys, block[s : s + 1], _scan_plan(sys, perms))
+        assert fresh[1].tobytes() == high[s : s + 1].tobytes()
+        assert fresh[2].tobytes() == low[s : s + 1].tobytes()
     # a plan of empty orderings occupies no cell, and its joins are zero
     empty = _scan_plan(sys, [np.arange(0)] * 2)
     assert not _joins(sys, block, empty).any()
     assert _joins(sys, block, empty).shape == (2, 2, 2)
+
+
+@st.composite
+def scan_cases(draw):
+    """(system, orderings, (S, B, n) block): from the systems and
+    planned_scans strategies, or along the index order of a Haar system or
+    the typewriter frame, with -0.0 among the coefficients."""
+    kind = draw(st.sampled_from(("systems", "planned", "haar", "typewriter")), label="kind")
+    if kind == "planned":
+        sys, perms, blocks = draw(planned_scans())
+        return sys, perms, blocks[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if kind == "systems":
+        sys, _ = draw(systems())
+        perms = [rng.permutation(len(sys))[:rng.integers(0, len(sys) + 1)]
+                 for _ in range(draw(st.integers(1, 4), label="B"))]
+    else:
+        J, p = draw(st.integers(1, 6), label="J"), draw(st.sampled_from((1.5, 2.0, 3.0)))
+        sys = haar_system(J, p) if kind == "haar" else tw.typewriter_frame(J, p)
+        perms = [np.arange(len(sys))]
+    block = rng.standard_normal((draw(st.integers(1, 3), label="S"), len(perms), len(sys)))
+    if draw(st.booleans(), label="rounded"):
+        block = np.round(block)
+    block[rng.random(block.shape) < 0.2] = -0.0
+    return sys, perms, block
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan_cases())
+def test_marks_and_joins_are_bitwise_the_table_kernel(case):
+    sys, perms, block = case
+    B, dim = len(perms), sys.space.dim
+    ref_cells, lens, table = _table_scan(sys, block, perms)
+    cells, high, low = _column_scan(sys, block, _scan_plan(sys, perms))
+    assert sorted(cells.tolist()) == ref_cells.tolist()
+    for mark, ref in zip((high, low), _table_marks(lens, table)):
+        assert _scatter(cells, mark, B, dim).tobytes() == \
+            _scatter(ref_cells, ref, B, dim).tobytes()
+    ref_joins = _scatter(ref_cells, np.abs(table).max(axis=-1), B, dim)
+    assert _joins(sys, block, _scan_plan(sys, perms)).tobytes() == ref_joins.tobytes()
+
+
+def test_a_haar_bibasis_block_pass_holds_no_padded_table():
+    # one 16-sample pass at J = 12: its 16 x 53248 terms (6.5 MiB) are
+    # summed in place, and the marks and joins add about 1.5 MiB; the
+    # padded table, its scatter and its transpose took the pass to 13.0 MiB
+    sysm = haar_system(12, 2.0)
+    plan = _scan_plan(sysm, [np.arange(len(sysm))])
+    block = np.random.default_rng(0).standard_normal((16, 1, len(sysm)))
+    tracemalloc.start()
+    try:
+        _joins(sysm, block, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20, peak
 
 
 @settings(max_examples=30, deadline=None)

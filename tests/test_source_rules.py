@@ -12,9 +12,13 @@ importing the CLI stays cheap.  scipy is a test dependency only.
 No module of the package reads a system's dense views: kernels and
 runners read its stored sparse rows.
 
-The join kernel's table is reduced in one place: ``_column_scan`` and
-``_scatter`` are called only from ``systems._joins`` (the abs-max of every
-join) and ``typewriter.pass_profile`` (its high and low marks).
+The join kernel's marks pass has two callers.  ``_column_scan`` folds
+each occupied cell's running sum into its high and low marks, and
+``_mark_join`` is the one rule that turns marks into a join; they and
+``_scatter`` are called only from ``systems._joins`` (every ordered join)
+and ``typewriter.pass_profile`` (its marks and their join).  A scan
+plan's term layout is known only in ``systems.py``: no other module reads
+a ``_ScanPlan`` field.
 
 An index outside [0, n) is rejected in one place: the only "index out of
 range" raise in ``systems.py`` is in ``_gather``, which every kernel reads
@@ -26,6 +30,7 @@ partial sum is an integer below 2^24.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -66,9 +71,21 @@ def test_column_scan_is_reduced_only_by_joins_and_the_typewriter_pass():
                     for node in ast.walk(tree)
                     if isinstance(node, ast.Call)
                     and getattr(node.func, "id", getattr(node.func, "attr", None))
-                    in ("_column_scan", "_scatter")}
+                    in ("_column_scan", "_scatter", "_mark_join")}
     assert callers == {("systems.py", "_joins"),
                        ("constructions/typewriter.py", "pass_profile")}, callers
+
+
+def test_no_module_outside_systems_reads_a_plan_field():
+    # the field names are unique in the package, so reading one anywhere
+    # else is reading a plan
+    from latmax.systems import _ScanPlan
+    fields = {f.name for f in dataclasses.fields(_ScanPlan)}
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno} .{node.attr}"
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "systems.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert not found, "plan fields read outside systems.py: " + ", ".join(found)
 
 
 def test_only_gather_raises_index_out_of_range_in_systems():

@@ -250,7 +250,7 @@ def test_gram_error_is_the_same_under_a_tiny_slab_cap(sysm):
     assume(_GRAM_DENSE_SHARE * pairs < U.n_rows * len(sysm) * dim)
     want = sysm._gram_error().hex()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(systems, "_GRAM_SLAB", 64)
+        mp.setattr(systems, "_WORKING_SET", 64)
         assert sysm._gram_error().hex() == want
 
 
@@ -259,7 +259,7 @@ def test_haar_gram_error_is_the_same_under_a_tiny_slab_cap(monkeypatch):
         for p in (1.0, 2.0, 3.0):
             sysm = haar_system(J, p)
             want = sysm._gram_error().hex()
-            monkeypatch.setattr(systems, "_GRAM_SLAB", 64)
+            monkeypatch.setattr(systems, "_WORKING_SET", 64)
             assert sysm._gram_error().hex() == want, (J, p)
             monkeypatch.undo()
 
