@@ -12,7 +12,7 @@ norm diverges with the block count.
 
 import numpy as np
 
-from latmax.constructions.rademacher import sign_matrix
+from latmax.constructions.rademacher import sign_parts
 from latmax.spaces import LpBlock
 
 
@@ -20,9 +20,7 @@ def main():
     print(f"{'block':>5} {'vectors':>8} {'||sum|x_i|||':>13} {'||subset join||':>16}")
     for b in range(1, 5):
         k = b * b
-        X = sign_matrix(k) / k
-        pos = np.clip(X, 0.0, None).sum(axis=0)
-        neg = np.clip(-X, 0.0, None).sum(axis=0)
+        pos, neg = sign_parts(k)
         host = LpBlock(1 << k, 2.0, weights=np.full(1 << k, 2.0 ** -k))
         print(f"{b:>5} {k:>8} {host.norm(pos + neg):>13.6f} "
               f"{host.norm(np.maximum(pos, neg)):>16.6f}")

@@ -4,10 +4,10 @@
 rearrangement; q < p keeps the weights summable slowly enough that unit
 vectors and normalized constant blocks see different exponents: n unit
 vectors cost ~ n^{1/p}, while m disjoint normalized blocks of length 2^i
-cost ~ m^{1/q}.  The weight partial sums sigma(N) have an exact cumsum
-table up to 2^21 and an Euler-Maclaurin tail beyond, carried in log2 form
-because block demos push N past the float range long before the norms
-themselves grow large.
+cost ~ m^{1/q}.  The weight partial sums sigma(N) are exact up to 2^21,
+summed left to right from running-sum checkpoints every 2^12 terms, and
+an Euler-Maclaurin tail beyond, carried in log2 form because block demos
+push N past the float range long before the norms themselves grow large.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import numpy as np
 
 from latmax.estimation import growth_fit
 
-_TABLE_LIMIT = 2 ** 21
+_EXACT_LIMIT = 2 ** 21
+_CHECKPOINT = 2 ** 12  # terms between stored running sums
+_CHUNK = 2 ** 16  # terms per streamed step of the checkpoint pass
 _LOG2_LN = math.log(2.0)
 
 
@@ -38,13 +40,36 @@ def _block_end_log2(i: int) -> float:
     return (i + 1) + math.log1p(-(2.0 ** -i)) / _LOG2_LN
 
 
+def _running(base: float, start: int, stop: int, e: float) -> np.ndarray:
+    """base + sum of k^e over start <= k < j, for j = start + 1 .. stop: base
+    folded into the first term before an in-place cumsum, so each sum is
+    bitwise the full left-to-right cumsum's that reached base at start - 1
+    (recursive summation; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 4.1)."""
+    run = np.arange(start, stop, dtype=float) ** e
+    run[0] += base
+    return np.cumsum(run, out=run)
+
+
 @functools.lru_cache(maxsize=4)
-def _sigma_table(e: float) -> np.ndarray:
-    """Read-only cumulative sums of k^e, k up to the table limit, per exponent
-    (np.cumsum adds left to right: a prefix is bitwise the shorter cumsum)."""
-    table = np.cumsum(np.arange(1, _TABLE_LIMIT + 1, dtype=float) ** e)
-    table.flags.writeable = False
-    return table
+def _checkpoints(e: float) -> np.ndarray:
+    """Read-only sigma(m * _CHECKPOINT) for m = 0 .. exact limit / _CHECKPOINT,
+    per exponent, from one pass of _CHUNK terms at a time."""
+    marks = np.zeros(_EXACT_LIMIT // _CHECKPOINT + 1)
+    for start in range(0, _EXACT_LIMIT, _CHUNK):
+        m = start // _CHECKPOINT
+        run = _running(marks[m], start + 1, start + _CHUNK + 1, e)
+        marks[m + 1:m + 1 + _CHUNK // _CHECKPOINT] = run[_CHECKPOINT - 1::_CHECKPOINT]
+    marks.flags.writeable = False
+    return marks
+
+
+def _sigma_exact(N: int, e: float) -> float:
+    """sigma(N) for 1 <= N <= the exact limit: the last checkpoint at or
+    below N, run on over the at most _CHECKPOINT terms after it."""
+    m, rest = divmod(N, _CHECKPOINT)
+    base = _checkpoints(e)[m]
+    return float(_running(base, N - rest + 1, N + 1, e)[-1] if rest else base)
 
 
 @functools.lru_cache(maxsize=4)
@@ -57,7 +82,7 @@ def _zeta(e: float) -> float:
 def weight_sum_log2(log2N: float, p: float, q: float) -> float:
     """sigma(N) = sum_{k<=N} k^{q/p-1}, addressed by log2 N.
 
-    Exact table lookup while N fits; Euler-Maclaurin beyond, which is
+    Exact left-to-right sum while N fits; Euler-Maclaurin beyond, which is
     where the log2 addressing matters: N itself may exceed the float
     range while sigma(N) ~ N^{q/p} stays representable.
     """
@@ -67,7 +92,7 @@ def weight_sum_log2(log2N: float, p: float, q: float) -> float:
         raise ValueError("need N >= 1")
     if log2N <= 21:
         N = int(round(2.0 ** log2N))
-        return float(_sigma_table(e)[N - 1])
+        return _sigma_exact(N, e)
     if not _sigma_fits(log2N, e):
         raise ValueError("sigma itself would overflow float64")
     zeta = _zeta(e)

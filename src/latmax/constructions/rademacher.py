@@ -21,18 +21,38 @@ from latmax.systems import BiorthogonalSystem, Csr
 _SIZE_LIMIT = 20  # 2^20 coordinates, ~8 MB per stored matrix row set
 
 
-def sign_matrix(n: int) -> np.ndarray:
-    """n rows of length 2^n; entry (k, omega) is the sign of bit k of omega."""
+def _points(n: int) -> np.ndarray:
+    """The 2^n points omega of the sign cube, as bit words."""
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
-    omega = np.arange(2 ** n, dtype=np.uint32)
-    bits = omega[None, :] >> np.arange(n, dtype=np.uint32)[:, None]
+    return np.arange(2 ** n, dtype=np.uint32)
+
+
+def sign_matrix(n: int) -> np.ndarray:
+    """n rows of length 2^n; entry (k, omega) is the sign of bit k of omega."""
+    bits = _points(n)[None, :] >> np.arange(n, dtype=np.uint32)[:, None]
     bits &= 1
     # 1 - 2 * bit, in place: one float copy of the bit table, no temporaries
     signs = bits.astype(float)
     signs *= -2.0
     signs += 1.0
     return signs
+
+
+def sign_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums of the positive and of the negative parts of
+    sign_matrix(n) / n, one sign row at a time.
+
+    Row k adds 1/n where bit k of omega is 0 (to pos) or 1 (to neg), in row
+    order from zero: the additions of a sum over axis 0, so both are bitwise
+    np.clip(+-sign_matrix(n) / n, 0, None).sum(axis=0).
+    """
+    omega, step = _points(n), 1.0 / n
+    pos, neg, part = np.zeros(2 ** n), np.zeros(2 ** n), np.empty(2 ** n)
+    for k in range(n):
+        neg += np.multiply((omega >> k) & 1, step, out=part)
+        pos += np.subtract(step, part, out=part)
+    return pos, neg
 
 
 def rademacher_l1(n: int) -> BiorthogonalSystem:

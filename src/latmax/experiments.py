@@ -116,9 +116,7 @@ def _run_uniform_bound(params, seed):
     rows, checks = [], []
     for b in range(1, blocks + 1):
         k = b * b
-        X = _rademacher.sign_matrix(k) / k
-        pos = np.clip(X, 0.0, None).sum(axis=0)
-        neg = np.clip(-X, 0.0, None).sum(axis=0)
+        pos, neg = _rademacher.sign_parts(k)
         best = np.maximum(pos, neg)
         margin = float(np.min(best - 0.5 * (pos + neg)))
         host = LpBlock(1 << k, 2.0, weights=np.full(1 << k, 2.0 ** -k))

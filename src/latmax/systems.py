@@ -94,6 +94,19 @@ def _cuts(ends, cap: int) -> list:
     return cuts
 
 
+def _pair_ends(per_col, V: Csr) -> np.ndarray:
+    """ends[k] = sum of per_col over the nonzero columns of V's rows 0 .. k - 1
+    (the pair products of vectors 0 .. k - 1 with a block holding per_col[c]
+    nonzeros in column c): one in-place cumsum, read at each row's last
+    nonzero, an empty row reading the row before it and 0 before any."""
+    run = per_col[V.cols]
+    np.cumsum(run, out=run)
+    ends = np.zeros(V.n_rows + 1, dtype=run.dtype)
+    filled = V.indptr > 0
+    ends[filled] = run[V.indptr[filled] - 1]
+    return ends
+
+
 class Csr:
     """Rows in compressed sparse row form: row i holds the values
     vals[indptr[i]:indptr[i + 1]] at the strictly ascending columns
@@ -243,8 +256,7 @@ class BiorthogonalSystem:
             u_rows = np.repeat(np.arange(r1 - r0), np.diff(B.indptr))[by_col]
             u_vals, per_col = B.vals[by_col], np.bincount(B.cols, minlength=dim)
             col_start = np.cumsum(per_col) - per_col
-            # the pair products of vectors 0 .. k - 1 with the block number ends[k]
-            ends = np.concatenate([[0], np.cumsum(per_col[V.cols])])[V.indptr]
+            ends = _pair_ends(per_col, V)
             del B, by_col
             for k0, k1 in itertools.pairwise(_cuts(ends, _WORKING_SET)):
                 slab, w = V.slice(k0, k1), k1 - k0

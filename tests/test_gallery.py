@@ -295,6 +295,26 @@ def test_sign_matrix_basics():
     assert np.array_equal(R @ R.T, 8 * np.eye(3))
 
 
+def test_sign_parts_are_the_clipped_sums_of_the_sign_cube():
+    for k in (1, 4, 9, 16):
+        X = rad.sign_matrix(k) / k
+        pos, neg = rad.sign_parts(k)
+        assert pos.tobytes() == np.clip(X, 0.0, None).sum(axis=0).tobytes(), k
+        assert neg.tobytes() == np.clip(-X, 0.0, None).sum(axis=0).tobytes(), k
+
+
+def test_sign_parts_hold_no_sign_cube():
+    tracemalloc.start()
+    try:
+        rad.sign_parts(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 16 x 2^16 float64 cube is 8 MiB, and the clipped sums of the cube
+    # peaked at 24.5 MiB; the row-by-row parts take about 2 MiB
+    assert peak < 4 * 2 ** 20
+
+
 def test_rademacher_round_trip():
     system = rad.rademacher_l1(6)
     rng = np.random.default_rng(2)
@@ -663,14 +683,28 @@ def test_lorentz_norm_basics():
         lor.unit_fundamental(2, 0.5, [1])
 
 
+def _direct_sigma(e):
+    """sigma(1), ..., sigma(2^21) by one full left-to-right cumsum."""
+    return np.cumsum(np.arange(1, 2 ** 21 + 1, dtype=float) ** e)
+
+
 def test_weight_sums_match_a_direct_cumsum():
-    for p, q in ((4.0, 2.0), (3.0, 2.0)):
+    # every checkpoint, every 2^i and block end 2^(i+1) - 2, both ends of the
+    # exact range and a seeded sample, through the log2 address
+    step = lor._CHECKPOINT
+    rng = np.random.default_rng(11)
+    Ns = sorted({1, 2 ** 21} | set(range(step, 2 ** 21 + 1, step))
+                | {2 ** i for i in range(22)} | {2 ** (i + 1) - 2 for i in range(1, 21)}
+                | set(rng.integers(1, 2 ** 21 + 1, size=500).tolist()))
+    for p, q in ((4.0, 2.0), (3.0, 2.0), (2.5, 1.5)):
         e = q / p - 1.0
-        direct = np.cumsum(np.arange(1, 2 ** 21 + 1, dtype=float) ** e)
-        for N in (1, 2 ** 16, 2 ** 16 + 1, 2 ** 21):
-            assert lor._sigma_int(N, p, q) == direct[N - 1]
+        direct = _direct_sigma(e)
+        marks = lor._checkpoints(e)
+        assert marks[0] == 0.0 and np.array_equal(marks[1:], direct[step - 1::step])
+        for N in Ns:
+            assert lor._sigma_int(N, p, q) == direct[N - 1], (p, q, N)
             assert lor.weight_sum_log2(math.log2(N), p, q) == direct[N - 1]
-        # beyond the table: the Euler-Maclaurin tail, zeta taken directly
+        # beyond the exact range: the Euler-Maclaurin tail, zeta taken directly
         log2N = 30.0
         tail = (2.0 ** (log2N * (1.0 + e)) / (1.0 + e)
                 + float(mpmath.zeta(-e))
@@ -699,10 +733,10 @@ def test_block_series_matches_dense_evaluation():
 
 
 def test_block_series_is_bitwise_the_exact_integer_telescope():
-    # up to 20 blocks every N_i fits the table: the log2 addressing must
-    # land on exactly the integer lookups
+    # up to 20 blocks every N_i is summed exactly: the log2 addressing must
+    # land on exactly the integer sums of a full cumsum
     for p, q in ((4.0, 2.0), (3.0, 2.0), (2.5, 1.5)):
-        table = lor._sigma_table(q / p - 1.0)
+        table = _direct_sigma(q / p - 1.0)
 
         def sigma(N):
             return float(table[N - 1]) if N else 0.0
@@ -717,8 +751,22 @@ def test_block_series_is_bitwise_the_exact_integer_telescope():
             assert value == float(partial[m] ** (1.0 / q)), (p, q, m)
 
 
+def test_blocking_demo_holds_no_sigma_table():
+    lor._checkpoints.cache_clear()
+    lor._zeta.cache_clear()
+    tracemalloc.start()
+    try:
+        lor.lorentz_blocking_demo(4, 2, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^21-entry table took 16 MiB, 34 MiB at its build; the streamed
+    # checkpoint pass peaks at about 1.5 MiB
+    assert peak < 3 * 2 ** 20
+
+
 def test_weight_sum_tail_matches_brute_force():
-    N = 3 * 2 ** 20  # past the table, small enough to sum directly
+    N = 3 * 2 ** 20  # past the exact range, small enough to sum directly
     brute = float(np.sum(np.arange(1, N + 1, dtype=float) ** -0.5))
     tail = lor.weight_sum_log2(math.log2(N), 4, 2)
     assert abs(tail - brute) / brute < 1e-10

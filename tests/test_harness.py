@@ -453,7 +453,7 @@ def test_lorentz_float_range_rule_fires_before_any_lookup(tmp_path, monkeypatch,
     assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=2047",
                  "--out", str(tmp_path / "ok")]) == 0
     calls = []
-    monkeypatch.setattr(_lorentz, "_sigma_table", calls.append)
+    monkeypatch.setattr(_lorentz, "_sigma_exact", lambda *args: calls.append(args))
     assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=2048",
                  "--out", str(tmp_path / "never")]) == 2
     assert "past the float range of sigma" in capsys.readouterr().err
