@@ -22,7 +22,7 @@ AMBIENT = 3 * 2 ** (DEPTH - 1)
 def main():
     print(f"chain witnesses over {AMBIENT} vectors (ambient dim {2 * AMBIENT + 2})")
     print(f"{'m':>3} {'||y_m||_1':>10} {'||join||_1':>11}")
-    _, join_norms, y_norms, _ = chain_prefix_join(DEPTH, AMBIENT)
+    join_norms, y_norms, _ = chain_prefix_join(DEPTH, AMBIENT)
     for m in range(DEPTH):
         print(f"{m:>3} {y_norms[m]:>10.1f} {join_norms[m]:>11.1f}")
 

@@ -17,8 +17,11 @@ and in any summation order, is an integer of magnitude at most 2^14, well
 inside float32's exact integers (below 2^24).  The squared l2 norms are
 summed in float64, where each is an integer below 2^53, so the square roots
 see the same operands as the float64 path and return the same bits.
-Gaussian coefficients (the unconditionality window) stay in float64.  Both
-streams run in batches of systems._batch_size rows; neither depends on the split.
+Gaussian coefficients (the unconditionality window) stay in float64.  Every
+stream runs in batches of systems._batch_size rows; none depends on the split.
+The exhaustive sweep (n <= 4) never holds its 2^(2^n)-row cube: each batch
+is built from the counter words of its rows, row w taking +1 in column k
+when bit k of w is set, by the same bits-to-signs step as the sampled rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import functools
 
 import numpy as np
 
-from latmax.constructions.rademacher import sign_matrix
 from latmax.spaces import DirectSum, Element, LpBlock, SupBlock
 from latmax.systems import BiorthogonalSystem, _batch_size
 
@@ -54,7 +56,7 @@ def _factor(k: int, dtype=np.float64) -> np.ndarray:
     return H
 
 
-def fwht_rows(X) -> np.ndarray:
+def fwht_rows(X, work=None) -> np.ndarray:
     """Walsh transform of each row (multiplication by the Sylvester matrix).
 
     H_n = H_lo (x) H_hi with lo = n // 2 maps a row, viewed as a 2^lo x 2^hi
@@ -70,6 +72,10 @@ def fwht_rows(X) -> np.ndarray:
     bitwise the float64 one, at half the memory traffic, and its squared
     l2 norm is an integer below 2^53, which float64 sums exactly in any
     order: its square root is bitwise np.linalg.norm's.
+
+    With a `work` array of X's size and dtype, the first product goes into
+    work and the second into X, which then holds the result: a stream of
+    batches allocates nothing per batch.
     """
     X = np.asarray(X)
     if X.dtype != np.float32:
@@ -80,21 +86,24 @@ def fwht_rows(X) -> np.ndarray:
     if m < 1 or m & (m - 1):
         raise ValueError("row length must be a power of two")
     lo, hi = (m.bit_length() - 1) // 2, m.bit_length() // 2  # lo + hi = n
-    dtype = X.dtype.type
-    Y = (X.reshape(-1, 2 ** hi) @ _factor(hi, dtype)).reshape(
-        len(X), 2 ** lo, 2 ** hi)
-    return np.matmul(_factor(lo, dtype), Y).reshape(len(X), m)
+    dtype, shape = X.dtype.type, (len(X), 2 ** lo, 2 ** hi)
+    first, second = (None, None) if work is None else (work.reshape(-1, 2 ** hi),
+                                                        X.reshape(shape))
+    Y = np.matmul(X.reshape(-1, 2 ** hi), _factor(hi, dtype), out=first)
+    return np.matmul(_factor(lo, dtype), Y.reshape(shape), out=second).reshape(len(X), m)
 
 
-def _l2_part(n: int, rows) -> np.ndarray:
+def _l2_part(n: int, rows, work=None) -> np.ndarray:
     """2^{-n} * ||row @ H||_2 for each row: the l2 block's share of the host
     norm.  float32 (sign) rows have their squared l2 norms summed in
-    float64, exactly (see fwht_rows)."""
-    Y = fwht_rows(rows)
+    float64, exactly (see fwht_rows).  float64 rows are squared in place
+    and summed along each row: np.linalg.norm's own steps, so its bits.
+    With `work`, the rows are transformed in place (fwht_rows)."""
+    Y = fwht_rows(rows, work)
     if Y.dtype == np.float32:
         l2_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y, dtype=np.float64))
     else:
-        l2_norms = np.linalg.norm(Y, axis=1)
+        l2_norms = np.sqrt(np.add.reduce(np.multiply(Y, Y, out=Y), axis=1))
     return 2.0 ** -n * l2_norms
 
 
@@ -117,15 +126,41 @@ def _norm_range(n: int, batches):
     whose largest |entry| is exactly 1 in every row.
 
     The sup part of each norm is then exactly 1.0, so only the l2 part is
-    computed: max(1.0, l2) is mixed_sum_norms bit for bit.
+    computed: max(1.0, l2) is mixed_sum_norms bit for bit.  Each batch is
+    transformed in place, through one work array as large as the first
+    batch, so no batch allocates a full-size temporary.
     """
-    low, high, count = np.inf, -np.inf, 0
+    low, high, count, work = np.inf, -np.inf, 0, None
     for batch in batches:
-        norms = np.maximum(1.0, _l2_part(n, batch))
+        if work is None:
+            work = np.empty_like(batch)
+        norms = np.maximum(1.0, _l2_part(n, batch, work[:len(batch)]))
         low = min(low, float(norms.min()))
         high = max(high, float(norms.max()))
         count += len(norms)
     return low, high, count
+
+
+def _signs(bits, out) -> np.ndarray:
+    """2 * bit - 1 into the float32 `out`: +1 where a bit is set, -1 where
+    it is clear."""
+    np.multiply(bits, np.float32(2.0), out=out)
+    out -= 1.0
+    return out
+
+
+def _cube_batches(m: int):
+    """All 2^m +/-1 rows of length m <= 16, row w taking +1 in column k when
+    bit k of w is set, in order of w, as float32 views of one reused buffer
+    built from the counter words of each batch's rows."""
+    total, step = 2 ** m, _batch_size(m)
+    buffer = np.empty((min(step, total), m), dtype=np.float32)
+    for s in range(0, total, step):
+        rows = buffer[:min(step, total - s)]
+        words = np.arange(s, s + len(rows), dtype="<u4")
+        bits = np.unpackbits(words.view(np.uint8).reshape(len(rows), 4), axis=1,
+                             bitorder="little")
+        yield _signs(bits[:, :m], rows)
 
 
 def _sign_batches(m: int, samples: int, rng):
@@ -140,33 +175,26 @@ def _sign_batches(m: int, samples: int, rng):
         rows = buffer[:min(step, samples - s)]
         words = rng.integers(0, 2 ** 32, size=rows.size // 32, dtype=np.uint32)
         bits = np.unpackbits(words.astype("<u4").view(np.uint8), bitorder="little")
-        np.multiply(bits.reshape(rows.shape), np.float32(2.0), out=rows)
-        rows -= 1.0
-        yield rows
+        yield _signs(bits.reshape(rows.shape), rows)
 
 
 def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     """Largest and smallest signed-sum norm over sign patterns.
 
-    n <= 4 enumerates every pattern, larger n draws `samples` of them, one
-    batch at a time; either way the norms land exactly on 1 because the
-    Walsh rows are orthogonal, so max == min == 1.0 is the expected
-    outcome.  Both modes evaluate float32 +/-1 rows: their sup part is 1
-    and their l2 part is exact (see fwht_rows).
+    n <= 4 enumerates every pattern (_cube_batches), larger n draws
+    `samples` of them (_sign_batches), one batch at a time; either way the
+    norms land exactly on 1 because the Walsh rows are orthogonal, so
+    max == min == 1.0 is the expected outcome.  Both modes evaluate
+    float32 +/-1 rows: their sup part is 1 and their l2 part is exact (see
+    fwht_rows).
     """
     if not 1 <= n <= _SIZE_LIMIT:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     if n <= _EXHAUSTIVE_LIMIT:
-        # row w of the cube takes sign +1 in column k when bit k of w is set
-        cube = sign_matrix(m).T.astype(np.float32)
-        cube *= -1.0
-        step = _batch_size(m)
-        batches = (cube[s : s + step] for s in range(0, len(cube), step))
-        mode = "exhaustive"
+        batches, mode = _cube_batches(m), "exhaustive"
     else:
-        batches = _sign_batches(m, samples, np.random.default_rng(seed))
-        mode = "sampled"
+        batches, mode = _sign_batches(m, samples, np.random.default_rng(seed)), "sampled"
     best, worst, count = _norm_range(n, batches)
     return {"max": worst, "min": best, "count": count, "mode": mode}
 

@@ -10,6 +10,12 @@ d_max + 1: partial sums and greedy sums both walk the chain, which is what
 pushes the maximal partial-sum and uniform-quasi-greedy constants up
 linearly.  Everything about the chain is dyadic, so the norms below are exact
 in binary floating point, not merely accurate.
+
+One level rule (_level) walks the chain.  chain_prefix_join runs it over a
+window of two tree levels, as the kids of level d are the nodes of level
+d + 1 and nothing else is touched after, and checks each finished window
+against y's closed form; lindenstrauss_witness runs it on slices of
+full-length vectors, for callers that want the whole join.
 """
 
 from __future__ import annotations
@@ -73,14 +79,20 @@ def lindenstrauss(n: int) -> BiorthogonalSystem:
     return BiorthogonalSystem(sp, V, F)
 
 
+def _chain_value(k: int, d: int) -> float:
+    """y_d's value on tree level k of node 0 (level 0 is node 0, level k >= 1
+    the depth-k set): 1 on node 0, -2^{-d} on level d, 0 elsewhere."""
+    return 1.0 if k == 0 else -(2.0 ** -d) if k == d else 0.0
+
+
 def chain_coords(d: int, dim: int) -> np.ndarray:
     """y_d's coordinates, e_0 - 2^{-d} * indicator(depth-d set)."""
     idx = depth_set(d)
     if idx[-1] >= dim:
         raise ValueError("ambient dimension too small for this depth")
     coords = np.zeros(dim)
-    coords[0] = 1.0
-    coords[idx] = -(2.0 ** -d)
+    coords[0] = _chain_value(0, d)
+    coords[idx] = _chain_value(d, d)
     return coords
 
 
@@ -103,67 +115,124 @@ def chain_coefficients(depth: int, n: int) -> np.ndarray:
     return a
 
 
+def _level(d: int, running, join, norms) -> None:
+    """Level d of the chain walk, in place on the (nodes, kids) slices of the
+    running sum and of the join.
+
+    Level d adds 2^{-d} to its nodes and takes half that from their children,
+    all distinct coordinates, so one vectorized update per level is the
+    node-by-node walk exactly.  The l1 norms [join, running] trade those
+    slices' old sums for their new ones: all partial sums are multiples of
+    2^-depth below 2^5, so this is exact, bitwise a full pass (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+    """
+    norms -= [sum(np.abs(s).sum() for s in v) for v in (join, running)]
+    nodes, kids = running
+    nodes += 2.0 ** -d
+    kids -= 2.0 ** -d / 2.0
+    for r, j in zip(running, join):
+        np.maximum(j, np.abs(r), out=j)
+    norms += [sum(np.abs(s).sum() for s in v) for v in (join, running)]
+
+
+def _walk(depth: int, n: int, levels):
+    """Run _level over the (running, join) slice pairs `levels` yields, one
+    per level d < depth.
+
+    Returns ([l1 norm of the join], [l1 norm of the running sum], telescopes),
+    one norm per level; after level d the running sum is y_{d+1}.  Level d's
+    nodes are final once it ends, and the last level's kids when the walk
+    ends: telescopes says each finished slice holds y_depth's closed form
+    (_chain_value), so the walk ends at y_depth.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
+    if n < need:
+        raise ValueError(f"system size {n} too small; need at least {need}")
+    join_norms, x_norms, norms, telescopes = [], [], np.zeros(2), True
+    for d, (running, join) in enumerate(levels):
+        _level(d, running, join, norms)
+        join_norms.append(float(norms[0]))
+        x_norms.append(float(norms[1]))
+        telescopes &= bool(np.all(running[0] == _chain_value(d, depth)))
+    telescopes &= bool(np.all(running[1] == _chain_value(depth, depth)))
+    return join_norms, x_norms, telescopes
+
+
+def _windows(depth: int):
+    """Level d's (nodes, kids) of the running sum and of the join as fresh
+    zero-started windows: the kids of level d are the nodes of level d + 1,
+    and nothing else is touched after, so only two levels are ever held."""
+    nodes = np.zeros(1), np.zeros(1)
+    for d in range(depth):
+        kids = np.zeros(2 ** (d + 1)), np.zeros(2 ** (d + 1))
+        yield (nodes[0], kids[0]), (nodes[1], kids[1])
+        nodes = kids
+
+
+def _slices(depth: int, running: np.ndarray, join: np.ndarray):
+    """Level d's (nodes, kids) as slices of full-length running sum and join
+    vectors: the nodes lo .. hi - 1 are the depth-d set, their kids the
+    depth-(d + 1) set."""
+    for d in range(depth):
+        lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2
+        touched = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)
+        yield tuple(running[s] for s in touched), tuple(join[s] for s in touched)
+
+
 def chain_prefix_join(depth: int, n: int):
-    """Walk the prefix sums of y_depth's coefficients, level by level.
+    """Walk the prefix sums of y_depth's coefficients, level by level, over
+    a window of two tree levels.
 
     For this coefficient vector the natural greedy ordering and the index
     ordering coincide on the support (coefficients decrease with depth, and
     each depth set is a later index run), so one pass yields both the maximal
-    partial-sum join and the greedy-maximal join.  Level d adds 2^{-d} to its
-    nodes and takes half that from their children, all distinct coordinates,
-    so one vectorized update per level is the node-by-node walk exactly.
-    The l1 norms trade those slices' old sums for their new ones: all partial
-    sums are multiples of 2^-depth below 2^5, so this is exact, bitwise a full
-    pass (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4).
-
-    Returns (join coordinates, [l1 norm of the join], [l1 norm of the running
-    sum], the last running sum), one norm per level; after level d the
-    running sum is y_{d+1}, so the walk ends at y_depth when it telescopes.
+    partial-sum join and the greedy-maximal join.  Only the running sum and
+    the join on the current level's nodes and kids are held (_windows), never
+    a vector of length 2n + 2: the largest arrays are the last level's 2^depth
+    kids.  Returns _walk's ([join l1 norms], [running l1 norms], telescopes).
     """
-    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
-    if n < need:
-        raise ValueError(f"system size {n} too small; need at least {need}")
-    dim = 2 * n + 2
-    running, join = np.zeros(dim), np.zeros(dim)
-    join_norms, x_norms, norms = [], [], np.zeros(2)
-    for d in range(depth):
-        lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2  # level d is lo .. hi - 1
-        touched = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)  # nodes, kids
-        norms -= [sum(np.abs(v[s]).sum() for s in touched) for v in (join, running)]
-        running[touched[0]] += 2.0 ** -d
-        running[touched[1]] -= 2.0 ** -d / 2.0
-        for s in touched:
-            np.maximum(join[s], np.abs(running[s]), out=join[s])
-        norms += [sum(np.abs(v[s]).sum() for s in touched) for v in (join, running)]
-        join_norms.append(float(norms[0]))
-        x_norms.append(float(norms[1]))
-    return join, join_norms, x_norms, running
+    return _walk(depth, n, _windows(depth))
 
 
-def chain_witness(m: int, n: int):
-    """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
-    size n, with their exact norms, join and lower-bound constants.
-
-    One chain walk yields everything.  Returns (rows, join, reports, y):
-    rows (k, ||y_k|| = 2, norm of the running join of y_0..y_k = k + 2), the
-    join of y_0..y_m's coordinates, the bibasis and uniform-quasi-greedy
-    reports, both (m + 2) / 2 on the coefficients of y_m, and the
-    coordinates the walk ended at, y_m's when it telescopes.  Every one of
-    these values is dyadic, hence exact; the caller checks them.
-    """
+def _rows_and_reports(m: int, n: int, join_norms, x_norms):
+    """The rows and the two reports of the chain y_0..y_m from its walk's
+    norms; the prefix join of the deepest chain element revisits every y_k,
+    so the same walk gives both constants."""
     deepest = m + 1
-    join, join_norms, x_norms, y = chain_prefix_join(deepest, n)
-    # the prefix join of the deepest chain element revisits every y_k, so the
-    # same walk gives both constants
     ratio = join_norms[-1] / x_norms[-1]
     a = chain_coefficients(deepest, n)
     reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)
                     for name in ("bibasis", "uniform_quasi_greedy"))
-    rows = list(zip(range(deepest), x_norms, join_norms))
-    return rows, join, reports, y
+    return list(zip(range(deepest), x_norms, join_norms)), reports
+
+
+def chain_witness(m: int, n: int):
+    """Chain witnesses y_0..y_m (y_k at tree depth k + 1) over a system of
+    size n, with their exact norms and lower-bound constants, from one
+    windowed walk (chain_prefix_join).
+
+    Returns (rows, reports, telescopes): rows (k, ||y_k|| = 2, norm of the
+    running join of y_0..y_k = k + 2), the bibasis and uniform-quasi-greedy
+    reports, both (m + 2) / 2 on the coefficients of y_m, and whether every
+    finished window of the walk held y_m's closed form.  Every one of these
+    values is dyadic, hence exact; the caller checks them.
+    """
+    join_norms, x_norms, telescopes = chain_prefix_join(m + 1, n)
+    return (*_rows_and_reports(m, n, join_norms, x_norms), telescopes)
 
 
 def lindenstrauss_witness(m: int, n: int):
-    """chain_witness(m, n), the join as an element of l1 over 2n + 2 points."""
-    rows, join, reports, y = chain_witness(m, n)
-    return rows, Element(lp_block(2 * n + 2, 1.0), join), reports, y
+    """chain_witness(m, n)'s rows and reports, with the whole join as an
+    element of l1 over 2n + 2 points and the coordinates the walk ended at,
+    y_m's when it telescopes: (rows, join, reports, y).
+
+    The same level rule runs on slices of full-length vectors (_slices), so
+    this holds two vectors of length 2n + 2; chain_witness holds none.
+    """
+    dim = 2 * n + 2
+    running, join = np.zeros(dim), np.zeros(dim)
+    join_norms, x_norms, _ = _walk(m + 1, n, _slices(m + 1, running, join))
+    rows, reports = _rows_and_reports(m, n, join_norms, x_norms)
+    return rows, Element(lp_block(dim, 1.0), join), reports, running

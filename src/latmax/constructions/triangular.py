@@ -42,14 +42,12 @@ def harmonic_numbers(n: int) -> np.ndarray:
 
 
 def hilbert_kernel(n: int) -> np.ndarray:
-    """The n x n antisymmetric matrix with entries 1/(i - j), zero diagonal."""
+    """The n x n antisymmetric matrix with entries 1/(i - j), zero diagonal,
+    inverted in place over the differences (i - i is +0.0, kept)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float))
-    T = np.zeros((n, n))
-    nz = d != 0
-    T[nz] = 1.0 / d[nz]
-    return T
+    T = np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float))
+    return np.divide(1.0, T, out=T, where=T != 0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -246,14 +246,11 @@ def _run_lindenstrauss(params, seed):
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
     n = ambient if ambient else 3 * 2 ** (depth - 1)
-    rows, join, reports, y = _lindenstrauss.chain_witness(depth - 1, n)
-    del join  # rows hold its norms; its room goes to y's closed form below
+    rows, reports, telescopes = _lindenstrauss.chain_witness(depth - 1, n)
     columns = ("m", "witness_norm", "running_join_norm")
     checks = []
     # the walk is dyadic, so its norms, final join and ratio must be exact
-    _push(checks, "chain_telescopes",
-          np.array_equal(y, _lindenstrauss.chain_coords(depth, len(y))),
-          f"the walk ends at y{depth - 1}")
+    _push(checks, "chain_telescopes", telescopes, f"the walk ends at y{depth - 1}")
     _push(checks, "witness_norms_equal_two",
           all(r[1] == 2.0 for r in rows), "exact telescopes")
     _push(checks, "final_join_norm", rows[-1][2] == depth + 1,

@@ -172,8 +172,8 @@ def _as_rows(rows, dim: int, what: str) -> Csr:
     ptr, cols = np.asarray(rows.indptr, dtype=np.intp), np.asarray(rows.cols, dtype=np.intp)
     vals = np.asarray(rows.vals, dtype=float)
     # columns strictly ascend inside each row: a step down or a repeat may
-    # only fall where a new row starts
-    bad = np.flatnonzero(np.diff(cols) <= 0) + 1
+    # only fall where a new row starts (a bool mask, no int64 difference array)
+    bad = np.flatnonzero(cols[1:] <= cols[:-1]) + 1
     if (ptr.ndim != 1 or len(ptr) < 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
             or ptr[-1] != len(cols) or len(vals) != len(cols)
             or (len(cols) and (cols.min() < 0 or cols.max() >= dim))

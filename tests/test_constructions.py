@@ -90,10 +90,14 @@ def test_prefix_join_matches_dense_machinery():
     sys = lind.lindenstrauss(n)
     a = lind.chain_coefficients(depth, n)
     x = reconstruct(sys, a)
-    join, join_l1, x_l1, y = lind.chain_prefix_join(depth, n)
-    assert np.array_equal(y, x.coords)
+    join_l1, x_l1, telescopes = lind.chain_prefix_join(depth, n)
+    assert telescopes
     assert x_l1[-1] == 2.0
     assert join_l1[-1] == depth + 1.0
+    # the full-length walk of the library witness: its join and last sum
+    _, join_element, _, y = lind.lindenstrauss_witness(depth - 1, n)
+    join = join_element.coords
+    assert np.array_equal(y, x.coords)
     # index-order prefixes: zero coefficients do not move the running sum
     dense = maximal_partial(sys, x, n)
     assert np.array_equal(dense.coords, join)
@@ -129,8 +133,8 @@ def test_witness_requires_room():
 def test_streaming_scales_to_deep_chains():
     # depth 10 over the minimal system size, still exact
     n = 3 * 2 ** 9
-    join, join_l1, x_l1, _ = lind.chain_prefix_join(10, n)
-    assert (join_l1[-1], x_l1[-1]) == (11.0, 2.0)
+    join_l1, x_l1, telescopes = lind.chain_prefix_join(10, n)
+    assert (join_l1[-1], x_l1[-1], telescopes) == (11.0, 2.0, True)
 
 
 def _node_by_node_walk(depth, n):
@@ -159,17 +163,19 @@ def test_level_walk_matches_node_by_node_walk():
     cases = [(depth, 3 * 2 ** (depth - 1) - 2) for depth in range(1, 13)]
     cases.append((5, 100))  # a system larger than the chain needs
     for depth, n in cases:
-        join, join_norms, x_norms, _ = lind.chain_prefix_join(depth, n)
+        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+        rows, join, _, _ = lind.lindenstrauss_witness(depth - 1, n)
         ref_join, ref_join_norms, ref_x_norms = _node_by_node_walk(depth, n)
-        assert np.array_equal(join, ref_join)
-        assert join_norms == ref_join_norms
-        assert x_norms == ref_x_norms
+        assert telescopes
+        assert np.array_equal(join.coords, ref_join)
+        assert join_norms == ref_join_norms == [r[2] for r in rows]
+        assert x_norms == ref_x_norms == [r[1] for r in rows]
         assert len(join_norms) == depth
 
 
 def _full_pass_walk(depth, n):
     """Reference: the level walk with both l1 norms summed over all 2n + 2
-    coordinates after every level, as chain_prefix_join took them before it
+    coordinates after every level, as the chain walk took them before it
     updated them from the touched slices only."""
     running, join = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
     join_norms, x_norms = [], []
@@ -186,25 +192,63 @@ def _full_pass_walk(depth, n):
 
 
 def test_incremental_chain_norms_are_the_full_pass():
+    # both inputs of the level rule: slices of full-length vectors (the
+    # library witness) and the two-level windows (chain_prefix_join)
     for depth in range(1, 21):
         n = 3 * 2 ** (depth - 1)
-        got, want = lind.chain_prefix_join(depth, n), _full_pass_walk(depth, n)
-        for a, b in zip(got[::3], want[::3]):  # the join and the last sum
-            assert np.array_equal(a, b), depth
-        for a, b in zip(got[1:3], want[1:3]):  # the two norm lists
-            assert [type(v) for v in a] == [float] * depth
-            assert [v.hex() for v in a] == [v.hex() for v in b], depth
-        del got, want
+        want_join, want_join_norms, want_x_norms, want_y = _full_pass_walk(depth, n)
+        rows, join, _, y = lind.lindenstrauss_witness(depth - 1, n)
+        assert np.array_equal(join.coords, want_join), depth
+        assert np.array_equal(y, want_y), depth
+        del join, y, want_join, want_y
+        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+        assert telescopes, depth
+        for got in ([r[2] for r in rows], join_norms):
+            assert [type(v) for v in got] == [float] * depth
+            assert [v.hex() for v in got] == [v.hex() for v in want_join_norms], depth
+        for got in ([r[1] for r in rows], x_norms):
+            assert [type(v) for v in got] == [float] * depth
+            assert [v.hex() for v in got] == [v.hex() for v in want_x_norms], depth
 
 
 def test_witness_element_wraps_the_coordinate_walk():
+    # the full-length walk and the windowed walk give the same rows and
+    # reports; only the former holds the join and the last sum
     rows, join, reports, y = lind.lindenstrauss_witness(4, 48)
-    rows_c, coords, reports_c, y_c = lind.chain_witness(4, 48)
+    rows_c, reports_c, telescopes = lind.chain_witness(4, 48)
     assert join.space == lind.chain_element(1, 98).space
-    assert np.array_equal(join.coords, coords) and np.array_equal(y, y_c)
+    assert np.array_equal(y, lind.chain_coords(5, 98)) and telescopes
     assert rows == rows_c
     assert [r.to_json() for r in reports] == [r.to_json() for r in reports_c]
     assert np.array_equal(lind.chain_coords(5, 98), lind.chain_element(5, 98).coords)
+
+
+def test_windowed_walk_catches_one_wrong_coordinate_in_any_window(monkeypatch):
+    # one coordinate of one window, at any level, nodes or kids, moved by
+    # 2^-30 after the level rule: a finished level's nodes are never read
+    # again, so there only the telescoping check can notice
+    level, depth, n = lind._level, 5, 48
+    clean = lind.chain_prefix_join(depth, n)
+    for bad_level in range(depth):
+        for part in (0, 1):
+            for where in (0, -1):
+                def perturbed(d, running, join, norms):
+                    level(d, running, join, norms)
+                    if d == bad_level:
+                        running[part][where] += 2.0 ** -30
+                monkeypatch.setattr(lind, "_level", perturbed)
+                join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+                if part == 0 or bad_level == depth - 1:
+                    assert (join_norms, x_norms) == clean[:2]
+                assert not telescopes, (bad_level, part, where)
+    monkeypatch.setattr(lind, "_level", level)
+    monkeypatch.setattr(lind, "_chain_value", lambda k, d: 0.0)
+    assert not lind.chain_prefix_join(depth, n)[2]
+
+
+def test_chain_walk_rejects_an_empty_chain():
+    with pytest.raises(ValueError):
+        lind.chain_prefix_join(0, 4)
 
 
 def test_witness_join_is_the_dense_chain_join():
@@ -227,6 +271,35 @@ def test_kernel_shape_and_entries():
     assert np.array_equal(np.diag(T), np.zeros(5))
     assert np.array_equal(T, -T.T)
     assert T[3, 1] == 0.5 and T[1, 3] == -0.5 and T[4, 0] == 0.25
+
+
+def _masked_kernel(n):
+    """The kernel as built before it was inverted in place: a masked copy
+    of the differences, inverted into a zero matrix."""
+    d = np.subtract.outer(np.arange(n, dtype=float), np.arange(n, dtype=float))
+    T = np.zeros((n, n))
+    nz = d != 0
+    T[nz] = 1.0 / d[nz]
+    return T
+
+
+def test_kernel_is_bitwise_the_masked_formula():
+    for n in (1, 2, 5, 64, 512):
+        assert tri.hilbert_kernel(n).tobytes() == _masked_kernel(n).tobytes(), n
+
+
+def test_kernel_is_built_in_place():
+    tri.hilbert_kernel(4)
+    tracemalloc.start()
+    try:
+        T = tri.hilbert_kernel(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.shape == (512, 512)
+    # 2.3 MiB measured (the 2 MiB kernel and its nonzero mask); the masked
+    # copies took 8.3 MiB
+    assert peak < 3 * 2 ** 20, peak
 
 
 def test_kernel_spectral_ladder():

@@ -136,6 +136,31 @@ def test_sign_pattern_sweep_memory_at_n12():
     assert peak < 32e6, peak
 
 
+def test_cube_batches_are_the_sign_cube():
+    # row w takes +1 in column k when bit k of w is set: the negated
+    # transpose of rademacher's sign matrix, which the sweep once held whole
+    for n in (1, 2, 3, 4):
+        m = 2 ** n
+        got = np.concatenate([b.copy() for b in had._cube_batches(m)])
+        want = rad.sign_matrix(m).T.astype(np.float32)
+        want *= -1.0
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_exhaustive_sweep_holds_no_sign_cube():
+    had.sign_pattern_sweep(4)  # build the cached Walsh factors
+    tracemalloc.start()
+    try:
+        sweep = had.sign_pattern_sweep(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sweep == {"max": 1.0, "min": 1.0, "count": 2 ** 16, "mode": "exhaustive"}
+    # 3.2 MiB measured; the 2^16 x 16 cube with its float64 and bit tables
+    # took 12.0 MiB
+    assert peak < 5 * 2 ** 20, peak
+
+
 def test_sign_batches_draw_the_bool_stream():
     # uint32 words unpacked little-endian are integers(0, 2, dtype=bool)'s
     # rows, and leave the generator where that draw leaves it; a numpy change
@@ -223,6 +248,23 @@ def test_modulus_sum_fills_both_blocks():
     assert np.array_equal(stacked, total.coords)
     assert total.space is system.space
     assert system.space.norm(total.coords) == 4.0
+
+
+def test_in_place_transform_and_norms_are_bitwise_the_allocating_ones():
+    # a work array moves the transform's two products into work and the
+    # batch; float64 l2 norms square in place, np.linalg.norm's own steps
+    rng = np.random.default_rng(3)
+    for n in (1, 4, 7, 12):
+        for dtype in (np.float32, np.float64):
+            X = rng.standard_normal((5, 2 ** n)).astype(dtype)
+            batch = X.copy()
+            got = had.fwht_rows(batch, np.empty_like(batch))
+            assert np.shares_memory(got, batch)
+            assert batch.tobytes() == had.fwht_rows(X).tobytes()
+        X = rng.standard_normal((5, 2 ** n))
+        want = 2.0 ** -n * np.linalg.norm(had.fwht_rows(X), axis=1)
+        assert had._l2_part(n, X.copy()).tobytes() == want.tobytes()
+        assert had._l2_part(n, X.copy(), np.empty_like(X)).tobytes() == want.tobytes()
 
 
 def test_unconditionality_window():

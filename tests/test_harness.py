@@ -175,18 +175,20 @@ def test_failed_check_still_writes_artifacts(tmp_path, monkeypatch):
 
 
 _chain_prefix_join = _lindenstrauss.chain_prefix_join
+_chain_level = _lindenstrauss._level
 
 
 def _off_by_one_join(depth, n):
-    join, join_norms, x_norms, y = _chain_prefix_join(depth, n)
-    return join, [v + 1.0 for v in join_norms], x_norms, y
+    join_norms, x_norms, telescopes = _chain_prefix_join(depth, n)
+    return [v + 1.0 for v in join_norms], x_norms, telescopes
 
 
-def _walk_off_the_chain(depth, n):
-    join, join_norms, x_norms, y = _chain_prefix_join(depth, n)
-    y = y.copy()
-    y[-1] = 1.0
-    return join, join_norms, x_norms, y
+def _walk_off_the_chain(d, running, join, norms):
+    # the level rule, with one coordinate of the first level's nodes window
+    # moved off the chain once the level's norms are taken
+    _chain_level(d, running, join, norms)
+    if d == 0:
+        running[0][-1] += 1.0
 
 
 @pytest.mark.parametrize("experiment, module, name, stub, check", [
@@ -195,7 +197,7 @@ def _walk_off_the_chain(depth, n):
     ("trace-dual", _triangular, "tau_singular_values", np.zeros, "_floor_holds"),
     ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _off_by_one_join,
      "final_join_norm"),
-    ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _walk_off_the_chain,
+    ("lindenstrauss-witness", _lindenstrauss, "_level", _walk_off_the_chain,
      "chain_telescopes"),
     # at ||S|| = 1 the inverse bound is inf, not a ZeroDivisionError
     ("triangular", _triangular, "spectral_norm", lambda S: 1.0,
@@ -495,9 +497,9 @@ def test_rademacher_memory_is_flat_in_trials(tmp_path):
 
 
 def test_lindenstrauss_runner_holds_under_two_and_a_half_vectors(tmp_path):
-    # the walk holds the running sum and the join, and the check y and its
-    # closed form; wrapping the join in an Element and taking norms over
-    # every coordinate at each level took about 4.3 vectors
+    # a loose bound in full-length vectors; wrapping the join in an Element
+    # and taking norms over every coordinate at each level took about 4.3
+    # (the windowed walk holds none, see the test below)
     run(ExperimentConfig("lindenstrauss-witness", params={"depth": 2},
                          output_dir=str(tmp_path)))
     depth = 16
@@ -512,6 +514,24 @@ def test_lindenstrauss_runner_holds_under_two_and_a_half_vectors(tmp_path):
     assert result.passed
     vector, witness = 8 * (2 * n + 2), 8 * n  # y's coefficients are the witness
     assert peak < 2.5 * vector + witness, peak / vector
+
+
+def test_lindenstrauss_runner_holds_no_full_length_vector(tmp_path):
+    # the windowed walk holds two tree levels: at depth 19 the last level's
+    # 2^19 kids (running sum and join), its 2^18 nodes and one abs copy,
+    # 16 MiB measured; a vector of length 2n + 2 alone is 12 MiB, and the
+    # full-length walk with y's closed form took 34 MiB
+    run(ExperimentConfig("lindenstrauss-witness", params={"depth": 2},
+                         output_dir=str(tmp_path)))
+    tracemalloc.start()
+    try:
+        result = run(ExperimentConfig("lindenstrauss-witness", params={"depth": 19},
+                                      output_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 20 * 2 ** 20, peak
 
 
 def test_rademacher_modulus_sums_stay_small_at_n14(tmp_path):

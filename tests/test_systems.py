@@ -345,6 +345,52 @@ def test_csr_dense_fills_every_stored_entry():
     assert np.array_equal(Csr.from_dense(rows).dense(17), rows)
 
 
+def _check_rows(indptr, cols, dim=4):
+    return systems._as_rows(Csr(np.array(indptr), np.array(cols),
+                                np.ones(len(cols))), dim, "rows")
+
+
+def test_csr_validation_rejects_unsorted_columns_inside_a_row():
+    with pytest.raises(ValueError, match="not CSR rows"):
+        _check_rows([0, 3], [0, 2, 2])  # a repeated column
+    with pytest.raises(ValueError, match="not CSR rows"):
+        _check_rows([0, 3], [0, 3, 1])  # a step down
+    with pytest.raises(ValueError, match="not CSR rows"):
+        _check_rows([0, 2, 4], [1, 3, 2, 2])  # a repeat in the second row
+
+
+def test_csr_validation_accepts_a_step_down_where_a_row_starts():
+    rows = _check_rows([0, 2, 2, 4], [2, 3, 0, 1])  # with an empty row between
+    assert rows.cols.tolist() == [2, 3, 0, 1]
+    assert _check_rows([0, 1, 2], [3, 3]).n_rows == 2  # a repeat across rows
+
+
+def test_csr_validation_rejects_a_bad_indptr():
+    for indptr in ([1, 2], [0, 3, 2], [0, 2], [0, 4], [], [[0, 3]]):
+        with pytest.raises(ValueError, match="not CSR rows"):
+            _check_rows(indptr, [0, 1, 2])
+    with pytest.raises(ValueError, match="not CSR rows"):
+        _check_rows([0, 3], [0, 1, 4])  # a column past dim
+    with pytest.raises(ValueError, match="not CSR rows"):
+        systems._as_rows(Csr(np.array([0, 2]), np.array([0, 1]), np.ones(3)), 4, "rows")
+
+
+def test_csr_validation_holds_no_full_length_difference():
+    # 2^20 nonzeros: an int64 np.diff of the columns alone is 8 MiB, the
+    # bool comparison 1 MiB
+    rows, width = 2 ** 10, 2 ** 10
+    csr = Csr(np.arange(rows + 1) * width, np.tile(np.arange(width), rows),
+              np.ones(rows * width))
+    tracemalloc.start()
+    try:
+        checked = systems._as_rows(csr, width, "rows")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked.n_rows == rows
+    assert peak < 2 * 2 ** 20, peak
+
+
 def test_haar_depth_limit():
     assert len(haar_rows(16, 2.0)[0].indptr) == 2 ** 16 + 1
     with pytest.raises(ValueError, match="J must be in 0..16"):
