@@ -12,8 +12,7 @@ Exact integers scaled by powers of two throughout; every printed value
 is bit-reproducible.
 """
 
-from latmax.constructions.lindenstrauss import (chain_prefix_join,
-                                                lindenstrauss_witness)
+from latmax.constructions.lindenstrauss import chain_witness
 
 DEPTH = 10
 AMBIENT = 3 * 2 ** (DEPTH - 1)
@@ -22,11 +21,10 @@ AMBIENT = 3 * 2 ** (DEPTH - 1)
 def main():
     print(f"chain witnesses over {AMBIENT} vectors (ambient dim {2 * AMBIENT + 2})")
     print(f"{'m':>3} {'||y_m||_1':>10} {'||join||_1':>11}")
-    join_norms, y_norms, _ = chain_prefix_join(DEPTH, AMBIENT)
-    for m in range(DEPTH):
-        print(f"{m:>3} {y_norms[m]:>10.1f} {join_norms[m]:>11.1f}")
+    rows, (_, uqg), _ = chain_witness(DEPTH - 1, AMBIENT)
+    for m, y_norm, join_norm in rows:
+        print(f"{m:>3} {y_norm:>10.1f} {join_norm:>11.1f}")
 
-    _, _, (_, uqg), _ = lindenstrauss_witness(DEPTH - 1, AMBIENT)
     ratio = uqg.value
     print(f"\nevery witness has norm 2; the join reached {DEPTH + 1}")
     print(f"certified lower bound for the uniform constants: {ratio}")

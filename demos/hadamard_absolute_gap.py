@@ -7,11 +7,10 @@ has norm 2^(n/2).  Unconditional is cheap here; absolute is not.
 """
 
 from latmax.constructions.hadamard import modulus_sum, sign_pattern_sweep
-from latmax.spaces import norm
 
 for n in range(2, 11):
     sweep = sign_pattern_sweep(n, samples=20000, seed=0)
-    modulus = norm(modulus_sum(n))
+    modulus = modulus_sum(n).norm()
     print(f"n={n:2d}  max ||sum eps_k u_k|| = {sweep['max']:.12f} "
           f"({sweep['mode']}, {sweep['count']} patterns)   "
           f"||sum |u_k||| = {modulus:9.3f}")

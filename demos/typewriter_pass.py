@@ -10,13 +10,12 @@ Norm convergence without pointwise convergence, in one table.
 import numpy as np
 
 from latmax.constructions.typewriter import pass_profile
-from latmax.spaces import norm
 
 J = 8
 
 join, osc, terms = pass_profile(J, 2.0)
 print(f"J = {J}: one pass of {terms} terms over {len(osc)} grid points")
-print(f"join norm      : {norm(join):.12f}  (exactly 2)")
+print(f"join norm      : {join.norm():.12f}  (exactly 2)")
 print(f"oscillation min: {float(np.min(osc)):.12f}")
 print(f"oscillation max: {float(np.max(osc)):.12f}")
 print("every point swings by exactly 1 during the pass, "

@@ -14,7 +14,6 @@ import numpy as np
 from latmax.constructions.haar import (branch_coefficients, branch_ordering,
                                        haar_system)
 from latmax.greedy import kvee_estimate, ordered_projection_maximal
-from latmax.spaces import norm
 from latmax.systems import reconstruct
 
 
@@ -25,7 +24,7 @@ def main():
         a = branch_coefficients(J, 2.0)
         x = reconstruct(sysm, a)
         join = ordered_projection_maximal(sysm, x, branch_ordering(J))
-        print(f"  J={J:2d}  ||x|| = {norm(x):.6f}  ||join|| = {norm(join):.6f}")
+        print(f"  J={J:2d}  ||x|| = {x.norm():.6f}  ||join|| = {join.norm():.6f}")
 
     sysm = haar_system(8, 2.0)
     order = branch_ordering(8)

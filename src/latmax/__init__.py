@@ -12,15 +12,11 @@ from latmax.spaces import (
     LpBlock,
     SpaceDescriptor,
     SupBlock,
-    direct_sum,
     dyadic_lp,
-    element,
     element_from_json,
-    element_to_json,
     join,
     lp_block,
     modulus,
-    norm,
     space_from_json,
 )
 from latmax.systems import (

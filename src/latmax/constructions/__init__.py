@@ -5,8 +5,8 @@ Each module has one entry function, which returns plain values:
 ``hadamard.hadamard_mixed`` the system with its modulus sum,
 ``triangular.triangular_basis`` the system with its kernel scaling,
 ``lindenstrauss.chain_witness`` the chain rows, reports and whether its
-windowed walk telescoped (``lindenstrauss_witness``: the rows and reports
-with the whole join as an element and the walk's last sum),
+windowed walk telescoped (``lindenstrauss_witness`` adds the whole join as
+an element and y_m, from the closed form),
 ``typewriter.pass_profile`` the pass's join, oscillation and length,
 ``lorentz.lorentz_blocking_demo`` two series with their growth fits and
 ``orlicz.orderbound_demo`` one series of norms.

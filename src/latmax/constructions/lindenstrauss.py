@@ -11,11 +11,11 @@ pushes the maximal partial-sum and uniform-quasi-greedy constants up
 linearly.  Everything about the chain is dyadic, so the norms below are exact
 in binary floating point, not merely accurate.
 
-One level rule (_level) walks the chain.  chain_prefix_join runs it over a
+One level rule (_level) walks the chain, in chain_prefix_join, over a
 window of two tree levels, as the kids of level d are the nodes of level
 d + 1 and nothing else is touched after, and checks each finished window
-against y's closed form; lindenstrauss_witness runs it on slices of
-full-length vectors, for callers that want the whole join.
+against y's closed form.  lindenstrauss_witness, for callers that want the
+whole join, builds it from that closed form once the walk has telescoped.
 """
 
 from __future__ import annotations
@@ -135,50 +135,10 @@ def _level(d: int, running, join, norms) -> None:
     norms += [sum(np.abs(s).sum() for s in v) for v in (join, running)]
 
 
-def _walk(depth: int, n: int, levels):
-    """Run _level over the (running, join) slice pairs `levels` yields, one
-    per level d < depth.
-
-    Returns ([l1 norm of the join], [l1 norm of the running sum], telescopes),
-    one norm per level; after level d the running sum is y_{d+1}.  Level d's
-    nodes are final once it ends, and the last level's kids when the walk
-    ends: telescopes says each finished slice holds y_depth's closed form
-    (_chain_value), so the walk ends at y_depth.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
-    if n < need:
-        raise ValueError(f"system size {n} too small; need at least {need}")
-    join_norms, x_norms, norms, telescopes = [], [], np.zeros(2), True
-    for d, (running, join) in enumerate(levels):
-        _level(d, running, join, norms)
-        join_norms.append(float(norms[0]))
-        x_norms.append(float(norms[1]))
-        telescopes &= bool(np.all(running[0] == _chain_value(d, depth)))
-    telescopes &= bool(np.all(running[1] == _chain_value(depth, depth)))
-    return join_norms, x_norms, telescopes
-
-
-def _windows(depth: int):
-    """Level d's (nodes, kids) of the running sum and of the join as fresh
-    zero-started windows: the kids of level d are the nodes of level d + 1,
-    and nothing else is touched after, so only two levels are ever held."""
-    nodes = np.zeros(1), np.zeros(1)
-    for d in range(depth):
-        kids = np.zeros(2 ** (d + 1)), np.zeros(2 ** (d + 1))
-        yield (nodes[0], kids[0]), (nodes[1], kids[1])
-        nodes = kids
-
-
-def _slices(depth: int, running: np.ndarray, join: np.ndarray):
-    """Level d's (nodes, kids) as slices of full-length running sum and join
-    vectors: the nodes lo .. hi - 1 are the depth-d set, their kids the
-    depth-(d + 1) set."""
-    for d in range(depth):
-        lo, hi = 2 ** (d + 1) - 2, 3 * 2 ** d - 2
-        touched = slice(lo, hi), slice(2 * lo + 2, 2 * hi + 2)
-        yield tuple(running[s] for s in touched), tuple(join[s] for s in touched)
+def chain_size(depth: int) -> int:
+    """The smallest system that holds y_depth's coefficients: its deepest
+    node, the last of the depth-(depth - 1) set, is chain_size(depth) - 1."""
+    return 3 * 2 ** (depth - 1) - 2
 
 
 def chain_prefix_join(depth: int, n: int):
@@ -188,24 +148,32 @@ def chain_prefix_join(depth: int, n: int):
     For this coefficient vector the natural greedy ordering and the index
     ordering coincide on the support (coefficients decrease with depth, and
     each depth set is a later index run), so one pass yields both the maximal
-    partial-sum join and the greedy-maximal join.  Only the running sum and
-    the join on the current level's nodes and kids are held (_windows), never
-    a vector of length 2n + 2: the largest arrays are the last level's 2^depth
-    kids.  Returns _walk's ([join l1 norms], [running l1 norms], telescopes).
+    partial-sum join and the greedy-maximal join.  _level runs on fresh
+    zero-started (nodes, kids) windows of the running sum and of the join,
+    never on a vector of length 2n + 2: the largest are the last level's
+    2^depth kids.
+
+    Returns ([l1 norm of the join], [l1 norm of the running sum], telescopes),
+    one norm per level; after level d the running sum is y_{d+1}.  Level d's
+    nodes are final once it ends, and the last level's kids when the walk
+    ends: telescopes says each finished window holds y_depth's closed form
+    (_chain_value), so the walk ends at y_depth.
     """
-    return _walk(depth, n, _windows(depth))
-
-
-def _rows_and_reports(m: int, n: int, join_norms, x_norms):
-    """The rows and the two reports of the chain y_0..y_m from its walk's
-    norms; the prefix join of the deepest chain element revisits every y_k,
-    so the same walk gives both constants."""
-    deepest = m + 1
-    ratio = join_norms[-1] / x_norms[-1]
-    a = chain_coefficients(deepest, n)
-    reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)
-                    for name in ("bibasis", "uniform_quasi_greedy"))
-    return list(zip(range(deepest), x_norms, join_norms)), reports
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if n < (need := chain_size(depth)):
+        raise ValueError(f"system size {n} too small; need at least {need}")
+    join_norms, x_norms, norms, telescopes = [], [], np.zeros(2), True
+    nodes = np.zeros(1), np.zeros(1)
+    for d in range(depth):
+        kids = np.zeros(2 ** (d + 1)), np.zeros(2 ** (d + 1))
+        _level(d, (nodes[0], kids[0]), (nodes[1], kids[1]), norms)
+        join_norms.append(float(norms[0]))
+        x_norms.append(float(norms[1]))
+        telescopes &= bool(np.all(nodes[0] == _chain_value(d, depth)))
+        nodes = kids
+    telescopes &= bool(np.all(nodes[0] == _chain_value(depth, depth)))
+    return join_norms, x_norms, telescopes
 
 
 def chain_witness(m: int, n: int):
@@ -216,23 +184,33 @@ def chain_witness(m: int, n: int):
     Returns (rows, reports, telescopes): rows (k, ||y_k|| = 2, norm of the
     running join of y_0..y_k = k + 2), the bibasis and uniform-quasi-greedy
     reports, both (m + 2) / 2 on the coefficients of y_m, and whether every
-    finished window of the walk held y_m's closed form.  Every one of these
-    values is dyadic, hence exact; the caller checks them.
+    finished window of the walk held y_m's closed form: y_m's prefix join
+    revisits every y_k, so one walk gives both.  Every one of these values
+    is dyadic, hence exact; the caller checks them.
     """
-    join_norms, x_norms, telescopes = chain_prefix_join(m + 1, n)
-    return (*_rows_and_reports(m, n, join_norms, x_norms), telescopes)
+    deepest = m + 1
+    join_norms, x_norms, telescopes = chain_prefix_join(deepest, n)
+    ratio = join_norms[-1] / x_norms[-1]
+    a = chain_coefficients(deepest, n)
+    reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)
+                    for name in ("bibasis", "uniform_quasi_greedy"))
+    return list(zip(range(deepest), x_norms, join_norms)), reports, telescopes
 
 
 def lindenstrauss_witness(m: int, n: int):
     """chain_witness(m, n)'s rows and reports, with the whole join as an
-    element of l1 over 2n + 2 points and the coordinates the walk ended at,
-    y_m's when it telescopes: (rows, join, reports, y).
+    element of l1 over 2n + 2 points and y_m's coordinates: (rows, join,
+    reports, y).
 
-    The same level rule runs on slices of full-length vectors (_slices), so
-    this holds two vectors of length 2n + 2; chain_witness holds none.
+    Raises RuntimeError unless the walk telescoped.  A coordinate moves only
+    when its parent's level or its own is added, to the value the next y_k
+    holds there, so the join of all prefixes is max_k |y_k|, k = 0..m.
     """
+    rows, reports, telescopes = chain_witness(m, n)
+    if not telescopes:
+        raise RuntimeError(f"the chain walk did not end at y{m}")
     dim = 2 * n + 2
-    running, join = np.zeros(dim), np.zeros(dim)
-    join_norms, x_norms, _ = _walk(m + 1, n, _slices(m + 1, running, join))
-    rows, reports = _rows_and_reports(m, n, join_norms, x_norms)
-    return rows, Element(lp_block(dim, 1.0), join), reports, running
+    join = np.zeros(dim)
+    for d in range(1, m + 2):
+        np.maximum(join, np.abs(chain_coords(d, dim)), out=join)
+    return rows, Element(lp_block(dim, 1.0), join), reports, chain_coords(m + 1, dim)

@@ -40,7 +40,7 @@ from .constructions import triangular as _triangular
 from .constructions import typewriter as _typewriter
 from .estimation import growth_fit
 from .greedy import kvee_estimate, ordered_projection_maximal
-from .spaces import LpBlock, norm as lattice_norm
+from .spaces import LpBlock
 from .systems import _joins, _scan_plan, coefficients, reconstruct
 
 _BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
@@ -172,7 +172,7 @@ def _run_haar_branch(params, seed):
         a = _haar.branch_coefficients(J, p)
         x = reconstruct(sysm, a)
         join = ordered_projection_maximal(sysm, x, order)
-        rows.append((J, len(order), lattice_norm(x), lattice_norm(join)))
+        rows.append((J, len(order), x.norm(), join.norm()))
     joins = [r[3] for r in rows]
     _push(checks, "join_norms_strictly_increase",
           all(b > a for a, b in zip(joins, joins[1:])),
@@ -221,7 +221,7 @@ def _run_hadamard(params, seed):
     for k in range(2, n + 1):
         sweep = _hadamard.sign_pattern_sweep(k, samples=samples, seed=seed)
         win = _hadamard.unconditionality_window(k, count=alphas, seed=seed + 1)
-        mod = lattice_norm(_hadamard.modulus_sum(k))
+        mod = _hadamard.modulus_sum(k).norm()
         rows.append((k, sweep["mode"], sweep["count"], sweep["max"], mod,
                      mod / sweep["max"], win["low"], win["high"]))
         _push(checks, f"n{k}_sign_sums_below_host_bound",
@@ -241,7 +241,7 @@ def _run_hadamard(params, seed):
 def _run_lindenstrauss(params, seed):
     """Chain witnesses: unit norms with a linearly growing running join."""
     depth, ambient = params["depth"], params["ambient"]
-    need = 3 * 2 ** (depth - 1) - 2  # the deepest chain node is need - 1
+    need = _lindenstrauss.chain_size(depth)
     if ambient != 0 and ambient < need:
         raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
                          f"at depth {depth}")
@@ -410,7 +410,7 @@ def _run_typewriter(params, seed):
     """One full pass at the constant function: oscillation 1 everywhere."""
     J, p = params["J"], params["p"]
     join, osc, terms = _typewriter.pass_profile(J, p)
-    join_norm = lattice_norm(join)
+    join_norm = join.norm()
     columns = ("point", "oscillation")
     rows = [(i, float(osc[i])) for i in range(len(osc))]
     checks = []
@@ -596,10 +596,10 @@ def run(config: ExperimentConfig) -> RunResult:
     """Run one experiment and write its artifacts.
 
     Raises UsageError for unknown ids, unknown or malformed parameters,
-    parameters outside their catalog ranges, seeds outside 0..2^64 - 1,
-    and bad formats, all before any computation or file output.  Failed
-    checks still produce the full set of artifacts, with the manifest
-    flagged as failed.
+    parameters outside their catalog ranges, seeds that are not integers
+    in 0..2^64 - 1 (a bool is not one), and bad formats, all before any
+    computation or file output.  Failed checks still produce the full set
+    of artifacts, with the manifest flagged as failed.
     """
     entry = _CATALOG.get(config.experiment)
     if entry is None:
@@ -622,9 +622,11 @@ def run(config: ExperimentConfig) -> RunResult:
         if not ok:
             raise UsageError(f"{config.experiment}: parameter {key} must lie "
                              f"in {span}, got {value!r}")
-    seed = int(config.seed)
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError("seed must fit in an unsigned 64-bit integer")
+    seed = config.seed
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
+        raise UsageError(f"seed must be an integer in 0..2^64 - 1, got {seed!r}")
+    seed = int(seed)
 
     start = time.perf_counter()
     table = entry.runner(params, seed)

@@ -174,10 +174,6 @@ def lp_block(dim: int, p: float, weights=None) -> SpaceDescriptor:
     return LpBlock(dim, p, weights)
 
 
-def direct_sum(outer_p: float, *parts: SpaceDescriptor) -> DirectSum:
-    return DirectSum(outer_p, parts)
-
-
 def dyadic_lp(J: int, p: float) -> SpaceDescriptor:
     """L_p[0,1) sampled on 2^J dyadic cells: weights 2^-J (a probability grid)."""
     if J < 0:
@@ -246,14 +242,6 @@ class Element:
         return f"Element({self.space!r}, coords[{self.space.dim}])"
 
 
-def element(space: SpaceDescriptor, coords) -> Element:
-    return Element(space, coords)
-
-
-def norm(x: Element) -> float:
-    return x.norm()
-
-
 def modulus(x: Element) -> Element:
     """Coordinatewise |x|."""
     return Element(x.space, np.abs(x.coords))
@@ -271,10 +259,6 @@ def join(xs) -> Element:
             raise ValueError("join across different spaces")
         acc = np.maximum(acc, x.coords)
     return Element(space, acc)
-
-
-def element_to_json(x: Element) -> dict:
-    return x.to_json()
 
 
 def element_from_json(obj) -> Element:

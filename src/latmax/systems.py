@@ -19,8 +19,8 @@ plan is the one way orderings enter the kernel: a one-shot caller builds
 its own, and only this module reads its fields.  A sum of terms
 adds each coordinate's terms in row order from zero (``_sums``), and
 ``coefficients`` sums each stored functional row pairwise.  The dense
-``vectors`` and ``functionals`` are read-only views built on first
-access, for callers outside the kernels.
+``vectors`` is a read-only view built on first access, for callers outside
+the kernels; nothing keeps a dense view of the functionals.
 
 Construction checks f_j(x_k) = delta_jk for every slot j and vector k
 (``_gram_error``).  Unless the rows are nearly dense, it forms only the
@@ -293,14 +293,6 @@ class BiorthogonalSystem:
         """Dense (n, dim) read-only view of the vectors, built on first
         access."""
         out = self.row_support.dense(self.space.dim)
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def functionals(self) -> np.ndarray:
-        """Dense (n, dim) read-only view of the functionals, built on first
-        access."""
-        out = self.functional_rows.dense(self.space.dim)[self.functional_index]
         out.flags.writeable = False
         return out
 

@@ -12,10 +12,10 @@ features numpy dispatches on.
 
 A change that means to move values rewrites the files with::
 
-    PYTHONPATH=src python3 tests/golden/record.py
+    python3 tests/golden/record.py
 
-run from the repository root.  It prints every moved cell, so the change
-can list them.
+which records the package under ``src/`` beside it and prints every moved
+cell, so the change can list them.
 """
 
 import csv

@@ -31,7 +31,7 @@ from latmax.experiments import ExperimentConfig, list_experiments, run
 from latmax.greedy import (all_greedy_orderings, greedy_maximal, kvee_estimate,
                            natural_greedy_ordering, ordered_projection_maximal,
                            strictify)
-from latmax.spaces import lp_block, norm as lattice_norm
+from latmax.spaces import lp_block
 from latmax.systems import BiorthogonalSystem, coefficients, reconstruct
 
 # spectral norms of the antisymmetric 1/(i-j) kernel, recorded up front;
@@ -52,7 +52,7 @@ def test_tree_chain_witness_exact_values():
     for N in range(2, 15):
         n = 3 * 2 ** (N - 1)
         rows, join, reports, _ = lindenstrauss_witness(N - 1, n)
-        assert abs(lattice_norm(join) - (N + 1)) < 1e-9
+        assert abs(join.norm() - (N + 1)) < 1e-9
         assert max(abs(r[1] - 2.0) for r in rows) < 1e-9
         for rep in reports:
             assert rep.value >= (N + 1) / 2.0 - 1e-9
@@ -114,7 +114,7 @@ def test_sign_invariant_sums_versus_modulus_growth():
         assert sweep["max"] <= 3.0
         assert sweep["max"] <= 2.0 + 1e-9
         _, total = hadamard_mixed(n)
-        modulus = lattice_norm(total)
+        modulus = total.norm()
         assert abs(modulus - 2.0 ** (n / 2.0)) <= 1e-9
         assert modulus / sweep["max"] >= 2.0 ** (n / 2.0 - 1.0) - 1e-9
         window = unconditionality_window(n, count=1000, seed=1)
@@ -223,7 +223,7 @@ def test_dyadic_wavelet_diagnostics():
         s = haar_system(J, 2.0)
         a = branch_coefficients(J, 2.0)
         x = reconstruct(s, a)
-        joins.append(lattice_norm(ordered_projection_maximal(s, x, branch_ordering(J))))
+        joins.append(ordered_projection_maximal(s, x, branch_ordering(J)).norm())
     assert all(b > a for a, b in zip(joins, joins[1:]))
 
     order = branch_ordering(8)
@@ -243,7 +243,7 @@ def test_dyadic_wavelet_diagnostics():
 
 def test_sliding_frame_unit_oscillation():
     join, oscillation, _ = pass_profile(10, 2.0)
-    assert abs(lattice_norm(join) - 2.0) <= 1e-9
+    assert abs(join.norm() - 2.0) <= 1e-9
     assert float(np.max(np.abs(oscillation - 1.0))) <= 1e-9
 
 

@@ -10,6 +10,8 @@ from latmax.estimation import nuclear_norm, pnorm_bounds, pnorm_upper
 from latmax.greedy import greedy_maximal, natural_greedy_ordering
 from latmax.systems import coefficients, maximal_partial, partial_sum, reconstruct
 
+from system_views import dense_functionals
+
 
 # ---------------------------------------------------------------- forest
 
@@ -45,7 +47,7 @@ def test_first_vector_coordinates():
 def test_gram_is_exactly_identity():
     # every pairing is a sum of powers of two, so no tolerance is needed
     sys = lind.lindenstrauss(64)
-    gram = sys.functionals @ sys.vectors.T
+    gram = dense_functionals(sys) @ sys.vectors.T
     assert np.array_equal(gram, np.eye(64))
 
 
@@ -56,7 +58,7 @@ def test_functionals_live_on_ancestor_chains():
         while node >= 2:
             node, w = lind.parent(node), w / 2.0
             chain[node] = chain.get(node, 0.0) + w
-        f = sys.functionals[k]
+        f = dense_functionals(sys)[k]
         assert set(np.flatnonzero(f).tolist()) == set(chain)
         for i, v in chain.items():
             assert f[i] == v
@@ -94,7 +96,7 @@ def test_prefix_join_matches_dense_machinery():
     assert telescopes
     assert x_l1[-1] == 2.0
     assert join_l1[-1] == depth + 1.0
-    # the full-length walk of the library witness: its join and last sum
+    # the library witness's whole join and last sum
     _, join_element, _, y = lind.lindenstrauss_witness(depth - 1, n)
     join = join_element.coords
     assert np.array_equal(y, x.coords)
@@ -192,8 +194,8 @@ def _full_pass_walk(depth, n):
 
 
 def test_incremental_chain_norms_are_the_full_pass():
-    # both inputs of the level rule: slices of full-length vectors (the
-    # library witness) and the two-level windows (chain_prefix_join)
+    # the windowed walk's norms (chain_prefix_join, and the library
+    # witness's rows), and the witness's join and last sum from y's closed form
     for depth in range(1, 21):
         n = 3 * 2 ** (depth - 1)
         want_join, want_join_norms, want_x_norms, want_y = _full_pass_walk(depth, n)
@@ -212,8 +214,8 @@ def test_incremental_chain_norms_are_the_full_pass():
 
 
 def test_witness_element_wraps_the_coordinate_walk():
-    # the full-length walk and the windowed walk give the same rows and
-    # reports; only the former holds the join and the last sum
+    # the library witness adds the whole join and the last sum to the
+    # windowed walk's rows and reports
     rows, join, reports, y = lind.lindenstrauss_witness(4, 48)
     rows_c, reports_c, telescopes = lind.chain_witness(4, 48)
     assert join.space == lind.chain_element(1, 98).space
@@ -249,6 +251,32 @@ def test_windowed_walk_catches_one_wrong_coordinate_in_any_window(monkeypatch):
 def test_chain_walk_rejects_an_empty_chain():
     with pytest.raises(ValueError):
         lind.chain_prefix_join(0, 4)
+
+
+def test_witness_refuses_a_walk_that_does_not_telescope(monkeypatch):
+    level = lind._level
+    lind.lindenstrauss_witness(3, 48)
+
+    def perturbed(d, running, join, norms):
+        level(d, running, join, norms)
+        if d == 1:
+            running[0][0] += 2.0 ** -30
+    monkeypatch.setattr(lind, "_level", perturbed)
+    assert not lind.chain_witness(3, 48)[2]
+    with pytest.raises(RuntimeError, match="y3"):
+        lind.lindenstrauss_witness(3, 48)
+
+
+def test_chain_size_is_the_smallest_system_the_walk_accepts():
+    for depth in range(1, 13):
+        need = lind.chain_size(depth)
+        # the deepest coefficient sits on the last node of depth depth - 1
+        assert np.flatnonzero(lind.chain_coefficients(depth, need))[-1] == need - 1
+        if depth > 1:
+            assert lind.depth_set(depth - 1)[-1] == need - 1
+        assert lind.chain_prefix_join(depth, need)[2]
+        with pytest.raises(ValueError):
+            lind.chain_prefix_join(depth, need - 1)
 
 
 def test_witness_join_is_the_dense_chain_join():

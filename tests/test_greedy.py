@@ -13,7 +13,7 @@ from latmax.greedy import (_RATIOS, GreedyOrdering, all_greedy_orderings,
                            uqg_constant)
 from latmax.constructions.haar import haar_system
 from latmax.constructions.typewriter import typewriter_frame
-from latmax.spaces import element, lp_block
+from latmax.spaces import lp_block
 from latmax.systems import (BiorthogonalSystem, ConstantReport, _column_scan,
                             _mark_join, _scan_plan, _scatter, absolute_constant,
                             basis_constant,

@@ -393,6 +393,51 @@ def test_library_run_rejects_a_seed_outside_uint64(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [1.7, True, float("nan"), np.True_],
+                         ids=["float", "bool", "nan", "numpy-bool"])
+def test_library_run_rejects_a_seed_that_is_not_an_integer(tmp_path, seed):
+    # int() would truncate 1.7 and True to 1, and raise ValueError on nan
+    out = tmp_path / "never"
+    with pytest.raises(UsageError, match="seed must be an integer"):
+        run(ExperimentConfig("trace-dual", seed=seed, output_dir=str(out)))
+    assert not out.exists()
+
+
+def test_library_run_keeps_a_numpy_integer_seed(tmp_path):
+    run(ExperimentConfig("haar-bibasis", params={"samples": 20}, seed=np.int64(5),
+                         output_dir=str(tmp_path / "np")))
+    run(ExperimentConfig("haar-bibasis", params={"samples": 20}, seed=5,
+                         output_dir=str(tmp_path / "int")))
+    manifest = json.loads((tmp_path / "np" / "haar-bibasis-manifest.json").read_text())
+    assert manifest["config"]["seed"] == 5 and type(manifest["config"]["seed"]) is int
+    assert ((tmp_path / "np" / "haar-bibasis-values.csv").read_bytes()
+            == (tmp_path / "int" / "haar-bibasis-values.csv").read_bytes())
+
+
+def test_chain_size_is_the_smallest_ambient_the_runner_accepts(tmp_path, monkeypatch):
+    # the check runs before any computation: the walk is stubbed out, and
+    # reaching it means the ambient size was accepted
+    class Reached(Exception):
+        pass
+
+    def walk(m, n):
+        raise Reached(n)
+    monkeypatch.setattr(_lindenstrauss, "chain_witness", walk)
+    out = tmp_path / "never"
+    for depth in range(1, 21):
+        need = _lindenstrauss.chain_size(depth)
+        # one past the deepest chain node, the last of depth depth - 1
+        assert need == (_lindenstrauss.depth_set(depth - 1)[-1] + 1 if depth > 1 else 1)
+        with pytest.raises(Reached):
+            run(ExperimentConfig("lindenstrauss-witness", output_dir=str(out),
+                                 params={"depth": depth, "ambient": need}))
+        if need > 1:  # ambient 0 is the automatic size, not a size
+            with pytest.raises(UsageError, match=f"at least {need} "):
+                run(ExperimentConfig("lindenstrauss-witness", output_dir=str(out),
+                                     params={"depth": depth, "ambient": need - 1}))
+    assert not out.exists()
+
+
 # counts cost time, not memory, so they alone have no finite cap
 _UNCAPPED = {("haar-bibasis", "samples"), ("haar-kvee", "budget"),
              ("hadamard-mixed", "samples"), ("hadamard-mixed", "alphas"),

@@ -19,6 +19,8 @@ from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, Csr, _column_scan,
                             _gather, _joins, _mark_join, _ordered_join, _pairs,
                             _peak_prefix_norm, _scan_plan, _scatter, _sums)
 
+from system_views import dense_functionals
+
 
 @st.composite
 def systems(draw):
@@ -122,7 +124,7 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
     # a coordinate untouched by the first scanned row
     if len(pairs[0][1]):
         V[pairs[0][1][0], rng.integers(dim)] = 0.0
-    sys = BiorthogonalSystem(sys.space, V, sys.functionals, check=False)
+    sys = BiorthogonalSystem(sys.space, V, dense_functionals(sys), check=False)
     coeffs, perms = [a for a, _ in pairs], [p for _, p in pairs]
     cells, high, low = _column_scan(sys, np.array(coeffs)[None], _scan_plan(sys, perms))
     # one pair of marks per cell (pair b, coordinate c) that some scanned row touches
@@ -378,7 +380,7 @@ def test_batched_kvee_is_bitwise_the_serial_search():
             a[order[:k]] = coeffs[order[:k]]
             structured.append((a, np.array(order[:k])))
         for sysm in (haar, BiorthogonalSystem(haar.space, gapped,
-                                              haar.functionals, check=False)):
+                                              dense_functionals(haar), check=False)):
             for budget in (10, 45, 130, 300):
                 for m in (2, 4, 8):
                     for family in ((), structured):

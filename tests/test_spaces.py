@@ -11,14 +11,11 @@ from latmax.spaces import (
     Element,
     LpBlock,
     SupBlock,
-    direct_sum,
     dyadic_lp,
-    element,
     element_from_json,
     join,
     lp_block,
     modulus,
-    norm,
     space_from_json,
 )
 
@@ -34,10 +31,10 @@ def test_lp_norm_values():
 
 def test_direct_sum_norm_composition():
     # l1^3 (+)_inf l2^2 : max(3, 5) = 5
-    space = direct_sum(math.inf, lp_block(3, 1), lp_block(2, 2))
+    space = DirectSum(math.inf, (lp_block(3, 1), lp_block(2, 2)))
     assert space.norm([1.0, 1.0, 1.0, 3.0, 4.0]) == 5.0
     # outer p = 2 combines part norms euclideanly
-    space2 = direct_sum(2, lp_block(3, 1), lp_block(2, 2))
+    space2 = DirectSum(2, (lp_block(3, 1), lp_block(2, 2)))
     assert space2.norm([1.0, 1.0, 1.0, 3.0, 4.0]) == pytest.approx(math.hypot(3.0, 5.0), abs=1e-12)
 
 
@@ -64,8 +61,8 @@ def test_norm_axioms_random():
         lp_block(6, 2),
         lp_block(6, 3.5, rng.uniform(0.5, 2.0, size=6)),
         SupBlock(6),
-        direct_sum(2, lp_block(3, 1), SupBlock(3)),
-        direct_sum(math.inf, lp_block(2, 2), lp_block(4, 1.5)),
+        DirectSum(2, (lp_block(3, 1), SupBlock(3))),
+        DirectSum(math.inf, (lp_block(2, 2), lp_block(4, 1.5))),
     ]
     for space in spaces:
         for _ in range(50):
@@ -82,7 +79,7 @@ def test_norm_axioms_random():
 
 def test_norm_monotone_in_modulus():
     rng = np.random.default_rng(7)
-    spaces = [lp_block(8, 1.7), SupBlock(8), direct_sum(3, lp_block(4, 1), lp_block(4, 2))]
+    spaces = [lp_block(8, 1.7), SupBlock(8), DirectSum(3, (lp_block(4, 1), lp_block(4, 2)))]
     for space in spaces:
         for _ in range(50):
             y = np.abs(rng.normal(size=8))
@@ -92,8 +89,8 @@ def test_norm_monotone_in_modulus():
 
 def test_modulus_and_join_are_coordinatewise():
     space = lp_block(4, 2)
-    x = element(space, [1.0, -2.0, 0.5, -0.25])
-    y = element(space, [0.0, 3.0, -1.0, -0.5])
+    x = Element(space, [1.0, -2.0, 0.5, -0.25])
+    y = Element(space, [0.0, 3.0, -1.0, -0.5])
     assert np.array_equal(modulus(x).coords, [1.0, 2.0, 0.5, 0.25])
     z = join([x, y])
     assert np.array_equal(z.coords, [1.0, 3.0, 0.5, -0.25])
@@ -118,11 +115,11 @@ def test_sign_pattern_join_equals_modulus_sum():
 
 def test_element_arithmetic_and_space_guard():
     space = lp_block(3, 1)
-    x = element(space, [1.0, 2.0, 3.0])
-    y = element(space, [0.5, 0.5, 0.5])
-    assert norm(x - y) == pytest.approx(4.5, abs=1e-15)
-    assert norm(2 * x) == 12.0
-    other = element(lp_block(3, 2), [1.0, 2.0, 3.0])
+    x = Element(space, [1.0, 2.0, 3.0])
+    y = Element(space, [0.5, 0.5, 0.5])
+    assert (x - y).norm() == pytest.approx(4.5, abs=1e-15)
+    assert (2 * x).norm() == 12.0
+    other = Element(lp_block(3, 2), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         _ = x + other
     with pytest.raises(ValueError):
@@ -130,7 +127,7 @@ def test_element_arithmetic_and_space_guard():
 
 
 def test_element_coords_read_only():
-    x = element(lp_block(2, 1), [1.0, 2.0])
+    x = Element(lp_block(2, 1), [1.0, 2.0])
     with pytest.raises(ValueError):
         x.coords[0] = 5.0
 
@@ -138,9 +135,9 @@ def test_element_coords_read_only():
 def test_element_validation():
     space = lp_block(3, 2)
     with pytest.raises(ValueError):
-        element(space, [1.0, 2.0])
+        Element(space, [1.0, 2.0])
     with pytest.raises(ValueError):
-        element(space, [1.0, np.nan, 0.0])
+        Element(space, [1.0, np.nan, 0.0])
     with pytest.raises(ValueError):
         lp_block(3, 0.5)
     with pytest.raises(ValueError):
@@ -151,7 +148,7 @@ def test_space_serialization_round_trip():
     spaces = [
         lp_block(3, 1.5, [0.5, 1.0, 2.0]),
         SupBlock(4),
-        direct_sum(math.inf, lp_block(2, 2), direct_sum(1, SupBlock(1), lp_block(2, 1))),
+        DirectSum(math.inf, (lp_block(2, 2), DirectSum(1, (SupBlock(1), lp_block(2, 1))))),
         dyadic_lp(3, 2),
     ]
     for space in spaces:
@@ -160,8 +157,8 @@ def test_space_serialization_round_trip():
 
 
 def test_element_serialization_round_trip():
-    space = direct_sum(math.inf, SupBlock(2), lp_block(2, 2))
-    x = element(space, [0.125, -3.0, 0.5, 2.0 ** -20])
+    space = DirectSum(math.inf, (SupBlock(2), lp_block(2, 2)))
+    x = Element(space, [0.125, -3.0, 0.5, 2.0 ** -20])
     back = element_from_json(json.dumps(x.to_json()))
     assert back.space == x.space
     assert np.array_equal(back.coords, x.coords)

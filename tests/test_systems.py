@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from latmax import systems
 from latmax.constructions.haar import haar_rows, haar_system
 from latmax.constructions.rademacher import rademacher_l1
-from latmax.spaces import dyadic_lp, element, lp_block
+from latmax.spaces import Element, dyadic_lp, lp_block
 from latmax.systems import (_GRAM_DENSE_SHARE, BiorthogonalSystem,
                             ConstantReport, Csr, _spans, absolute_constant,
                             basis_constant, bibasis_constant, coefficients,
                             maximal_partial, partial_sum, reconstruct,
                             recompute_constant, report_from_json,
                             witness_rows_csv)
+
+from system_views import dense_functionals
 
 
 def unit_system(dim, p=2.0, weights=None):
@@ -64,7 +66,7 @@ def test_gram_check_reads_every_row_of_a_large_system():
     sampled = set(range(8)) | {n - 1} | set(
         np.random.default_rng(0).integers(0, n, size=64).tolist())
     row = max(set(range(n)) - sampled)
-    F = np.array(sysm.functionals)
+    F = dense_functionals(sysm)
     F[row, np.flatnonzero(F[row])[0]] *= 1.001
     with pytest.raises(ValueError, match="biorthogonality"):
         BiorthogonalSystem(sysm.space, sysm.vectors, F)
@@ -426,13 +428,13 @@ def test_weighted_host_pairing_is_unweighted():
     sp = lp_block(3, 1.0, weights=[0.25, 0.25, 0.5])
     V = np.eye(3)
     sys = BiorthogonalSystem(sp, V, V)
-    x = element(sp, [2.0, -1.0, 4.0])
+    x = Element(sp, [2.0, -1.0, 4.0])
     assert np.allclose(coefficients(sys, x), [2.0, -1.0, 4.0])
 
 
 def test_partial_sum_prefix():
     sys = unit_system(4)
-    x = element(sys.space, [1.0, 2.0, 3.0, 4.0])
+    x = Element(sys.space, [1.0, 2.0, 3.0, 4.0])
     assert np.allclose(partial_sum(sys, x, 2).coords, [1.0, 2.0, 0.0, 0.0])
     assert np.allclose(partial_sum(sys, x, 4).coords, x.coords)
     with pytest.raises(ValueError):
@@ -446,7 +448,7 @@ def test_maximal_partial_unit_vectors_is_running_modulus():
     sys = unit_system(6, p=1.0)
     for k in range(25):
         c = rng.standard_normal(6)
-        x = element(sys.space, c)
+        x = Element(sys.space, c)
         got = maximal_partial(sys, x, 6).coords
         assert np.allclose(got, np.abs(c))
 
