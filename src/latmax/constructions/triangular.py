@@ -11,9 +11,9 @@ partial-sum operator large.
 All prefix quantities for the constant-coefficient witness reduce to
 harmonic-number closed forms, so large-n values need no dense linear
 algebra; the dense route exists for cross-checking at small n.  The
-kernel gauge follows suit: above the dense SVD cutoff it applies T by FFT
-through a circulant embedding and finds ||T|| by Lanczos, and it takes
-the row and column sums from harmonic numbers, so no n x n array is formed.
+kernel gauge follows suit at every n: it applies T by FFT through a
+circulant embedding and finds ||T|| by Lanczos, and it takes the row and
+column sums from harmonic numbers, so no n x n array is formed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 # spectral_norm stays bound here: benchmarks/tests checks the tracer rewraps it
-from latmax.estimation import (_DENSE_SVD_CUTOFF, _riesz_thorin,
-                               _top_eigenvalue, pnorm_upper, spectral_norm)
+from latmax.estimation import _riesz_thorin, _top_eigenvalue, spectral_norm
 from latmax.spaces import DirectSum, LpBlock
 from latmax.systems import BiorthogonalSystem
 
@@ -50,18 +49,16 @@ def hilbert_kernel(n: int) -> np.ndarray:
     return np.divide(1.0, T, out=T, where=T != 0)
 
 
-@functools.lru_cache(maxsize=None)
 def kernel_gauge(n: int, p: float = 2.0) -> float:
-    """Certified upper bound for the l_p operator norm of the kernel: the
-    spectral norm itself at p = 2, else the interpolated row/column-sum bound,
-    an over-estimate but safe for the half-contraction scaling below.
+    """Gauge of the kernel's l_p operator norm for the half-contraction
+    scaling below: ||T||_2 at p = 2, else the interpolated row/column-sum
+    bound, an over-estimate.
 
-    Up to the dense SVD cutoff (768) this is pnorm_upper of the dense
-    kernel.  Above it ||T||_2 comes from _fft_spectral_norm, and row i and
-    column i of |T| both sum to H_i + H_{n-1-i}.
+    ||T||_2 is the Ritz value of _fft_spectral_norm, low by at most 5e-10
+    relative (gauge_route says why), which the 1 + 1e-9 shave of
+    kernel_scaling covers.  Row i and column i of |T| both sum to
+    H_i + H_{n-1-i}.
     """
-    if n <= _DENSE_SVD_CUTOFF:
-        return pnorm_upper(hilbert_kernel(n), p)
     H = harmonic_numbers(n)
     edge = float(np.max(H[:n] + H[n - 1 :: -1]))
     return _riesz_thorin(p, _fft_spectral_norm(n)[0], edge)
@@ -92,16 +89,14 @@ def _fft_spectral_norm(n: int):
 
 
 def gauge_route(n: int) -> dict:
-    """How kernel_gauge(n, p) finds ||T||_2: "dense_svd" up to the cutoff,
-    else "fft_lanczos" with its step count and final residual on -T^2.
+    """How kernel_gauge(n, p) finds ||T||_2: "fft_lanczos", with the step
+    count and final residual of the Lanczos run on -T^2.
 
     The Ritz value theta = gauge^2 lies below ||T||^2, and (once converged
     to it) within the residual, which Lanczos holds to 1e-9 theta.  So the
     gauge is low by at most residual / (2 theta) relative, at most 5e-10:
     inside the shave of kernel_scaling.
     """
-    if n <= _DENSE_SVD_CUTOFF:
-        return {"route": "dense_svd"}
     _, steps, residual = _fft_spectral_norm(n)
     return {"route": "fft_lanczos", "steps": steps, "residual": residual}
 

@@ -535,10 +535,12 @@ def _coerce(experiment, key, value, default):
         return out
     if isinstance(default, float):
         try:
-            return float(value)
+            if not isinstance(value, (bool, np.bool_)):  # float(True) is 1.0
+                return float(value)
         except ValueError:
-            raise UsageError(f"{experiment}: parameter {key} expects a number, "
-                             f"got {value!r}")
+            pass
+        raise UsageError(f"{experiment}: parameter {key} expects a number, "
+                         f"got {value!r}")
     return str(value)
 
 
@@ -595,7 +597,8 @@ def _values_json(columns, rows):
 def run(config: ExperimentConfig) -> RunResult:
     """Run one experiment and write its artifacts.
 
-    Raises UsageError for unknown ids, unknown or malformed parameters,
+    Raises UsageError for unknown ids, unknown or malformed parameters
+    (a bool is neither an integer nor a number here),
     parameters outside their catalog ranges, seeds that are not integers
     in 0..2^64 - 1 (a bool is not one), and bad formats, all before any
     computation or file output.  Failed checks still produce the full set

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import triangular as tri
-from latmax.estimation import nuclear_norm, pnorm_bounds, pnorm_upper
+from latmax.estimation import nuclear_norm, pnorm_upper
 from latmax.greedy import greedy_maximal, natural_greedy_ordering
 from latmax.systems import coefficients, maximal_partial, partial_sum, reconstruct
 
@@ -341,31 +343,33 @@ def test_kernel_spectral_ladder():
     assert abs(tri.kernel_gauge(1024) - 3.130858555124935) < 1e-6
 
 
-def test_kernel_gauge_is_the_pnorm_bounds_upper_bound():
-    for n in (16, 64):
-        T = tri.hilbert_kernel(n)
-        for p in (1.5, 2.0, 3.0):
-            assert tri.kernel_gauge(n, p) == pnorm_bounds(T, p).upper
-
-
-def test_kernel_gauge_above_the_cutoff_matches_the_dense_kernel():
-    # the FFT Lanczos route against the dense kernel as oracle
-    for n in (769, 1024, 1536):
+def test_kernel_gauge_matches_the_dense_kernel_at_every_size():
+    # the FFT Lanczos route against the dense kernel as oracle, on both
+    # sides of the dense SVD cutoff of spectral_norm (768)
+    for n in (2, 16, 64, 256, 512, 768, 769, 1024, 1536):
         T = tri.hilbert_kernel(n)
         dense = np.linalg.svd(T, compute_uv=False)[0]
         assert tri.kernel_gauge(n) == pytest.approx(dense, rel=1e-12)
-        for p in (1.5, 3.0):
+        for p in (1.5, 2.0, 3.0):
             assert tri.kernel_gauge(n, p) == pytest.approx(pnorm_upper(T, p),
                                                            rel=1e-12)
         route = tri.gauge_route(n)
         assert route["route"] == "fft_lanczos"
+        assert route["steps"] >= 1
         assert route["residual"] <= 1e-9 * tri.kernel_gauge(n) ** 2
-    assert tri.gauge_route(768) == {"route": "dense_svd"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 768), p=st.floats(1.1, 4.0))
+def test_kernel_scaling_is_a_half_contraction_against_the_dense_kernel(n, p):
+    T = tri.hilbert_kernel(n)
+    dense = pnorm_upper(T, p)
+    assert tri.kernel_scaling(n, p) * dense < 0.5
+    assert tri.kernel_gauge(n, p) == pytest.approx(dense, rel=1e-12)
 
 
 def test_kernel_gauge_forms_no_square_array_and_stays_below_pi():
     n = 16384
-    tri.kernel_gauge.cache_clear()
     tri._fft_spectral_norm.cache_clear()
     tracemalloc.start()
     try:

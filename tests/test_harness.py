@@ -243,11 +243,12 @@ def test_triangular_manifest_records_each_gauge_route(tmp_path):
     manifest = json.loads((tmp_path / "triangular-manifest.json").read_text())
     routes = manifest["derived"]["kernel_gauge_routes"]
     assert [r["n"] for r in routes] == [row[0] for row in result.rows]
-    assert [r["route"] for r in routes] == ["dense_svd"] * 4 + ["fft_lanczos"]
-    gauge = result.rows[-1][1]
-    # the gauge is low by at most residual / (2 gauge^2), inside alpha's shave
-    assert 0 < routes[-1]["residual"] / (2 * gauge ** 2) <= 1e-9
-    assert 0 < routes[-1]["steps"] <= 1000
+    assert [r["route"] for r in routes] == ["fft_lanczos"] * 5
+    for route, row in zip(routes, result.rows):
+        gauge = row[1]
+        # the gauge is low by at most residual / (2 gauge^2), inside alpha's shave
+        assert 0 < route["residual"] / (2 * gauge ** 2) <= 1e-9
+        assert 0 < route["steps"] <= 1000
 
 
 def test_uniform_bound_rows_keep_half_ratio(tmp_path):
@@ -400,6 +401,21 @@ def test_library_run_rejects_a_seed_that_is_not_an_integer(tmp_path, seed):
     out = tmp_path / "never"
     with pytest.raises(UsageError, match="seed must be an integer"):
         run(ExperimentConfig("trace-dual", seed=seed, output_dir=str(out)))
+    assert not out.exists()
+
+
+_FLOAT_PARAMS = [(name, key) for name, _, defaults in list_experiments()
+                 for key, value in defaults.items() if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("value", [True, np.False_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("name, key", _FLOAT_PARAMS,
+                         ids=[f"{name}-{key}" for name, key in _FLOAT_PARAMS])
+def test_library_run_rejects_a_bool_for_a_float_parameter(tmp_path, name, key, value):
+    # float(True) is 1.0: lorentz-blocking q=True would run with q = 1
+    out = tmp_path / "never"
+    with pytest.raises(UsageError, match=f"parameter {key} expects a number"):
+        run(ExperimentConfig(name, params={key: value}, output_dir=str(out)))
     assert not out.exists()
 
 

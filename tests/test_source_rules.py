@@ -24,6 +24,9 @@ An index outside [0, n) is rejected in one place: the only "index out of
 range" raise in ``systems.py`` is in ``_gather``, which every kernel reads
 its rows through.
 
+Whether a spectral norm takes the dense SVD is ``spectral_norm``'s own
+decision: no module but ``estimation.py`` names ``_DENSE_SVD_CUTOFF``.
+
 Single precision stays in ``constructions/hadamard.py``: its float32 Walsh
 transforms are exact only because their inputs are +/-1 rows, whose every
 partial sum is an integer below 2^24.
@@ -106,6 +109,15 @@ def test_float32_appears_only_in_the_hadamard_module():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if "float32" in line]
     assert not found, "float32 outside the Hadamard sign sweep: " + ", ".join(found)
+
+
+def test_only_estimation_names_the_dense_svd_cutoff():
+    found = [f"{path.relative_to(SRC.parent)}:{number}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path != SRC / "estimation.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if "_DENSE_SVD_CUTOFF" in line]
+    assert not found, "the dense SVD cutoff named outside estimation: " + ", ".join(found)
 
 
 _HEAVY_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.fft")
