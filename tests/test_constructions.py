@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latmax.constructions import lindenstrauss as lind
 from latmax.constructions import triangular as tri
-from latmax.estimation import nuclear_norm, pnorm_upper
+from latmax.estimation import nuclear_norm, pnorm_bounds, pnorm_upper
 from latmax.greedy import greedy_maximal, natural_greedy_ordering
 from latmax.systems import coefficients, maximal_partial, partial_sum, reconstruct
 
@@ -343,10 +343,19 @@ def test_kernel_spectral_ladder():
     assert abs(tri.kernel_gauge(1024) - 3.130858555124935) < 1e-6
 
 
-def test_kernel_gauge_matches_the_dense_kernel_at_every_size():
-    # the FFT Lanczos route against the dense kernel as oracle, on both
-    # sides of the dense SVD cutoff of spectral_norm (768)
-    for n in (2, 16, 64, 256, 512, 768, 769, 1024, 1536):
+def test_kernel_gauge_is_the_pnorm_bounds_upper_bound():
+    # the dense SVD of pnorm_bounds and the FFT Lanczos of kernel_gauge
+    # agree to a few ulps (2.2e-16 relative at most on these sizes)
+    for n in (16, 64):
+        T = tri.hilbert_kernel(n)
+        for p in (1.5, 2.0, 3.0):
+            assert tri.kernel_gauge(n, p) == pytest.approx(
+                pnorm_bounds(T, p).upper, rel=1e-14)
+
+
+def _check_gauge_against_the_dense_kernel(sizes):
+    # the FFT Lanczos route against the dense kernel as oracle
+    for n in sizes:
         T = tri.hilbert_kernel(n)
         dense = np.linalg.svd(T, compute_uv=False)[0]
         assert tri.kernel_gauge(n) == pytest.approx(dense, rel=1e-12)
@@ -357,6 +366,15 @@ def test_kernel_gauge_matches_the_dense_kernel_at_every_size():
         assert route["route"] == "fft_lanczos"
         assert route["steps"] >= 1
         assert route["residual"] <= 1e-9 * tri.kernel_gauge(n) ** 2
+
+
+def test_kernel_gauge_up_to_the_cutoff_matches_the_dense_kernel():
+    # the sizes where spectral_norm itself takes the dense SVD (n <= 768)
+    _check_gauge_against_the_dense_kernel((2, 16, 64, 256, 512, 768))
+
+
+def test_kernel_gauge_above_the_cutoff_matches_the_dense_kernel():
+    _check_gauge_against_the_dense_kernel((769, 1024, 1536))
 
 
 @settings(max_examples=20, deadline=None)
