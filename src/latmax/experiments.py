@@ -143,12 +143,13 @@ def _run_haar_bibasis(params, seed):
     rows = []
     for start in range(0, samples, _BIBASIS_BLOCK):
         block = np.empty((min(_BIBASIS_BLOCK, samples - start), 1, len(sysm)))
-        for a in block:
-            x = rng.standard_normal(sysm.space.dim)
-            x /= sysm.space.norm(x)
+        # one draw of the block's samples is the stream of one draw each
+        xs = rng.standard_normal((len(block), sysm.space.dim))
+        xs /= sysm.space.norms(xs)[:, None]
+        for a, x in zip(block, xs):
             a[0] = coefficients(sysm, x)
-        rows += [(start + i, sysm.space.norm(join))
-                 for i, join in enumerate(_joins(sysm, block, plan)[:, 0])]
+        joins = _joins(sysm, block, plan)[:, 0]
+        rows += enumerate(sysm.space.norms(joins).tolist(), start)
     worst = max(r for _, r in rows)
     checks = []
     # the join is Doob's max_j |E_j x|; his L^2 inequality bounds it by 2

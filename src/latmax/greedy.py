@@ -21,10 +21,10 @@ import numpy as np
 
 from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
-                            _join_ratio, _join_ratios, _modulus_sum_ratio,
-                            _ordered_join, _peak_prefix_norm,
-                            _prefix_norm_ratio, _ratio_search, _scan_plan,
-                            _sums, coefficients)
+                            _gather, _join_ratio, _join_ratios,
+                            _modulus_sum_ratio, _ordered_join, _pairs,
+                            _peak_prefix_norm, _prefix_norm_ratio,
+                            _ratio_search, _scan_plan, _sums, coefficients)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
 _ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
@@ -197,60 +197,90 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
 
     It does not run on estimation.sup_search, which scores bare coefficient
     vectors one call at a time: kvee searches ordered pairs (a, A), skips
-    zero sums uncounted, joins candidates _SCAN_BLOCK at a time, reserves
+    zero sums uncounted, scores candidates _SCAN_BLOCK at a time, reserves
     2m evaluations for the polish, and polishes multiplicatively (sign
     flips, halvings, doublings) rather than by line search.
+
+    Every candidate goes through one block scorer, systems._join_ratios,
+    with the incumbent's ratio as its floor.  Its screen is exact: the join
+    of |prefix sums| along A is at most the modulus sum M = sum |a_k x_k|
+    coordinatewise, every host norm is a lattice norm, so the ratio is at
+    most ||M|| / ||x||, and a candidate whose ||M|| falls below
+    best * ||x|| * (1 - slack) cannot beat the incumbent.  It still counts
+    against the budget, but it is never joined, so the report is bit for
+    bit the unscreened search's.  In floating point each computed sum,
+    prefix sum, modulus sum and norm is within gamma_N = N u / (1 - N u)
+    relative of its exact value (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3), u = 2^-53, where N is at most the
+    term count of a coordinate plus the host dimension (plus a few
+    roundings for the powers, roots and the product with the floor), so
+    the computed ratio can exceed the computed ||M|| / ||x|| by a factor of
+    at most about 1 + 4 gamma_N.  The slack is _SCREEN_SLACK = 1e-9, which
+    dominates that while n + dim stays below about 10^6, and
+    4 (n + dim + 8) eps beyond.
     """
     if not 1 <= m <= len(sys):
         raise ValueError("m out of range")
     rng = np.random.default_rng(seed)
-    evals, best = 0, (-np.inf, None, None, None)
+    n, evals, best = len(sys), 0, (-np.inf, None, None, None)
 
-    def consider(pairs, source, plan=None):
-        # strict '>': on a tie the earlier candidate stays the incumbent
+    def consider(block, perms, source, plan=None):
+        """Score the (B, n) block along perms, or through the plan of the
+        one ordering they share, and walk it in order: each nonzero sum
+        counts against the budget, and strict '>' keeps the earlier of
+        tied candidates.  With a plan, the walk stops at the first
+        improvement.  Returns the number of rows walked."""
         nonlocal evals, best
-        for start in range(0, len(pairs), _SCAN_BLOCK):
+        ratios = _join_ratios(sys, block, perms if plan is None else plan, best[0])
+        for i, r in enumerate(ratios.tolist()):
+            if math.isnan(r):
+                continue
+            evals += 1
+            if r > best[0]:
+                best = (r, block[i].copy(), perms[i], source)
+                if plan is not None:
+                    return i + 1
             if evals >= budget:
-                return
-            block = pairs[start : start + _SCAN_BLOCK]
-            coeffs, perms = zip(*block)
-            ratios = _join_ratios(sys, np.array(coeffs), plan or _scan_plan(sys, perms))
-            for (a, A), r in zip(block, ratios):
-                if r is None:
-                    continue
-                evals += 1
-                if r > best[0]:
-                    best = (r, a, A, source)
-                if evals >= budget:
-                    return
+                break
+        return len(ratios)
 
-    consider([(np.asarray(a, dtype=float), np.asarray(A, dtype=int))
-              for a, A in structured if len(A) <= m], "structured_family")
+    # every structured ordering is checked up front, joined or not
+    family = [(np.asarray(a, dtype=float), np.asarray(A, dtype=int))
+              for a, A in structured if len(A) <= m]
+    if family:
+        _gather(sys, *_pairs([A for _, A in family]))
+    for start in range(0, len(family), _SCAN_BLOCK):
+        if evals >= budget:
+            break
+        coeffs, perms = zip(*family[start : start + _SCAN_BLOCK])
+        consider(np.array(coeffs), perms, "structured_family")
 
-    # random ordered subsets; a batch never draws more than the evaluations
-    # left before the reserve, so the draws do not depend on the batching
-    n, limit = len(sys), max(0, budget - 2 * m)
+    # random ordered subsets, drawn straight into the block; a block never
+    # holds more than the evaluations left before the reserve, so the draws
+    # do not depend on the blocking
+    limit = max(0, budget - 2 * m)
     while evals < limit:
-        batch = []
-        for _ in range(min(_SCAN_BLOCK, limit - evals)):
+        block, perms = np.zeros((min(_SCAN_BLOCK, limit - evals), n)), []
+        for a in block:
             size = int(rng.integers(1, m + 1))
-            A = rng.permutation(n)[:size]
-            a = np.zeros(n)
-            a[A] = rng.standard_normal(size)
-            batch.append((a, A))
-        consider(batch, "random_ascent")
+            perms.append(rng.permutation(n)[:size])
+            a[perms[-1]] = rng.standard_normal(size)
+        consider(block, perms, "random_ascent")
 
     # coordinate ascent polishes the incumbent: sign flips, then halvings
-    # and doublings of single coefficients, keeping improvements; all scan A
+    # and doublings of single coefficients, keeping improvements; all scan
+    # A.  The trials left are scored from the incumbent as one block, at
+    # most as many as the evaluations left, through one plan of A
     _, wit, A, source = best
     if wit is None:
         raise ValueError("budget too small to evaluate any witness")
     plan = _scan_plan(sys, [A])
-    for factor in (-1.0, 0.5, 2.0):
-        for idx in A:
-            trial = best[1].copy()
-            trial[idx] *= factor
-            consider([(trial, A)], source, plan)
+    trials = [(idx, factor) for factor in (-1.0, 0.5, 2.0) for idx in A]
+    while trials and evals < budget:
+        block = np.repeat(best[1][None], min(len(trials), budget - evals), axis=0)
+        for row, (idx, factor) in zip(block, trials):
+            row[idx] *= factor
+        trials = trials[consider(block, [A] * len(block), source, plan):]
     value, wit, A, source = best
     return ConstantReport("kvee", float(value), wit, source, evals, indices=A)
 

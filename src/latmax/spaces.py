@@ -38,7 +38,8 @@ class SpaceDescriptor:
         return float(self.norms(np.asarray(coords, dtype=float)[None, :])[0])
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        """Norms of a batch of coordinate rows (shape (k, dim))."""
+        """Norms of a batch of coordinate rows (shape (k, dim)); a row's
+        norm is bitwise norm(row), whatever batch it sits in."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -65,12 +66,17 @@ class LpBlock(SpaceDescriptor):
         self.weights = _as_weights(dim, weights)
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
-        a = np.abs(rows)
-        if self.p == 1.0:
-            return a @ self.weights
+        """Each row's weighted sum is its own (1, dim) product with the
+        weights, so a row's norm is bitwise norm(row) in any batch."""
+        a = np.abs(rows, dtype=float)
         if self.p == 2.0:
-            return np.sqrt((a * a) @ self.weights)
-        return ((a ** self.p) @ self.weights) ** (1.0 / self.p)
+            a *= a
+        elif self.p != 1.0:
+            a **= self.p
+        total = (a[:, None, :] @ self.weights)[:, 0]
+        if self.p == 1.0:
+            return total
+        return np.sqrt(total) if self.p == 2.0 else total ** (1.0 / self.p)
 
     def to_json(self) -> dict:
         return {

@@ -37,7 +37,8 @@ witness that attained it, and is one score (sys, a, indices=None) ->
 best witness under a score and ``recompute_constant`` re-scores a stored
 one, so a report gives back its value exactly.  bibasis and kvee share a
 score, the ordered-projection join ratio (``_join_ratios``): bibasis
-along the index order, kvee along its stored ordered set.
+along the index order, kvee along its stored ordered set, and kvee's
+search a block of candidates at a time behind a modulus-sum screen.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
 _WORKING_SET = 2 ** 18  # entries one batch may hold: products, cells or signs
 _GRAM_DENSE_SHARE = 16  # BLAS once column pairs reach 1/16 of the dense flops
 _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
+_SCREEN_SLACK = 1e-9  # relative margin of the join screen over its rounding
 
 
 def _batch_size(cost: int) -> int:
@@ -362,21 +364,40 @@ def _pairs(perms):
     return np.repeat(np.arange(len(perms)), [len(p) for p in perms]), np.concatenate(perms)
 
 
+def _terms(sys: BiorthogonalSystem, coeffs, perms=None):
+    """(seg, terms, B): the terms a_k x_k of B sums, each in its cell seg
+    = b * dim + column, along perms[b], or over the nonzeros of coeffs[b]
+    in index order without perms, all B supports found by one np.nonzero.
+    Every score reads its witness here: more than n entries are out of
+    range."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape[1] > len(sys):
+        raise ValueError(f"coefficients out of range for {len(sys)} vectors")
+    pair, rows = np.nonzero(coeffs) if perms is None else _pairs(perms)
+    seg, cnt, pos = _gather(sys, pair, rows)
+    return seg, np.repeat(coeffs[pair, rows], cnt) * sys.row_support.vals[pos], len(coeffs)
+
+
 def _sums(sys: BiorthogonalSystem, coeffs, perms=None, modulus: bool = False) -> np.ndarray:
     """(B, dim): row b is sum a_k x_k along perms[b] (of |a_k x_k| with
     modulus), each coordinate adding its terms in perm order from zero, so
     it is bit for bit the last row of a dense np.cumsum down the perm (up to
     the sign of zero).  Without perms, row b runs over the nonzeros of
-    coeffs[b] in index order, all B supports found by one np.nonzero.  Every
-    score reads its witness here: more than n entries are out of range."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[1] > len(sys):
-        raise ValueError(f"coefficients out of range for {len(sys)} vectors")
-    B, (pair, rows) = len(coeffs), np.nonzero(coeffs) if perms is None else _pairs(perms)
-    seg, cnt, pos = _gather(sys, pair, rows)
-    terms = np.repeat(coeffs[pair, rows], cnt) * sys.row_support.vals[pos]
+    coeffs[b] in index order (``_terms``)."""
+    seg, terms, B = _terms(sys, coeffs, perms)
     return np.bincount(seg, np.abs(terms) if modulus else terms,
                        minlength=B * sys.space.dim).reshape(B, -1)
+
+
+def _sums_and_moduli(sys: BiorthogonalSystem, coeffs):
+    """(x, M), (B, dim) each: the sums x = sum a_k x_k and modulus sums
+    M = sum |a_k x_k| over the nonzeros of each row of coeffs, both from one
+    gather, bitwise _sums(sys, coeffs) and _sums(sys, coeffs, modulus=True).
+    |x| <= M coordinatewise, and so is every join of prefix sums along an
+    ordering of part of the support."""
+    seg, terms, B = _terms(sys, coeffs)
+    return tuple(np.bincount(seg, t, minlength=B * sys.space.dim).reshape(B, -1)
+                 for t in (terms, np.abs(terms)))
 
 
 @dataclass(frozen=True)
@@ -468,13 +489,37 @@ def _ordered_join(sys: BiorthogonalSystem, a: np.ndarray, perm) -> np.ndarray:
     return _joins(sys, np.asarray(a, dtype=float).reshape(1, 1, -1), _scan_plan(sys, [perm]))[0, 0]
 
 
-def _join_ratios(sys: BiorthogonalSystem, coeffs, plan: _ScanPlan) -> list:
+def _join_ratios(sys: BiorthogonalSystem, coeffs, orderings,
+                 floor: float = -np.inf) -> np.ndarray:
     """||join of |prefix sums| along A|| / ||x|| for B pairs (a, A), the
-    (B, n) coefficients and the plan of their orderings, with x = sum a_k
-    x_k, or None where x is zero.  The pairs share one _joins call, and
-    their sums one _sums call over the nonzero coefficients."""
-    return [sys.space.norm(join) / nx if (nx := sys.space.norm(x)) else None
-            for join, x in zip(_joins(sys, coeffs[None], plan)[0], _sums(sys, coeffs))]
+    (B, n) coefficients and their orderings, with x = sum a_k x_k: nan
+    where x is zero.  orderings is the B orderings, or the plan of one
+    ordering that every row shares.
+
+    The screen: one gather gives each x and its modulus sum M
+    (``_sums_and_moduli``), which bounds the join coordinatewise, so the
+    ratio is at most ||M|| / ||x||.  A pair whose ||M|| falls below
+    floor * ||x|| * (1 - _SCREEN_SLACK) cannot score above floor: it reads
+    -inf and is never joined (``greedy.kvee_estimate`` gives the rounding
+    argument).  Only the survivors get a plan and share one _joins pass,
+    and every norm is one norms call for the block.
+    """
+    x, M = _sums_and_moduli(sys, coeffs)
+    nx = sys.space.norms(x)
+    ratios = np.where(nx != 0, -np.inf, np.nan)
+    keep = nx != 0
+    if floor > -np.inf:
+        slack = max(_SCREEN_SLACK, 4 * (len(sys) + sys.space.dim + 8) * np.finfo(float).eps)
+        keep &= sys.space.norms(M) >= floor * nx * (1 - slack)
+    keep = np.flatnonzero(keep)
+    if len(keep):
+        if isinstance(orderings, _ScanPlan):
+            joins = _joins(sys, coeffs[keep][:, None], orderings)[:, 0]
+        else:
+            plan = _scan_plan(sys, [orderings[i] for i in keep])
+            joins = _joins(sys, coeffs[keep][None], plan)[0]
+        ratios[keep] = sys.space.norms(joins) / nx[keep]
+    return ratios
 
 
 def partial_sum(sys: BiorthogonalSystem, x, n: int) -> Element:
@@ -570,8 +615,9 @@ def _peak_prefix_norm(sys, a, perm):
     added into each block's first row, then each row adds the one before
     it.  These are the additions of one np.cumsum(axis=0) in the same
     order, so the sums agree bit for bit, while only a block of rows is
-    ever held.  (np.cumsum runs axis 0 of a C-ordered block as a strided
-    inner loop, several times slower.)
+    ever held, and a row's norm is bitwise the same in any block, so the
+    result does not depend on the block size.  (np.cumsum runs axis 0 of a
+    C-ordered block as a strided inner loop, several times slower.)
     """
     peak, carry = -np.inf, None
     for start in range(0, len(perm), _SCAN_BLOCK):
@@ -596,16 +642,15 @@ def _prefix_norm_ratio(sys, a, indices=None):
 
 def _join_ratio(sys, a, indices=None):
     """Along indices, kvee's ordered set, or the index order (bibasis).  A
-    witness is zero past its end; _sums rejects a longer one."""
+    witness is zero past its end; _terms rejects a longer one."""
     perm = np.arange(len(a)) if indices is None else indices
     padded = np.pad(np.asarray(a, dtype=float), (0, max(0, len(sys) - len(a))))
-    r = _join_ratios(sys, padded[None], _scan_plan(sys, [perm]))[0]
-    return (0.0, 0, indices) if r is None else (r, len(a), indices)
+    r = _join_ratios(sys, padded[None], [perm])[0]
+    return (0.0, 0, indices) if np.isnan(r) else (r, len(a), indices)
 
 
 def _modulus_sum_ratio(sys, a, indices=None):
-    total, nx = (sys.space.norm(_sums(sys, [a], modulus=modulus)[0])
-                 for modulus in (True, False))
+    nx, total = sys.space.norms(np.concatenate(_sums_and_moduli(sys, [a])))
     return (total / nx, len(a), None) if nx else (0.0, 0, None)
 
 

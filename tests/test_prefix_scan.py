@@ -1,7 +1,8 @@
 """Property tests for the column-segmented prefix scan over each system's
 row support: its high and low marks against the padded-table kernel it
 replaced, its scan plans reused over blocks of coefficients, the row-order
-sums beside it, and the blocked prefix sums behind the per-prefix norms."""
+sums beside it, the blocked prefix sums behind the per-prefix norms, and
+kvee's screened block search against its serial reference."""
 
 import tracemalloc
 
@@ -14,7 +15,7 @@ from latmax.constructions import typewriter as tw
 from latmax.constructions.haar import (branch_coefficients, branch_ordering,
                                        haar_system)
 from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maximal
-from latmax.spaces import LpBlock
+from latmax.spaces import DirectSum, LpBlock, SupBlock
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, Csr, _column_scan,
                             _gather, _joins, _mark_join, _ordered_join, _pairs,
                             _peak_prefix_norm, _scan_plan, _scatter, _sums)
@@ -396,3 +397,94 @@ def test_batched_kvee_is_bitwise_the_serial_search():
                         assert rep.witness.tobytes() == wit.tobytes()
                         assert rep.indices.tobytes() == A.tobytes()
                         assert (rep.search, rep.budget) == (source, evals)
+
+
+@st.composite
+def kvee_cases(draw):
+    """A dense biorthogonal system V = I + eps R over a weighted l_p, a sup
+    or a direct-sum host, a structured family with zero-sum pairs, and an
+    (m, budget, seed) whose budget may end inside a block of random
+    candidates or inside the polish.  Some vectors may be zeroed (the search
+    needs no biorthogonality), so random candidates can sum to zero too."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(("lp", "sup", "sum")))
+    if kind == "sum":
+        cut = draw(st.integers(1, n - 1))
+        host = DirectSum(draw(st.sampled_from((1.0, 2.0, 3.0, np.inf))),
+                         [LpBlock(cut, draw(st.sampled_from((1.0, 1.5, 2.0, 3.0))),
+                                  rng.uniform(0.25, 4.0, cut)),
+                          SupBlock(n - cut)])
+    elif kind == "sup":
+        host = SupBlock(n)
+    else:
+        host = LpBlock(n, draw(st.sampled_from((1.0, 1.5, 2.0, 3.0))),
+                       rng.uniform(0.25, 4.0, n))
+    R = rng.standard_normal((n, n))
+    V = np.eye(n) + draw(st.floats(0.0, 0.5)) / np.linalg.norm(R, 2) * R
+    sysm = BiorthogonalSystem(host, V, np.linalg.inv(V).T)
+    if draw(st.booleans()):
+        V[1:][rng.random(n - 1) < 0.5] = 0.0  # x_0 kept: some random sum is nonzero
+        sysm = BiorthogonalSystem(host, V, dense_functionals(sysm), check=False)
+    m = draw(st.integers(1, n))
+    family = []
+    for _ in range(draw(st.integers(0, 6))):
+        A = rng.permutation(n)[: rng.integers(1, n + 1)]
+        a = np.zeros(n)
+        if draw(st.booleans()):  # a zero sum unless it is left at zero
+            a[A] = rng.standard_normal(len(A))
+        family.append((a, A))
+    budget = draw(st.one_of(st.integers(1, 8), st.integers(1, 300)))
+    return sysm, m, budget, draw(st.integers(0, 1000)), family
+
+
+@settings(max_examples=60, deadline=None)
+@given(kvee_cases())
+def test_screened_kvee_is_bitwise_the_serial_search(case):
+    sysm, m, budget, seed, family = case
+    (value, wit, A, source), evals = _kvee_reference(sysm, m, budget, seed, family)
+    if wit is None:
+        with pytest.raises(ValueError, match="budget too small"):
+            kvee_estimate(sysm, m, budget, seed, family)
+        return
+    rep = kvee_estimate(sysm, m, budget, seed, family)
+    assert float(rep.value).hex() == float(value).hex()
+    assert rep.witness.tobytes() == wit.tobytes()
+    assert rep.indices.tobytes() == A.tobytes()
+    assert (rep.search, rep.budget) == (source, evals)
+
+
+def test_kvee_joins_only_the_candidates_its_screen_keeps(monkeypatch):
+    # at Haar J = 9 few candidates' modulus sums reach the incumbent; a
+    # search that joined every candidate would send all of them to _joins
+    sysm = haar_system(9, 2.0)
+    order, coeffs = branch_ordering(9), branch_coefficients(9, 2.0)
+    structured = []
+    for k in range(1, len(order) + 1):
+        a = np.zeros(len(sysm))
+        a[order[:k]] = coeffs[order[:k]]
+        structured.append((a, np.array(order[:k])))
+    joined = []
+    monkeypatch.setattr("latmax.systems._joins", lambda s, block, plan: (
+        joined.append(block.shape[0] * block.shape[1]) or _joins(s, block, plan)))
+    rep = kvee_estimate(sysm, 64, 1000, seed=64, structured=structured)
+    assert rep.budget > 500
+    assert sum(joined) < 0.15 * rep.budget, (sum(joined), rep.budget)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 4096])
+def test_peak_prefix_norm_does_not_depend_on_its_block_size(monkeypatch, block):
+    # each row's norm is bitwise the same in any batch, so neither the peak
+    # nor the last norm may move with the rows per block
+    rng = np.random.default_rng(11)
+    cases = [(haar_system(8, p), rng.standard_normal(256), rng.permutation(256))
+             for p in (1.0, 1.5, 2.0, 3.0)]
+    V = np.eye(150) + 0.1 * rng.standard_normal((150, 150))
+    host = DirectSum(2.0, [LpBlock(90, 3.0, rng.uniform(0.5, 2.0, 90)), SupBlock(60)])
+    cases.append((BiorthogonalSystem(host, V, V, check=False),
+                  rng.standard_normal(150), np.arange(150)))
+    want = [_peak_prefix_norm(s, a, perm) for s, a, perm in cases]
+    monkeypatch.setattr("latmax.systems._SCAN_BLOCK", block)
+    got = [_peak_prefix_norm(s, a, perm) for s, a, perm in cases]
+    assert [tuple(float(v).hex() for v in g) for g in got] == \
+        [tuple(float(v).hex() for v in w) for w in want]

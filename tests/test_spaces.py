@@ -208,3 +208,40 @@ def test_space_trees_survive_json_round_trip(space, seed):
     assert back == space
     rows = np.random.default_rng(seed).standard_normal((5, space.dim))
     assert back.norms(rows).tobytes() == space.norms(rows).tobytes()
+
+
+@st.composite
+def batch_hosts(draw, depth=2):
+    """A LpBlock with p in {1, 2, 1.5, 3}, unweighted or weighted, a
+    SupBlock, or, while depth lasts, a DirectSum of one to three such hosts,
+    over up to 300 coordinates a block."""
+    kind = draw(st.sampled_from(("lp", "sup", "sum") if depth else ("lp", "sup")))
+    if kind == "sum":
+        outer = draw(st.sampled_from((1.0, 2.0, 1.5, 3.0, math.inf)))
+        return DirectSum(outer, draw(st.lists(batch_hosts(depth - 1),
+                                              min_size=1, max_size=3)))
+    dim = draw(st.integers(1, 300))
+    if kind == "sup":
+        return SupBlock(dim)
+    weights = None
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        weights = np.random.default_rng(seed).uniform(0.25, 4.0, dim)
+    return LpBlock(dim, draw(st.sampled_from((1.0, 2.0, 1.5, 3.0))), weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_hosts(), st.integers(1, 130), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_rows_norm_is_bitwise_the_same_in_any_batch(space, batch, sliced, seed):
+    # the kvee screen, the per-prefix norm blocks and the bibasis blocks
+    # all rely on it: a row's norm may not depend on its neighbours
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal((batch, space.dim + 3))
+    wide *= 10.0 ** rng.uniform(-3, 3, size=(batch, 1))
+    # a column slice of a wider array, or a C-contiguous copy of it
+    rows = wide[:, 1 : 1 + space.dim]
+    if not sliced:
+        rows = np.ascontiguousarray(rows)
+    one_by_one = np.array([space.norm(row) for row in rows])
+    assert space.norms(rows).tobytes() == one_by_one.tobytes()
+    assert space.norms(rows[::-1]).tobytes() == one_by_one[::-1].tobytes()
