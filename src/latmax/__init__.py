@@ -46,7 +46,6 @@ from latmax.greedy import (
 from latmax.estimation import (
     GrowthFit,
     SearchResult,
-    WitnessFamily,
     growth_fit,
     nuclear_norm,
     spectral_norm,

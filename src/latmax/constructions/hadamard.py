@@ -19,9 +19,10 @@ summed in float64, where each is an integer below 2^53, so the square roots
 see the same operands as the float64 path and return the same bits.
 Gaussian coefficients (the unconditionality window) stay in float64.  Every
 stream runs in batches of systems._batch_size rows; none depends on the split.
-The exhaustive sweep (n <= 4) never holds its 2^(2^n)-row cube: each batch
-is built from the counter words of its rows, row w taking +1 in column k
-when bit k of w is set, by the same bits-to-signs step as the sampled rows.
+Both sweeps draw their +/-1 rows from one generator, _sign_rows, with one
+bits-to-signs step: the exhaustive sweep (n <= 4) from the counter words
+of its rows, so it never holds its 2^(2^n)-row cube, the sampled one from
+the seeded generator's uint32 words.
 """
 
 from __future__ import annotations
@@ -141,48 +142,33 @@ def _norm_range(n: int, batches):
     return low, high, count
 
 
-def _signs(bits, out) -> np.ndarray:
-    """2 * bit - 1 into the float32 `out`: +1 where a bit is set, -1 where
-    it is clear."""
-    np.multiply(bits, np.float32(2.0), out=out)
-    out -= 1.0
-    return out
-
-
-def _cube_batches(m: int):
-    """All 2^m +/-1 rows of length m <= 16, row w taking +1 in column k when
-    bit k of w is set, in order of w, as float32 views of one reused buffer
-    built from the counter words of each batch's rows."""
-    total, step = 2 ** m, _batch_size(m)
+def _sign_rows(m: int, total: int, rng=None):
+    """`total` +/-1 rows of length m, float32 views of one reused buffer, a
+    batch at a time: each row's bits, least significant first, unpacked
+    once and mapped to 2 * bit - 1.  Without rng the bits are the rows'
+    counters: row w of the sign cube (m <= 16) takes +1 in column k when
+    bit k of w is set.  With rng they are m / 32 of its uint32 words a row,
+    which gives rng.integers(0, 2, (total, m), dtype=bool)'s rows however
+    split and leaves rng where that draw leaves it, since it takes its
+    bools least significant bit first from successive 32-bit words."""
+    step = _batch_size(m)
     buffer = np.empty((min(step, total), m), dtype=np.float32)
     for s in range(0, total, step):
         rows = buffer[:min(step, total - s)]
-        words = np.arange(s, s + len(rows), dtype="<u4")
-        bits = np.unpackbits(words.view(np.uint8).reshape(len(rows), 4), axis=1,
-                             bitorder="little")
-        yield _signs(bits[:, :m], rows)
-
-
-def _sign_batches(m: int, samples: int, rng):
-    """`samples` +/-1 rows of length m >= 32 from rng, as float32 views of
-    one reused buffer: rng.integers(0, 2, (samples, m), dtype=bool)'s rows
-    however split, since that draw takes its bools least significant bit
-    first from successive 32-bit words, so r * m / 32 uint32 words unpacked
-    little-endian are the same r rows and leave rng in the same state."""
-    step = _batch_size(m)
-    buffer = np.empty((min(step, samples), m), dtype=np.float32)
-    for s in range(0, samples, step):
-        rows = buffer[:min(step, samples - s)]
-        words = rng.integers(0, 2 ** 32, size=rows.size // 32, dtype=np.uint32)
-        bits = np.unpackbits(words.astype("<u4").view(np.uint8), bitorder="little")
-        yield _signs(bits.reshape(rows.shape), rows)
+        words = (np.arange(s, s + len(rows), dtype="<u4") if rng is None else
+                 rng.integers(0, 2 ** 32, size=rows.size // 32, dtype=np.uint32))
+        bits = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8),
+                             bitorder="little").reshape(len(rows), -1)
+        np.multiply(bits[:, :m], np.float32(2.0), out=rows)
+        rows -= 1.0
+        yield rows
 
 
 def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
     """Largest and smallest signed-sum norm over sign patterns.
 
-    n <= 4 enumerates every pattern (_cube_batches), larger n draws
-    `samples` of them (_sign_batches), one batch at a time; either way the
+    n <= 4 enumerates every pattern, larger n draws `samples` of them from
+    default_rng(seed), one batch of _sign_rows at a time; either way the
     norms land exactly on 1 because the Walsh rows are orthogonal, so
     max == min == 1.0 is the expected outcome.  Both modes evaluate
     float32 +/-1 rows: their sup part is 1 and their l2 part is exact (see
@@ -192,10 +178,10 @@ def sign_pattern_sweep(n: int, samples: int = 10000, seed: int = 0) -> dict:
         raise ValueError(f"n must be in 1..{_SIZE_LIMIT}")
     m = 2 ** n
     if n <= _EXHAUSTIVE_LIMIT:
-        batches, mode = _cube_batches(m), "exhaustive"
+        rows, mode = _sign_rows(m, 2 ** m), "exhaustive"
     else:
-        batches, mode = _sign_batches(m, samples, np.random.default_rng(seed)), "sampled"
-    best, worst, count = _norm_range(n, batches)
+        rows, mode = _sign_rows(m, samples, np.random.default_rng(seed)), "sampled"
+    best, worst, count = _norm_range(n, rows)
     return {"max": worst, "min": best, "count": count, "mode": mode}
 
 

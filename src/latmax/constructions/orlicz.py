@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 
-_KNOT = 0.5
+_KNOT = 0.5  # exp(1 - 1/t) stops being convex past 1/2
 _GRID = np.linspace(1e-4, 2.0, 400)
 _BISECT_TOL = 1e-10  # relative bracket width that ends luxemburg_norm
 
@@ -25,14 +25,10 @@ _BISECT_TOL = 1e-10  # relative bracket width that ends luxemburg_norm
 class OrliczFunction:
     """Spliced convex modular generator, normalized to phi(1) = 1."""
 
-    def __init__(self, knot: float = _KNOT):
-        if not 0 < knot <= 0.5:
-            # exp(1 - 1/t) stops being convex past 1/2
-            raise ValueError("knot must lie in (0, 1/2]")
-        self.knot = float(knot)
-        g = math.exp(1.0 - 1.0 / self.knot)
-        self._slope = g / self.knot ** 2
-        self._offset = g - self._slope * self.knot
+    def __init__(self):
+        g = math.exp(1.0 - 1.0 / _KNOT)
+        self._slope = g / _KNOT ** 2
+        self._offset = g - self._slope * _KNOT
         self.scale = 1.0 / self._raw(1.0)
         self._convexity_check()
 
@@ -40,7 +36,7 @@ class OrliczFunction:
         t = np.asarray(t, dtype=float)
         out = np.multiply(t, self._slope, out=np.empty_like(t))
         out += self._offset
-        low = t <= self.knot
+        low = t <= _KNOT
         out[low] = 0.0
         # exp(1 - 1/t) only where it is taken, 0 < t <= knot, in place
         low &= t > 0
@@ -59,7 +55,7 @@ class OrliczFunction:
         the knot."""
         if not 0 < t:
             raise ValueError("t must be positive")
-        if 2 * t <= self.knot:
+        if 2 * t <= _KNOT:
             return math.exp(1.0 / (2.0 * t))
         return float(self(2 * t) / self(t))
 

@@ -1,8 +1,8 @@
-"""Numerical backends: matrix norms, witness searches, growth-law fits.
+"""Numerical backends: matrix norms, a witness search, growth-law fits.
 
-Everything here is deterministic for a fixed seed and budget.  Searches only
-certify lower bounds; they keep the witness that attained the reported value
-so the number can be recomputed.
+Everything here is deterministic for a fixed seed and budget.  The one
+search, sup_search (seeded unit-sphere draws, then golden-section ascent),
+certifies pnorm_bounds' lower bound by the witness that attained it.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class OperatorNormBounds:
     upper: float     # exact for p in {1, 2, inf}, interpolation otherwise
     witness: np.ndarray | None = None
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "lower": self.lower, "upper": self.upper}
-
 
 def _colsum_norm(M):
     return float(np.abs(M).sum(axis=0).max())
@@ -153,9 +150,7 @@ def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
         nw = np.linalg.norm(w, ord=p)
         return float(np.linalg.norm(M @ w, ord=p) / nw) if nw > 0 else 0.0
 
-    fam = WitnessFamily(random_dim=M.shape[1], random_count=max(8, budget // 40),
-                        seed=seed)
-    res = sup_search(ratio, fam, budget)
+    res = sup_search(ratio, M.shape[1], max(8, budget // 40), budget, seed)
     if res.value > upper * (1.0 + 1e-9):
         raise RuntimeError(f"witness ratio {res.value!r} above the upper "
                            f"bound {upper!r}")
@@ -163,28 +158,9 @@ def pnorm_bounds(M: np.ndarray, p: float, budget: int = 2000,
 
 
 @dataclass
-class WitnessFamily:
-    """Candidate generator for sup_search.
-
-    structured: explicit coefficient vectors tried first, in order.
-    sign_dim: when set (and <= 20), the full sign cube {-1,+1}^sign_dim.
-    random_dim / random_count: unit-sphere samples from a seeded generator.
-    ascent: refine the leader by coordinatewise golden-section ascent.
-    """
-
-    structured: tuple = ()
-    sign_dim: int | None = None
-    random_dim: int | None = None
-    random_count: int = 0
-    seed: int = 0
-    ascent: bool = True
-
-
-@dataclass
 class SearchResult:
     value: float
     witness: np.ndarray
-    source: str          # which family produced the best witness
     evaluations: int
 
 
@@ -211,75 +187,48 @@ def _golden_max(f, lo: float, hi: float, max_evals: int):
     return d, fd, evals
 
 
-def sup_search(objective, family: WitnessFamily, budget: int) -> SearchResult:
-    """Maximize objective(coeffs) over the family in <= budget evaluations.
+def sup_search(objective, dim: int, count: int, budget: int,
+               seed: int = 0) -> SearchResult:
+    """Maximize objective(coeffs) over R^dim in <= budget evaluations.
 
-    Candidates are consumed in a fixed order (structured, sign cube, random),
-    then the leader is polished by coordinate ascent, so enlarging the
-    budget never loses a previously found witness.
+    `count` unit-sphere draws from default_rng(seed) come first, then the
+    leader is polished by coordinatewise golden-section ascent, so enlarging
+    the budget never loses a previously found witness.  Raises ValueError
+    when count or budget is zero.
     """
-    best_val = -math.inf
-    best_wit = None
-    best_src = "structured_family"
-    evals = 0
-
-    def consider(w, src):
-        nonlocal best_val, best_wit, best_src, evals
-        if evals >= budget:
-            return False
+    rng = np.random.default_rng(seed)
+    best_val, best_wit, evals = -math.inf, None, 0
+    for _ in range(min(count, budget)):
+        w = rng.normal(size=dim)
+        nrm = np.linalg.norm(w)
+        if nrm > 0:
+            w = w / nrm
         v = float(objective(w))
         evals += 1
         if v > best_val:
-            best_val, best_wit, best_src = v, np.array(w, dtype=float), src
-        return True
-
-    for w in family.structured:
-        if not consider(np.asarray(w, dtype=float), "structured_family"):
-            break
-
-    if family.sign_dim is not None:
-        m = int(family.sign_dim)
-        if m > 20:
-            raise ValueError("sign cube limited to 20 coordinates")
-        for bits in range(2 ** m):
-            eps = np.fromiter(((1.0 if bits >> k & 1 else -1.0) for k in range(m)),
-                              dtype=float, count=m)
-            if not consider(eps, "exhaustive_signs"):
-                break
-
-    if family.random_dim and family.random_count:
-        rng = np.random.default_rng(family.seed)
-        for _ in range(family.random_count):
-            w = rng.normal(size=family.random_dim)
-            nrm = np.linalg.norm(w)
-            if nrm > 0:
-                w = w / nrm
-            if not consider(w, "random_ascent"):
-                break
-
-    if family.ascent and best_wit is not None and evals < budget:
-        x = best_wit.copy()
-        for _ in range(_ASCENT_SWEEPS):
-            for i in range(len(x)):
-                if budget - evals < 2:  # a line search needs two points
-                    break
-                radius = max(1.0, 2.0 * abs(x[i]))
-
-                def axis_obj(t, i=i, x=x):
-                    y = x.copy()
-                    y[i] = t
-                    return float(objective(y))
-
-                t, v, used = _golden_max(axis_obj, x[i] - radius,
-                                         x[i] + radius, budget - evals)
-                evals += used
-                if v > best_val:
-                    x[i] = t
-                    best_val, best_wit, best_src = v, x.copy(), "random_ascent"
-
+            best_val, best_wit = v, w
     if best_wit is None:
-        raise ValueError("empty witness family or zero budget")
-    return SearchResult(best_val, best_wit, best_src, evals)
+        raise ValueError("no draws or zero budget")
+
+    x = best_wit.copy()
+    for _ in range(_ASCENT_SWEEPS):
+        for i in range(dim):
+            if budget - evals < 2:  # a line search needs two points
+                break
+            radius = max(1.0, 2.0 * abs(x[i]))
+
+            def axis_obj(t, i=i, x=x):
+                y = x.copy()
+                y[i] = t
+                return float(objective(y))
+
+            t, v, used = _golden_max(axis_obj, x[i] - radius,
+                                     x[i] + radius, budget - evals)
+            evals += used
+            if v > best_val:
+                x[i] = t
+                best_val, best_wit = v, x.copy()
+    return SearchResult(best_val, best_wit, evals)
 
 
 @dataclass

@@ -221,6 +221,8 @@ def kvee_estimate(sys: BiorthogonalSystem, m: int, budget: int,
     """
     if not 1 <= m <= len(sys):
         raise ValueError("m out of range")
+    if not np.any(sys.row_support.vals):  # no sum would ever count
+        raise ValueError("every stored vector is zero")
     rng = np.random.default_rng(seed)
     n, evals, best = len(sys), 0, (-np.inf, None, None, None)
 

@@ -61,7 +61,7 @@ CONSTANT_NAMES = (
     "kvee",
 )
 
-SEARCH_TAGS = ("exhaustive_signs", "structured_family", "random_ascent")
+SEARCH_TAGS = ("structured_family", "random_ascent")
 
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
 _WORKING_SET = 2 ** 18  # entries one batch may hold: products, cells or signs
@@ -378,23 +378,22 @@ def _terms(sys: BiorthogonalSystem, coeffs, perms=None):
     return seg, np.repeat(coeffs[pair, rows], cnt) * sys.row_support.vals[pos], len(coeffs)
 
 
-def _sums(sys: BiorthogonalSystem, coeffs, perms=None, modulus: bool = False) -> np.ndarray:
-    """(B, dim): row b is sum a_k x_k along perms[b] (of |a_k x_k| with
-    modulus), each coordinate adding its terms in perm order from zero, so
-    it is bit for bit the last row of a dense np.cumsum down the perm (up to
-    the sign of zero).  Without perms, row b runs over the nonzeros of
-    coeffs[b] in index order (``_terms``)."""
+def _sums(sys: BiorthogonalSystem, coeffs, perms=None) -> np.ndarray:
+    """(B, dim): row b is sum a_k x_k along perms[b], each coordinate adding
+    its terms in perm order from zero, so it is bit for bit the last row of
+    a dense np.cumsum down the perm (up to the sign of zero).  Without
+    perms, row b runs over the nonzeros of coeffs[b] in index order
+    (``_terms``)."""
     seg, terms, B = _terms(sys, coeffs, perms)
-    return np.bincount(seg, np.abs(terms) if modulus else terms,
-                       minlength=B * sys.space.dim).reshape(B, -1)
+    return np.bincount(seg, terms, minlength=B * sys.space.dim).reshape(B, -1)
 
 
 def _sums_and_moduli(sys: BiorthogonalSystem, coeffs):
     """(x, M), (B, dim) each: the sums x = sum a_k x_k and modulus sums
-    M = sum |a_k x_k| over the nonzeros of each row of coeffs, both from one
-    gather, bitwise _sums(sys, coeffs) and _sums(sys, coeffs, modulus=True).
-    |x| <= M coordinatewise, and so is every join of prefix sums along an
-    ordering of part of the support."""
+    M = sum |a_k x_k| over the nonzeros of each row of coeffs in index
+    order, both from one gather: the one modulus-sum rule.  |x| <= M
+    coordinatewise, and so is every join of prefix sums along an ordering
+    of part of the support."""
     seg, terms, B = _terms(sys, coeffs)
     return tuple(np.bincount(seg, t, minlength=B * sys.space.dim).reshape(B, -1)
                  for t in (terms, np.abs(terms)))

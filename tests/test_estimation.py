@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latmax import estimation
-from latmax.estimation import (GrowthFit, WitnessFamily, growth_fit,
-                               nuclear_norm, spectral_norm, sup_search)
+from latmax.estimation import (GrowthFit, growth_fit, nuclear_norm,
+                               spectral_norm, sup_search)
 
 
 def hilbert_kernel(n):
@@ -118,28 +118,19 @@ def test_growth_fit_input_validation():
         growth_fit([(2, 1.0), (4, -2.0), (8, 3.0), (16, 4.0)])
 
 
-def test_sup_search_sign_cube_exact():
-    c = np.array([1.0, -2.0, 3.0])
-    fam = WitnessFamily(sign_dim=3, ascent=False)
-    res = sup_search(lambda w: float(c @ w), fam, budget=100)
-    assert res.value == pytest.approx(6.0)
-    assert res.source == "exhaustive_signs"
-    assert np.array_equal(np.sign(res.witness), np.sign(c))
-
-
 def test_sup_search_structured_then_ascent_improves():
-    # ratio objective is scale-free, so ascent can only move along directions
+    # ratio objective is scale-free, so ascent can only move along directions;
+    # from random draws it climbs past the structured start [1, 1]
     c = np.array([2.0, 1.0])
 
     def ratio(w):
         nrm = np.linalg.norm(w)
         return abs(float(c @ w)) / nrm if nrm > 0 else 0.0
 
-    fam = WitnessFamily(structured=(np.array([1.0, 1.0]),),
-                        random_dim=2, random_count=40, seed=3)
-    res = sup_search(ratio, fam, budget=4000)
+    res = sup_search(ratio, 2, 40, budget=4000, seed=3)
     assert res.value <= np.linalg.norm(c) + 1e-9
     assert res.value >= ratio(np.array([1.0, 1.0]))
+    assert res.value >= sup_search(ratio, 2, 40, budget=40, seed=3).value
 
 
 def test_sup_search_deterministic_and_budget_monotone():
@@ -150,13 +141,12 @@ def test_sup_search_deterministic_and_budget_monotone():
         nrm = np.linalg.norm(w)
         return float(np.linalg.norm(M @ w)) / nrm if nrm > 0 else 0.0
 
-    fam = WitnessFamily(random_dim=5, random_count=60, seed=9)
-    r1 = sup_search(obj, fam, budget=500)
-    r2 = sup_search(obj, fam, budget=500)
+    r1 = sup_search(obj, 5, 60, budget=500, seed=9)
+    r2 = sup_search(obj, 5, 60, budget=500, seed=9)
     assert r1.value == r2.value
     assert np.array_equal(r1.witness, r2.witness)
     assert r1.evaluations == r2.evaluations
-    small = sup_search(obj, fam, budget=80)
+    small = sup_search(obj, 5, 60, budget=80, seed=9)
     assert small.value <= r1.value + 1e-15
 
 
@@ -168,9 +158,8 @@ def test_sup_search_budget_is_a_hard_cap():
         nrm = np.linalg.norm(w, ord=3)
         return float(np.linalg.norm(M @ w, ord=3) / nrm) if nrm > 0 else 0.0
 
-    fam = WitnessFamily(random_dim=4, random_count=8, seed=0)
     for budget in (5, 20, 57, 100):
-        res = sup_search(obj, fam, budget)
+        res = sup_search(obj, 4, 8, budget)
         assert res.evaluations <= budget
 
 
@@ -187,27 +176,20 @@ def test_sup_search_properties_on_random_matrices(dim, mseed, seed,
         return float(np.linalg.norm(M @ w, ord=3) / nrm) if nrm > 0 else 0.0
 
     budget = random_count + extra
-    fam = WitnessFamily(random_dim=dim, random_count=random_count, seed=seed)
-    res = sup_search(obj, fam, budget)
+    res = sup_search(obj, dim, random_count, budget, seed)
     assert res.evaluations <= budget
-    again = sup_search(obj, fam, budget)
+    again = sup_search(obj, dim, random_count, budget, seed)
     assert again.value == res.value
     assert np.array_equal(again.witness, res.witness)
-    # same candidates either way; the ascent only replaces an improved leader
-    flat = sup_search(obj, WitnessFamily(random_dim=dim, random_count=random_count,
-                                         seed=seed, ascent=False), budget)
+    # same candidates either way; the ascent only replaces an improved leader,
+    # and a budget of the draws alone leaves it no line search
+    flat = sup_search(obj, dim, random_count, random_count, seed)
     assert res.value >= flat.value
-
-
-def test_sup_search_sign_cube_dimension_guard():
-    fam = WitnessFamily(sign_dim=21)
-    with pytest.raises(ValueError):
-        sup_search(lambda w: 0.0, fam, budget=10)
 
 
 def test_sup_search_empty_family_raises():
     with pytest.raises(ValueError):
-        sup_search(lambda w: 1.0, WitnessFamily(), budget=10)
+        sup_search(lambda w: 1.0, 3, 0, budget=10)
 
 
 def test_pnorm_bounds_exact_endpoints():
@@ -243,3 +225,33 @@ def test_pnorm_bounds_raises_when_the_witness_beats_the_upper_bound(monkeypatch)
     M = np.random.default_rng(2).standard_normal((5, 5))
     with pytest.raises(RuntimeError):
         estimation.pnorm_bounds(M, 3.0, budget=200)
+
+
+# pnorm_bounds(M, p, budget=400, seed) on default_rng(7)'s 6 x 6 normal
+# matrix: the lower bound and its witness.  The search spends ten
+# evaluations on draws and 390 on line searches
+_PINNED_STREAM = {
+    (1.5, 0): ("0x1.0db98d8beb90bp+2",
+               ["-0x1.a4ef1b6a14eaap-2", "-0x1.a8bf4c3731395p-5", "-0x1.71341e0af7ae8p+0",
+                "-0x1.56855f54b8bffp-3", "-0x1.38f3bbafb9636p-6", "-0x1.74bfe530c4c1ap-7"]),
+    (1.5, 1): ("0x1.00b39663a00b1p+2",
+               ["-0x1.77d23608276e8p-1", "-0x1.6f091b5919c8ap-3", "-0x1.0d5b60dee16c4p+0",
+                "-0x1.f5097eb969006p-6", "-0x1.8e3e66c370a3ap-3", "-0x1.d9e862349b7dbp-5"]),
+    (3.0, 0): ("0x1.1399f0aa02f29p+2",
+               ["-0x1.8527ee074def2p-2", "-0x1.44e1fff678effp-2", "-0x1.b9d3ff8239d6ap-2",
+                "-0x1.93f3e4f3a6fe3p-3", "-0x1.18324a796d548p-2", "0x1.9416554d718f4p-4"]),
+    (3.0, 1): ("0x1.13b5e8755969ap+2",
+               ["0x1.67393aed42bb2p-1", "0x1.2aeb0afb6455ep-1", "0x1.91b061536ec0fp-1",
+                "0x1.499517d0a14edp-2", "0x1.0bdc3e73fd945p-1", "-0x1.7e169f85faf90p-3"]),
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(_PINNED_STREAM))
+def test_pnorm_bounds_search_stream_is_pinned(p, seed):
+    # a change to the search's draws or its line search moves these bits,
+    # and must be declared by rewriting them
+    M = np.random.default_rng(7).standard_normal((6, 6))
+    b = estimation.pnorm_bounds(M, p, budget=400, seed=seed)
+    lower, witness = _PINNED_STREAM[p, seed]
+    assert b.lower.hex() == lower
+    assert [w.hex() for w in b.witness] == witness

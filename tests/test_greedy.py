@@ -1,4 +1,5 @@
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from latmax.greedy import (_RATIOS, GreedyOrdering, all_greedy_orderings,
                            uqg_constant)
 from latmax.constructions.haar import haar_system
 from latmax.constructions.typewriter import typewriter_frame
-from latmax.spaces import lp_block
+from latmax.spaces import SupBlock, lp_block
 from latmax.systems import (BiorthogonalSystem, ConstantReport, _column_scan,
                             _mark_join, _scan_plan, _scatter, absolute_constant,
                             basis_constant,
@@ -361,6 +362,24 @@ def test_kvee_deterministic_and_structured_wins():
     big = kvee_estimate(sys, 4, budget=200, seed=9,
                         structured=[(a, np.arange(4))])
     assert big.value >= r1.value - 1e-12
+
+
+def test_kvee_on_zero_vectors_raises_rather_than_drawing_forever():
+    # every sum is zero and skipped uncounted, so the random phase would never
+    # reach its budget; the alarm bounds the run in case it does not return
+    sysm = BiorthogonalSystem(SupBlock(2), np.zeros((2, 2)), np.eye(2), check=False)
+
+    def stop(signum, frame):
+        raise TimeoutError("kvee_estimate did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(ValueError, match="every stored vector is zero"):
+            kvee_estimate(sysm, 1, 29)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_join_rejects_indices_out_of_range():

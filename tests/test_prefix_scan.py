@@ -18,7 +18,8 @@ from latmax.greedy import greedy_maximal, kvee_estimate, ordered_projection_maxi
 from latmax.spaces import DirectSum, LpBlock, SupBlock
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, Csr, _column_scan,
                             _gather, _joins, _mark_join, _ordered_join, _pairs,
-                            _peak_prefix_norm, _scan_plan, _scatter, _sums)
+                            _peak_prefix_norm, _scan_plan, _scatter, _sums,
+                            _sums_and_moduli)
 
 from system_views import dense_functionals
 
@@ -136,9 +137,11 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
     B = len(pairs)
     joins = _scatter(cells, _mark_join(high, low)[0], B, dim)
     highs, lows = (_scatter(cells, m[0], B, dim) for m in (high, low))
-    sums, moduli = _sums(sys, coeffs, perms), _sums(sys, coeffs, perms, modulus=True)
-    for (a, order), join, hi, lo, total, modulus in zip(pairs, joins, highs, lows,
-                                                          sums, moduli):
+    sums = _sums(sys, coeffs, perms)
+    # the one modulus path runs over each row's nonzeros in index order
+    support_sums, moduli = _sums_and_moduli(sys, coeffs)
+    for (a, order), join, hi, lo, total, support_sum, modulus in zip(
+            pairs, joins, highs, lows, sums, support_sums, moduli):
         ref_join, full = _cumsum_oracle(V, a, order)
         assert join.tobytes() == ref_join.tobytes()
         # the marks are the extremes of each coordinate's sums after the
@@ -150,8 +153,11 @@ def test_column_scan_batches_are_bitwise_the_cumsum(sys_a, data):
             assert np.array_equal(mark, np.where(touched.any(axis=0), want, 0.0))
         # equal up to the sign of zero, which no norm sees
         assert (total + 0.0).tobytes() == (full + 0.0).tobytes()
+        support = np.flatnonzero(a)
+        assert (support_sum + 0.0).tobytes() == \
+            (_cumsum_oracle(V, a, support)[1] + 0.0).tobytes()
         assert (modulus + 0.0).tobytes() == \
-            (_cumsum_oracle(np.abs(V), np.abs(a), order)[1] + 0.0).tobytes()
+            (_cumsum_oracle(np.abs(V), np.abs(a), support)[1] + 0.0).tobytes()
     # a batch that scans no rows occupies no cell, and its join is zero
     cells, high, low = _column_scan(sys, np.array(coeffs)[None],
                                     _scan_plan(sys, [np.arange(0)] * B))

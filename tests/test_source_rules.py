@@ -30,6 +30,10 @@ decision: no module but ``estimation.py`` names ``_DENSE_SVD_CUTOFF``.
 Single precision stays in ``constructions/hadamard.py``: its float32 Walsh
 transforms are exact only because their inputs are +/-1 rows, whose every
 partial sum is an integer below 2^24.
+
+There is one +/-1 row stream: ``np.unpackbits`` is called once in the
+package, in ``hadamard._sign_rows``, which turns both the sign cube's
+counters and the sampled words into rows by one bits-to-signs step.
 """
 
 import ast
@@ -109,6 +113,15 @@ def test_float32_appears_only_in_the_hadamard_module():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if "float32" in line]
     assert not found, "float32 outside the Hadamard sign sweep: " + ", ".join(found)
+
+
+def test_one_sign_row_stream_unpacks_bits():
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unpackbits"]
+    assert [f.rsplit(":", 1)[0] for f in found] == ["latmax/constructions/hadamard.py"], found
 
 
 def test_only_estimation_names_the_dense_svd_cutoff():
