@@ -9,14 +9,13 @@ norm below 1, yet the coordinatewise upper bound of the first K of them
 is the whole slowly-decaying tail, whose norm climbs without a ceiling.
 """
 
-from latmax.constructions.orlicz import OrliczFunction, orderbound_demo
+from latmax.constructions.orlicz import doubling_ratio, orderbound_demo
 
 
 def main():
-    phi = OrliczFunction()
     print("doubling ratios phi(2t)/phi(t):")
     for t in (0.25, 0.1, 0.05, 0.025):
-        print(f"  t={t:<6} ratio = {phi.doubling_ratio(t):.6e}")
+        print(f"  t={t:<6} ratio = {doubling_ratio(t):.6e}")
 
     print("\nnorms of the running upper bounds:")
     for k, value in orderbound_demo(4096):

@@ -35,10 +35,12 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--experiment", help="experiment id (see: latmax list)")
     runp.add_argument("--param", action="append", default=[], metavar="K=V",
                       help="override one experiment parameter; repeatable")
-    runp.add_argument("--out", help="output directory (default latmax-out)")
+    runp.add_argument("--out",
+                      help=f"output directory (default {ExperimentConfig.output_dir})")
     runp.add_argument("--format", choices=("csv", "json"),
-                      help="value table format (default csv)")
-    runp.add_argument("--seed", type=int, help="search seed (default 0)")
+                      help=f"value table format (default {ExperimentConfig.format})")
+    runp.add_argument("--seed", type=int,
+                      help=f"search seed (default {ExperimentConfig.seed})")
     runp.add_argument("--config", help="key=value config file")
     sub.add_parser("list", help="print the experiment catalog")
     return parser
@@ -88,22 +90,19 @@ def _cmd_run(args) -> int:
     if not experiment:
         raise UsageError("no experiment selected; pass --experiment or put "
                          "experiment=<id> in the config file")
-    out_dir = args.out or reserved["out"] or "latmax-out"
-    fmt = args.format or reserved["format"] or "csv"
-    if args.seed is not None:
-        seed = args.seed
-    elif reserved["seed"] is not None:
+    # only the values given are passed on: ExperimentConfig holds the defaults
+    given = {"output_dir": args.out or reserved["out"] or None,
+             "format": args.format or reserved["format"] or None, "seed": args.seed}
+    if args.seed is None and reserved["seed"] is not None:
         try:
-            seed = int(reserved["seed"])
+            given["seed"] = int(reserved["seed"])
         except ValueError:
             raise UsageError("config seed must be an integer")
-    else:
-        seed = 0
     params = dict(file_conf)
     params.update(_parse_params(args.param))
 
-    result = run(ExperimentConfig(experiment=experiment, params=params,
-                                  output_dir=out_dir, format=fmt, seed=seed))
+    result = run(ExperimentConfig(experiment, params, **{
+        key: value for key, value in given.items() if value is not None}))
     for check in result.checks:
         mark = "ok  " if check["passed"] else "FAIL"
         print(f"  {mark} {check['name']}: {check['detail']}")

@@ -105,13 +105,12 @@ def chain_coefficients(depth: int, n: int) -> np.ndarray:
     """System coefficients of y_depth: 1 on node 0 and 2^{-d} across each
     depth-d set, d < depth.  Telescoping the children terms turns this
     combination back into e_0 - 2^{-depth} * indicator."""
+    if n < chain_size(depth):
+        raise ValueError("system too small for this depth")
     a = np.zeros(n)
     a[0] = 1.0
     for d in range(1, depth):
-        idx = depth_set(d)
-        if idx[-1] >= n:
-            raise ValueError("system too small for this depth")
-        a[idx] = 2.0 ** -d
+        a[depth_set(d)] = 2.0 ** -d
     return a
 
 
@@ -141,7 +140,7 @@ def chain_size(depth: int) -> int:
     return 3 * 2 ** (depth - 1) - 2
 
 
-def chain_prefix_join(depth: int, n: int):
+def chain_prefix_join(depth: int):
     """Walk the prefix sums of y_depth's coefficients, level by level, over
     a window of two tree levels.
 
@@ -150,8 +149,8 @@ def chain_prefix_join(depth: int, n: int):
     each depth set is a later index run), so one pass yields both the maximal
     partial-sum join and the greedy-maximal join.  _level runs on fresh
     zero-started (nodes, kids) windows of the running sum and of the join,
-    never on a vector of length 2n + 2: the largest are the last level's
-    2^depth kids.
+    never on a full-length vector: the largest are the last level's 2^depth
+    kids.
 
     Returns ([l1 norm of the join], [l1 norm of the running sum], telescopes),
     one norm per level; after level d the running sum is y_{d+1}.  Level d's
@@ -161,8 +160,6 @@ def chain_prefix_join(depth: int, n: int):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if n < (need := chain_size(depth)):
-        raise ValueError(f"system size {n} too small; need at least {need}")
     join_norms, x_norms, norms, telescopes = [], [], np.zeros(2), True
     nodes = np.zeros(1), np.zeros(1)
     for d in range(depth):
@@ -189,7 +186,9 @@ def chain_witness(m: int, n: int):
     is dyadic, hence exact; the caller checks them.
     """
     deepest = m + 1
-    join_norms, x_norms, telescopes = chain_prefix_join(deepest, n)
+    if n < (need := chain_size(deepest)):
+        raise ValueError(f"system size {n} too small; need at least {need}")
+    join_norms, x_norms, telescopes = chain_prefix_join(deepest)
     ratio = join_norms[-1] / x_norms[-1]
     a = chain_coefficients(deepest, n)
     reports = tuple(ConstantReport(name, ratio, a, "structured_family", 1)

@@ -241,13 +241,9 @@ def _run_hadamard(params, seed):
 
 def _run_lindenstrauss(params, seed):
     """Chain witnesses: unit norms with a linearly growing running join."""
-    depth, ambient = params["depth"], params["ambient"]
-    need = _lindenstrauss.chain_size(depth)
-    if ambient != 0 and ambient < need:
-        raise UsageError(f"ambient must be 0 (automatic) or at least {need} "
-                         f"at depth {depth}")
-    n = ambient if ambient else 3 * 2 ** (depth - 1)
-    rows, reports, telescopes = _lindenstrauss.chain_witness(depth - 1, n)
+    depth = params["depth"]
+    rows, reports, telescopes = _lindenstrauss.chain_witness(
+        depth - 1, _lindenstrauss.chain_size(depth))
     columns = ("m", "witness_norm", "running_join_norm")
     checks = []
     # the walk is dyadic, so its norms, final join and ratio must be exact
@@ -295,16 +291,15 @@ def _run_orlicz(params, seed):
     rows = _orlicz.orderbound_demo(params["K"])
     columns = ("K", "upper_bound_norm")
     vals = [v for _, v in rows]
-    phi = _orlicz.OrliczFunction()
     checks = []
     _push(checks, "norms_strictly_increase",
           all(b > a for a, b in zip(vals, vals[1:])),
           f"{vals[0]!r} .. {vals[-1]!r}")
     _push(checks, "doubling_ratio_at_0.05",
-          abs(phi.doubling_ratio(0.05) / math.exp(10.0) - 1.0) < 1e-12,
+          abs(_orlicz.doubling_ratio(0.05) / math.exp(10.0) - 1.0) < 1e-12,
           "exp(10), exact")
     _push(checks, "singleton_norm_is_one",
-          abs(_orlicz.luxemburg_norm(phi, np.ones(1)) - 1.0) < 1e-12, "phi(1) = 1")
+          abs(_orlicz.luxemburg_norm(np.ones(1)) - 1.0) < 1e-12, "phi(1) = 1")
     return _Table(columns, rows, checks)
 
 
@@ -408,9 +403,12 @@ def _run_triangular(params, seed):
 
 
 def _run_typewriter(params, seed):
-    """One full pass at the constant function: oscillation 1 everywhere."""
-    J, p = params["J"], params["p"]
-    join, osc, terms = _typewriter.pass_profile(J, p)
+    """One full pass at the constant function: oscillation 1 everywhere.
+
+    The pass reads only the constant's slot and the indicator slots, so its
+    oscillation is the same in every L^p, and its join, twice the constant,
+    has norm 2 in each: the runner takes p = 2."""
+    join, osc, terms = _typewriter.pass_profile(params["J"], 2.0)
     join_norm = join.norm()
     columns = ("point", "oscillation")
     rows = [(i, float(osc[i])) for i in range(len(osc))]
@@ -473,9 +471,8 @@ _CATALOG = {
     "lindenstrauss-witness": _Entry(
         "unit-norm tree-chain witnesses whose running join norm grows "
         "linearly in the chain depth",
-        {"depth": 6, "ambient": 0}, _run_lindenstrauss,
-        # ambient 0 is automatic: 3 * 2^(depth - 1), so the cap is depth 20's
-        {"depth": (1, 20), "ambient": (0, 3 * 2 ** 19)}),
+        {"depth": 6}, _run_lindenstrauss,
+        {"depth": (1, 20)}),
     "lorentz-blocking": _Entry(
         "fundamental-function exponents of a Lorentz sequence space: unit "
         "sums on the 1/p scale, disjoint constant blocks on the 1/q scale",
@@ -512,8 +509,8 @@ _CATALOG = {
     "typewriter": _Entry(
         "sliding indicator frame whose partial sums at the constant function "
         "keep unit oscillation at every grid point under a bounded join",
-        {"J": 10, "p": 2.0}, _run_typewriter,
-        {"J": (1, 12), "p": _EXPONENT}),
+        {"J": 10}, _run_typewriter,
+        {"J": (1, 12)}),
 }
 
 

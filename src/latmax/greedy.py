@@ -21,13 +21,13 @@ import numpy as np
 
 from latmax.spaces import Element
 from latmax.systems import (_SCAN_BLOCK, BiorthogonalSystem, ConstantReport,
-                            _gather, _join_ratio, _join_ratios,
+                            _distinct, _gather, _join_ratio, _join_ratios,
                             _modulus_sum_ratio, _ordered_join, _pairs,
                             _peak_prefix_norm, _prefix_norm_ratio,
                             _ratio_search, _scan_plan, _sums, coefficients)
 
 _STRICTIFY_SCALE = 1e-13  # per-position modulus bump in strictify
-_ORDERING_LIMIT = 40320  # 8! orderings per witness in uqg_constant
+_ORDERING_LIMIT = 40320  # 8! greedy orderings, the most all_greedy_orderings lists
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,13 @@ def count_greedy_orderings(coeffs) -> int:
     return total
 
 
-def all_greedy_orderings(coeffs, limit: int = 100000):
+def all_greedy_orderings(coeffs):
     """Every greedy ordering of the nonzero part (zero tail fixed in index
-    order; permuting it never changes a greedy sum)."""
+    order; permuting it never changes a greedy sum); ValueError past
+    _ORDERING_LIMIT of them."""
     a = np.asarray(coeffs, dtype=float)
-    if count_greedy_orderings(a) > limit:
-        raise ValueError("too many greedy orderings; raise limit or shrink ties")
+    if count_greedy_orderings(a) > _ORDERING_LIMIT:
+        raise ValueError(f"more than {_ORDERING_LIMIT} greedy orderings; shrink the ties")
     mods = np.abs(a)
     zeros = [int(i) for i in np.flatnonzero(mods == 0)]
     groups = []
@@ -106,10 +107,7 @@ def greedy_maximal(sys: BiorthogonalSystem, x, m: int, ordering=None) -> Element
 
 def ordered_projection_maximal(sys: BiorthogonalSystem, x, A) -> Element:
     """P_A^v(x): join of prefix sums along the ordered index set A."""
-    A = np.asarray(A, dtype=int)
-    sorted_A = np.sort(A)
-    if np.any(sorted_A[1:] == sorted_A[:-1]):
-        raise ValueError("repeated indices in A")
+    A = _distinct(A, "A")
     a = coefficients(sys, x)
     return Element(sys.space, _ordered_join(sys, a, A))
 
@@ -160,7 +158,7 @@ def _uqg_ratio(sys, a, indices=None, enumerate_orderings=False):
         perms = [idx]
     elif enumerate_orderings:
         perms = (np.asarray(o.permutation[:supp], dtype=int)
-                 for o in all_greedy_orderings(av, limit=_ORDERING_LIMIT))
+                 for o in all_greedy_orderings(av))
     else:
         perms = [np.asarray(natural_greedy_ordering(av).permutation[:supp], dtype=int)]
     # max keeps the first of tied orderings

@@ -556,7 +556,7 @@ class ConstantReport:
             raise ValueError(f"unknown search tag {self.search!r}")
         self.witness = np.asarray(self.witness, dtype=float)
         if self.indices is not None:
-            self.indices = np.asarray(self.indices, dtype=int)
+            self.indices = _distinct(self.indices, "the report")
             if self.constant_name not in ("kvee", "uniform_quasi_greedy"):
                 raise ValueError(f"a {self.constant_name} report has no indices")
         elif self.constant_name == "kvee":
@@ -573,6 +573,16 @@ class ConstantReport:
         if self.indices is not None:
             out["indices"] = self.indices.tolist()
         return out
+
+
+def _distinct(indices, name) -> np.ndarray:
+    """indices as an int array, or ValueError if one repeats: a prefix sum
+    along them would count its vector twice."""
+    indices = np.asarray(indices, dtype=int)
+    ranked = np.sort(indices)
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise ValueError(f"repeated indices in {name}")
+    return indices
 
 
 def report_from_json(obj) -> ConstantReport:

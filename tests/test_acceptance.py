@@ -56,7 +56,7 @@ def test_tree_chain_witness_exact_values():
         assert max(abs(r[1] - 2.0) for r in rows) < 1e-9
         for rep in reports:
             assert rep.value >= (N + 1) / 2.0 - 1e-9
-        join_norms, y_norms, telescopes = chain_prefix_join(N, n)
+        join_norms, y_norms, telescopes = chain_prefix_join(N)
         assert telescopes
         for m in range(N):
             assert abs(y_norms[m] - 2.0) < 1e-9

@@ -94,7 +94,7 @@ def test_prefix_join_matches_dense_machinery():
     sys = lind.lindenstrauss(n)
     a = lind.chain_coefficients(depth, n)
     x = reconstruct(sys, a)
-    join_l1, x_l1, telescopes = lind.chain_prefix_join(depth, n)
+    join_l1, x_l1, telescopes = lind.chain_prefix_join(depth)
     assert telescopes
     assert x_l1[-1] == 2.0
     assert join_l1[-1] == depth + 1.0
@@ -135,9 +135,8 @@ def test_witness_requires_room():
 
 
 def test_streaming_scales_to_deep_chains():
-    # depth 10 over the minimal system size, still exact
-    n = 3 * 2 ** 9
-    join_l1, x_l1, telescopes = lind.chain_prefix_join(10, n)
+    # depth 10, still exact
+    join_l1, x_l1, telescopes = lind.chain_prefix_join(10)
     assert (join_l1[-1], x_l1[-1], telescopes) == (11.0, 2.0, True)
 
 
@@ -167,7 +166,7 @@ def test_level_walk_matches_node_by_node_walk():
     cases = [(depth, 3 * 2 ** (depth - 1) - 2) for depth in range(1, 13)]
     cases.append((5, 100))  # a system larger than the chain needs
     for depth, n in cases:
-        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth)
         rows, join, _, _ = lind.lindenstrauss_witness(depth - 1, n)
         ref_join, ref_join_norms, ref_x_norms = _node_by_node_walk(depth, n)
         assert telescopes
@@ -205,7 +204,7 @@ def test_incremental_chain_norms_are_the_full_pass():
         assert np.array_equal(join.coords, want_join), depth
         assert np.array_equal(y, want_y), depth
         del join, y, want_join, want_y
-        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+        join_norms, x_norms, telescopes = lind.chain_prefix_join(depth)
         assert telescopes, depth
         for got in ([r[2] for r in rows], join_norms):
             assert [type(v) for v in got] == [float] * depth
@@ -231,8 +230,8 @@ def test_windowed_walk_catches_one_wrong_coordinate_in_any_window(monkeypatch):
     # one coordinate of one window, at any level, nodes or kids, moved by
     # 2^-30 after the level rule: a finished level's nodes are never read
     # again, so there only the telescoping check can notice
-    level, depth, n = lind._level, 5, 48
-    clean = lind.chain_prefix_join(depth, n)
+    level, depth = lind._level, 5
+    clean = lind.chain_prefix_join(depth)
     for bad_level in range(depth):
         for part in (0, 1):
             for where in (0, -1):
@@ -241,18 +240,18 @@ def test_windowed_walk_catches_one_wrong_coordinate_in_any_window(monkeypatch):
                     if d == bad_level:
                         running[part][where] += 2.0 ** -30
                 monkeypatch.setattr(lind, "_level", perturbed)
-                join_norms, x_norms, telescopes = lind.chain_prefix_join(depth, n)
+                join_norms, x_norms, telescopes = lind.chain_prefix_join(depth)
                 if part == 0 or bad_level == depth - 1:
                     assert (join_norms, x_norms) == clean[:2]
                 assert not telescopes, (bad_level, part, where)
     monkeypatch.setattr(lind, "_level", level)
     monkeypatch.setattr(lind, "_chain_value", lambda k, d: 0.0)
-    assert not lind.chain_prefix_join(depth, n)[2]
+    assert not lind.chain_prefix_join(depth)[2]
 
 
 def test_chain_walk_rejects_an_empty_chain():
     with pytest.raises(ValueError):
-        lind.chain_prefix_join(0, 4)
+        lind.chain_prefix_join(0)
 
 
 def test_witness_refuses_a_walk_that_does_not_telescope(monkeypatch):
@@ -276,9 +275,13 @@ def test_chain_size_is_the_smallest_system_the_walk_accepts():
         assert np.flatnonzero(lind.chain_coefficients(depth, need))[-1] == need - 1
         if depth > 1:
             assert lind.depth_set(depth - 1)[-1] == need - 1
-        assert lind.chain_prefix_join(depth, need)[2]
-        with pytest.raises(ValueError):
-            lind.chain_prefix_join(depth, need - 1)
+        # the witness checks its size before the walk, at depth 1 too,
+        # where a system of size 0 has no slot for y_1's one coefficient
+        assert lind.chain_witness(depth - 1, need)[2]
+        with pytest.raises(ValueError, match=f"need at least {need}$"):
+            lind.chain_witness(depth - 1, need - 1)
+        with pytest.raises(ValueError, match="too small"):
+            lind.chain_coefficients(depth, need - 1)
 
 
 def test_witness_join_is_the_dense_chain_join():

@@ -835,7 +835,7 @@ def test_blocking_demo_exponents():
 
 
 def test_spliced_generator_values():
-    phi = orl.OrliczFunction()
+    phi = orl.phi
     assert abs(phi(1.0) - 1.0) < 1e-15
     assert abs(phi(0.5) - 1.0 / 3.0) < 1e-15
     assert phi(0.0) == 0.0
@@ -846,49 +846,53 @@ def test_spliced_generator_values():
     assert abs(left - right) < 1e-5
 
 
-def _raw_both_branches(phi, t):
+def _raw_both_branches(t):
     """The generator as it was first written: both branches over the whole
     vector, spliced by np.where."""
     t = np.asarray(t, dtype=float)
     below = np.where(t > 0, np.exp(1.0 - 1.0 / np.where(t > 0, t, 1.0)), 0.0)
-    above = phi._slope * t + phi._offset
+    above = orl._SLOPE * t + orl._OFFSET
     return np.where(t <= orl._KNOT, below, above)
 
 
 def test_generator_is_bitwise_the_two_branch_splice():
     rng = np.random.default_rng(5)
-    knot, phi = orl._KNOT, orl.OrliczFunction()
+    knot = orl._KNOT
     grid = np.concatenate([
         [0.0, -0.0, -1.0, 1e-300, knot, np.nextafter(knot, 0.0),
          np.nextafter(knot, 1.0), 1.0, 1.5, 1e3],
         np.linspace(-0.5, 3.0, 1001), rng.uniform(0.0, 2.0 * knot, 4096)])
     for t in (grid, grid[:0], grid[1:].reshape(2, -1)[:, ::7]):
-        assert phi._raw(t).tobytes() == _raw_both_branches(phi, t).tobytes()
+        assert orl._raw(t).tobytes() == _raw_both_branches(t).tobytes()
     for s in (0.0, knot, 0.3, 1.0, 2.0):
-        assert phi._raw(s).shape == ()
-        assert phi._raw(s).tobytes() == _raw_both_branches(phi, s).tobytes()
-        assert phi(s) == float(phi.scale * _raw_both_branches(phi, s))
+        assert orl._raw(s).shape == ()
+        assert orl._raw(s).tobytes() == _raw_both_branches(s).tobytes()
+        assert orl.phi(s) == float(orl._SCALE * _raw_both_branches(s))
+
+
+def test_generator_is_convex():
+    # second differences on 400 points from 1e-4 to 2, across the knot
+    second = np.diff(orl.phi(np.linspace(1e-4, 2.0, 400)), 2)
+    assert np.min(second) >= -1e-12
 
 
 def test_doubling_ratio_blows_up():
-    phi = orl.OrliczFunction()
-    assert phi.doubling_ratio(0.05) == math.exp(10.0)
-    assert phi.doubling_ratio(0.01) == math.exp(50.0)
-    assert phi.doubling_ratio(0.2) > 5.0
+    assert orl.doubling_ratio(0.05) == math.exp(10.0)
+    assert orl.doubling_ratio(0.01) == math.exp(50.0)
+    assert orl.doubling_ratio(0.2) > 5.0
 
 
 def test_luxemburg_norm_properties():
-    phi = orl.OrliczFunction()
-    assert orl.luxemburg_norm(phi, np.zeros(4)) == 0.0
+    assert orl.luxemburg_norm(np.zeros(4)) == 0.0
     for t in (0.3, 1.0, 2.5):
-        assert abs(orl.luxemburg_norm(phi, [t]) - t) < 1e-9
+        assert abs(orl.luxemburg_norm([t]) - t) < 1e-9
     rng = np.random.default_rng(12)
     x = rng.uniform(0.1, 2.0, size=8)
-    nx = orl.luxemburg_norm(phi, x)
-    assert abs(orl.luxemburg_norm(phi, 2 * x) - 2 * nx) < 1e-7
-    assert orl.luxemburg_norm(phi, 0.5 * x) < nx
+    nx = orl.luxemburg_norm(x)
+    assert abs(orl.luxemburg_norm(2 * x) - 2 * nx) < 1e-7
+    assert orl.luxemburg_norm(0.5 * x) < nx
     # the norm bracket: modular at x / ||x|| should sit at 1
-    assert abs(orl.modular(phi, x / nx) - 1.0) < 1e-8
+    assert abs(orl.modular(x / nx) - 1.0) < 1e-8
 
 
 def test_orderbound_demo_grows():
@@ -897,7 +901,7 @@ def test_orderbound_demo_grows():
     values = [v for _, v in series]
     assert values == sorted(values)
     assert values[-1] > values[0] + 0.1
-    assert orl.OrliczFunction().doubling_ratio(0.05) == math.exp(10.0)
+    assert orl.doubling_ratio(0.05) == math.exp(10.0)
 
 
 # ---------------------------------------------------------------- entry functions

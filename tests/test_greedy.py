@@ -69,8 +69,10 @@ def test_all_greedy_orderings_counts_tie_groups():
     perms = [o.permutation for o in all_greedy_orderings(a)]
     assert perms == [(0, 1, 2, 3), (1, 0, 2, 3)]
     assert count_greedy_orderings([1.0, 1.0, 1.0, 2.0]) == 6
-    with pytest.raises(ValueError):
-        list(all_greedy_orderings(np.ones(10), limit=10))
+    # one tie group of 9 is 9! orderings, past the 8! cap; 8! is listed
+    assert next(all_greedy_orderings(np.ones(8))).permutation == tuple(range(8))
+    with pytest.raises(ValueError, match="more than 40320"):
+        list(all_greedy_orderings(np.ones(9)))
 
 
 def test_greedy_sum_basics():
@@ -261,6 +263,25 @@ def test_a_zero_sum_witness_has_zero_support_for_every_constant():
     del obj["indices"]
     with pytest.raises(ValueError, match="indices"):
         recompute_constant(sysm, report_from_json(obj))
+
+
+def test_a_report_refuses_repeated_indices():
+    # along [0, 1, 1, 0] the prefix sums count x_1 and x_0 twice, which
+    # recomputes to 2.0530: not a lower bound, as the true join is 1.1425
+    sysm = haar_system(3, 2.0)
+    a = np.zeros(len(sysm))
+    a[:2] = (1.0, -0.7)
+    rep = ConstantReport("kvee", 1.0, a, "structured_family", 1, indices=[0, 1])
+    assert recompute_constant(sysm, rep) == pytest.approx(1.1425, abs=1e-4)
+    with pytest.raises(ValueError, match="repeated indices in the report"):
+        ConstantReport("kvee", 2.053, a, "structured_family", 1, indices=[0, 1, 1, 0])
+    obj = rep.to_json()
+    obj["indices"] = [0, 1, 1, 0]
+    with pytest.raises(ValueError, match="repeated indices in the report"):
+        report_from_json(json.dumps(obj))
+    # the same rule as the ordered projection's
+    with pytest.raises(ValueError, match="repeated indices in A"):
+        ordered_projection_maximal(sysm, reconstruct(sysm, a), [0, 1, 1, 0])
 
 
 def _marks_bibasis(sysm, a):

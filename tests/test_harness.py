@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +84,55 @@ def test_every_experiment_round_trips_with_defaults(tmp_path):
             for fit in growth.values():
                 assert fit["model"] == "c * n^a * log(n)^b"
     assert time.perf_counter() - start < 60.0
+
+
+# per experiment, quick-size parameters and two admissible values of each
+# parameter; rademacher-l1's n moves only its check detail, which at 10
+# trials differs between n = 8 and n = 10 (not between 4 and 6)
+_SETTINGS = {
+    "greedy-uniform-bound": ({}, {"blocks": (1, 2)}),
+    "haar-bibasis": ({"J": 3, "samples": 4}, {"J": (2, 3), "samples": (2, 4)}),
+    "haar-branch": ({"J_min": 2, "J_max": 4},
+                    {"J_min": (2, 3), "J_max": (3, 4), "p": (2.0, 3.0)}),
+    "haar-kvee": ({"J": 3, "budget": 10}, {"J": (3, 4), "budget": (10, 20)}),
+    "hadamard-mixed": ({"n": 3, "samples": 10, "alphas": 10},
+                       {"n": (2, 3), "samples": (10, 20), "alphas": (10, 20)}),
+    "lindenstrauss-witness": ({}, {"depth": (2, 3)}),
+    "lorentz-blocking": ({"n": 512},
+                         {"p": (4.0, 3.0), "q": (2.0, 1.5), "n": (512, 1024)}),
+    "orlicz-orderbound": ({}, {"K": (4, 8)}),
+    "rademacher-l1": ({"n": 8, "trials": 10, "m_max": 8},
+                      {"n": (8, 10), "trials": (10, 20), "m_max": (8, 10)}),
+    "trace-dual": ({"n_min": 32, "n_max": 512},
+                   {"n_min": (32, 64), "n_max": (256, 512)}),
+    "triangular": ({"p": 3.0, "n_min": 2, "n_max": 8, "extremes_at": 4},
+                   {"p": (3.0, 4.0), "n_min": (2, 4), "n_max": (4, 8),
+                    "extremes_at": (2, 4)}),
+    "typewriter": ({}, {"J": (1, 2)}),
+}
+
+
+def _outputs(experiment, params, out):
+    """A run's values and growth bytes, and its manifest without the fields
+    that echo the config or the host."""
+    result = run(ExperimentConfig(experiment, params=params, output_dir=str(out)))
+    got = {role: Path(path).read_bytes() for role, path in result.files.items()}
+    manifest = json.loads(got.pop("manifest"))
+    for key in ("config", "versions", "wall_time_seconds", "peak_rss_mb"):
+        del manifest[key]
+    return got, manifest
+
+
+def test_every_parameter_selects_something(tmp_path):
+    # a parameter whose two values write the same values, growth and
+    # manifest is a setting that selects nothing
+    assert {(name, key) for name, (_, pairs) in _SETTINGS.items() for key in pairs} == {
+        (name, key) for name, _, defaults in list_experiments() for key in defaults}
+    for name, (quick, pairs) in _SETTINGS.items():
+        for key, (a, b) in pairs.items():
+            runs = [_outputs(name, {**quick, key: value}, tmp_path / str(value))
+                    for value in (a, b)]
+            assert runs[0] != runs[1], (name, key)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
@@ -178,8 +228,8 @@ _chain_prefix_join = _lindenstrauss.chain_prefix_join
 _chain_level = _lindenstrauss._level
 
 
-def _off_by_one_join(depth, n):
-    join_norms, x_norms, telescopes = _chain_prefix_join(depth, n)
+def _off_by_one_join(depth):
+    join_norms, x_norms, telescopes = _chain_prefix_join(depth)
     return [v + 1.0 for v in join_norms], x_norms, telescopes
 
 
@@ -193,7 +243,7 @@ def _walk_off_the_chain(d, running, join, norms):
 
 @pytest.mark.parametrize("experiment, module, name, stub, check", [
     ("orlicz-orderbound", _orlicz, "luxemburg_norm",
-     lambda phi, x: 1.0 / len(x), "norms_strictly_increase"),
+     lambda x: 1.0 / len(x), "norms_strictly_increase"),
     ("trace-dual", _triangular, "tau_singular_values", np.zeros, "_floor_holds"),
     ("lindenstrauss-witness", _lindenstrauss, "chain_prefix_join", _off_by_one_join,
      "final_join_norm"),
@@ -280,15 +330,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--experiment", "trace-dual", "--seed", "-3",
                  "--out", str(tmp_path)]) == 2
     assert main([]) == 2
-    # bad sizes are usage errors, not tracebacks: the chain at depth 3 needs
-    # ambient 0 or >= 10, and the exact flat mean overflows past m = 1019
-    for ambient in ("1", "9", "-1"):
-        assert main(["run", "--experiment", "lindenstrauss-witness",
-                     "--param", "depth=3", "--param", f"ambient={ambient}",
-                     "--out", str(tmp_path)]) == 2
-    assert main(["run", "--experiment", "lindenstrauss-witness",
-                 "--param", "depth=3", "--param", "ambient=10",
-                 "--out", str(tmp_path)]) == 0
+    # the chain's system size and the typewriter's exponent select nothing,
+    # so they are not parameters
+    for name, param in (("lindenstrauss-witness", "ambient=10"),
+                        ("typewriter", "p=3.0")):
+        never = tmp_path / "never"
+        assert main(["run", "--experiment", name, "--param", param,
+                     "--out", str(never)]) == 2
+        assert "unknown parameter" in capsys.readouterr().err
+        assert not never.exists()
+    # bad sizes are usage errors, not tracebacks: the exact flat mean
+    # overflows past m = 1019
     assert main(["run", "--experiment", "rademacher-l1", "--param", "m_max=1020",
                  "--out", str(tmp_path)]) == 2
     # the perturbation extremes take a dense kernel of size 2 to 512
@@ -305,8 +357,6 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_every_integer_parameter_rejects_zero_and_negative(tmp_path, capsys):
-    # ambient=0 is the documented automatic value, not a size
-    allowed = {("lindenstrauss-witness", "ambient", 0)}
     swept = 0
     for name, _, defaults in list_experiments():
         for key, default in defaults.items():
@@ -315,8 +365,7 @@ def test_every_integer_parameter_rejects_zero_and_negative(tmp_path, capsys):
             for value in (0, -1):
                 code = main(["run", "--experiment", name,
                              "--param", f"{key}={value}", "--out", str(tmp_path)])
-                expected = 0 if (name, key, value) in allowed else 2
-                assert code == expected, (name, key, value, code)
+                assert code == 2, (name, key, value, code)
                 swept += 1
     assert swept >= 2 * 12
     capsys.readouterr()
@@ -428,30 +477,6 @@ def test_library_run_keeps_a_numpy_integer_seed(tmp_path):
     assert manifest["config"]["seed"] == 5 and type(manifest["config"]["seed"]) is int
     assert ((tmp_path / "np" / "haar-bibasis-values.csv").read_bytes()
             == (tmp_path / "int" / "haar-bibasis-values.csv").read_bytes())
-
-
-def test_chain_size_is_the_smallest_ambient_the_runner_accepts(tmp_path, monkeypatch):
-    # the check runs before any computation: the walk is stubbed out, and
-    # reaching it means the ambient size was accepted
-    class Reached(Exception):
-        pass
-
-    def walk(m, n):
-        raise Reached(n)
-    monkeypatch.setattr(_lindenstrauss, "chain_witness", walk)
-    out = tmp_path / "never"
-    for depth in range(1, 21):
-        need = _lindenstrauss.chain_size(depth)
-        # one past the deepest chain node, the last of depth depth - 1
-        assert need == (_lindenstrauss.depth_set(depth - 1)[-1] + 1 if depth > 1 else 1)
-        with pytest.raises(Reached):
-            run(ExperimentConfig("lindenstrauss-witness", output_dir=str(out),
-                                 params={"depth": depth, "ambient": need}))
-        if need > 1:  # ambient 0 is the automatic size, not a size
-            with pytest.raises(UsageError, match=f"at least {need} "):
-                run(ExperimentConfig("lindenstrauss-witness", output_dir=str(out),
-                                     params={"depth": depth, "ambient": need - 1}))
-    assert not out.exists()
 
 
 # counts cost time, not memory, so they alone have no finite cap
