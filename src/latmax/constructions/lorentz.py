@@ -150,6 +150,8 @@ def lorentz_blocking_demo(p: float, q: float, n: int):
         # both grids must reach 4 points for the regression
         raise ValueError("need n >= 512 for fittable grids")
     top = int(math.log2(n))
+    if n != 2 ** top:  # both grids stop at 2^top: n would repeat that run
+        raise ValueError(f"n = {n} is not a power of two")
     # the last block's sum is the largest sigma: check it before any lookup
     if not _sigma_fits(_block_end_log2(2 ** top), q / p - 1.0):
         raise ValueError(f"n = {n} needs {2 ** top} blocks, past the float "

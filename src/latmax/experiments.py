@@ -41,7 +41,7 @@ from .constructions import typewriter as _typewriter
 from .estimation import growth_fit
 from .greedy import kvee_estimate, ordered_projection_maximal
 from .spaces import LpBlock
-from .systems import _joins, _scan_plan, coefficients, reconstruct
+from .systems import _batch_size, _joins, _scan_plan, coefficients, reconstruct
 
 _BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
 
@@ -308,20 +308,25 @@ def _run_rademacher(params, seed):
     n, trials = params["n"], params["trials"]
     sysm = _rademacher.rademacher_l1(n)
     # only the space and |x_k| are read below: with the system gone its rows
-    # are the runner's own, made |x_k| in place and densified
+    # are the runner's own, made |x_k| in place; they are full rows, so the
+    # dense |x_k| is a view of them
     space, V = sysm.space, sysm.row_support
     del sysm
     np.abs(V.vals, out=V.vals)
     V = V.dense(space.dim)
     rng = np.random.default_rng(seed)
     # trials drawn 4096 at a time and their modulus sums formed 16 at a time
-    # into one reused 16 x 2^n buffer (8 MB at n = 16), so memory stays flat
-    # in trials; 16-row products keep BLAS from re-packing V for every few rows
-    sums, peaks = np.empty((min(16, trials), space.dim)), []
+    # into one reused 16 x 2^n buffer (8 MiB at n = 16), so memory stays flat
+    # in trials; 16-row products keep BLAS from re-packing V for every few
+    # rows, and norms take them a 2^18-cell step at a time, bitwise the same
+    sums, peaks, step = np.empty((min(16, trials), space.dim)), [], _batch_size(space.dim)
     for s in range(0, trials, 4096):
         A = np.abs(rng.standard_normal((min(4096, trials - s), n)))
-        norms = np.concatenate([space.norms(np.matmul(a, V, out=sums[:len(a)]))
-                                for a in np.split(A, range(16, len(A), 16))])
+        norms = []
+        for a in np.split(A, range(16, len(A), 16)):
+            prod = np.matmul(a, V, out=sums[:len(a)])
+            norms += [space.norms(prod[i:i + step]) for i in range(0, len(a), step)]
+        norms = np.concatenate(norms)
         peaks.append(np.max(np.abs(norms / A.sum(axis=1) - 1.0)))
     worst = float(np.max(peaks))
     ms = list(range(2, params["m_max"] + 1, 2))
@@ -478,7 +483,8 @@ _CATALOG = {
         "sums on the 1/p scale, disjoint constant blocks on the 1/q scale",
         {"p": 4.0, "q": 2.0, "n": 1024}, _run_lorentz,
         # both grids need four points, and block_series walks n + 1 floats;
-        # lorentz checks (p, q) and the n that sigma's float range allows
+        # lorentz checks (p, q), that n is a power of two, and the n that
+        # sigma's float range allows
         {"n": (512, 2 ** 20)}),
     "orlicz-orderbound": _Entry(
         "running upper bounds of admissible singletons in an Orlicz space "

@@ -157,7 +157,13 @@ class Csr:
                    self.vals[pos])
 
     def dense(self, dim: int) -> np.ndarray:
-        """The rows as a dense (n_rows, dim) array, filled row by row."""
+        """The rows as a dense (n_rows, dim) array: a read-only view of vals
+        when every row is full (n_rows * dim values, as columns ascend in
+        [0, dim)), else a fresh array filled row by row."""
+        if len(self.vals) == self.n_rows * dim:
+            out = self.vals.reshape(self.n_rows, dim)
+            out.flags.writeable = False
+            return out
         out = np.zeros((self.n_rows, dim))
         for row, lo, hi in zip(out, self.indptr[:-1], self.indptr[1:]):
             row[self.cols[lo:hi]] = self.vals[lo:hi]
@@ -227,7 +233,7 @@ class BiorthogonalSystem:
         Column c pairs each nonzero of U in c with each nonzero of V in c.
         When those pairs reach a 1/_GRAM_DENSE_SHARE share of the dense flop
         count n_U * n * dim (nearly dense rows), BLAS products of the
-        densified rows form the n_U x w row blocks U V^T, w densified rows
+        dense rows (full ones in place) form the n_U x w blocks U V^T, w rows
         within _WORKING_SET cells.  Otherwise only the pair products are formed
         (Gustavson, ACM TOMS 4(3), 1978): blocks of U's rows of at most
         _WORKING_SET nonzeros, each against slabs of whole vectors of at most

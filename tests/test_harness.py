@@ -15,6 +15,7 @@ from latmax import experiments
 from latmax.constructions import lindenstrauss as _lindenstrauss
 from latmax.constructions import lorentz as _lorentz
 from latmax.constructions import orlicz as _orlicz
+from latmax.constructions import rademacher as _rademacher
 from latmax.constructions import triangular as _triangular
 from latmax.cli import main
 from latmax.experiments import ExperimentConfig, UsageError, list_experiments, run
@@ -538,7 +539,7 @@ def test_trace_dual_n_min_16_exits_two(tmp_path, capsys):
 
 def test_lorentz_float_range_rule_fires_before_any_lookup(tmp_path, monkeypatch, capsys):
     # at (p, q) = (4, 2), sigma of the 2048-block sum would pass 2^1000
-    assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=2047",
+    assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=1024",
                  "--out", str(tmp_path / "ok")]) == 0
     calls = []
     monkeypatch.setattr(_lorentz, "_sigma_exact", lambda *args: calls.append(args))
@@ -546,6 +547,14 @@ def test_lorentz_float_range_rule_fires_before_any_lookup(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "never")]) == 2
     assert "past the float range of sigma" in capsys.readouterr().err
     assert calls == [] and not (tmp_path / "never").exists()
+
+
+def test_lorentz_n_must_be_a_power_of_two(tmp_path, capsys):
+    # both grids stop at 2^floor(log2 n): n = 600 wrote the bytes of n = 512
+    assert main(["run", "--experiment", "lorentz-blocking", "--param", "n=600",
+                 "--out", str(tmp_path / "never")]) == 2
+    assert "n = 600 is not a power of two" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_rerun_leaves_only_the_files_its_manifest_names(tmp_path, monkeypatch):
@@ -618,6 +627,24 @@ def test_lindenstrauss_runner_holds_no_full_length_vector(tmp_path):
         tracemalloc.stop()
     assert result.passed
     assert peak < 20 * 2 ** 20, peak
+
+
+def test_rademacher_runner_holds_one_product_and_one_sub_batch(monkeypatch):
+    # with the system built before tracing, the runner holds one 16-row
+    # product and one 2^18-cell sub-batch of norms (10.2 MiB at n = 16); a
+    # dense copy of |x_k| and norms of the whole product took 24.3 MiB
+    n = 16
+    sysm = _rademacher.rademacher_l1(n)
+    monkeypatch.setattr(_rademacher, "rademacher_l1", lambda size: sysm)
+    tracemalloc.start()
+    try:
+        table = experiments._run_rademacher({"n": n, "trials": 1000, "m_max": 8}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.checks[0]["passed"]
+    product, sub_batch = 16 * 2 ** n * 8, 2 ** 18 * 8
+    assert peak < product + sub_batch + 2 ** 20, peak
 
 
 def test_rademacher_modulus_sums_stay_small_at_n14(tmp_path):

@@ -324,9 +324,10 @@ def test_gram_check_of_haar_16_keeps_its_slab_cap():
     assert peak < 36 * 2 ** 20, peak
 
 
-def test_rademacher_gram_check_holds_one_dense_block_and_one_slab():
-    # the BLAS path densifies U once and the vectors a 2^18-cell slab at a
-    # time, filling both row by row: no index as long as the nonzeros
+def test_rademacher_gram_check_reads_full_rows_in_place():
+    # every row holds every column, so the BLAS path reads U and each slab
+    # of vectors in place; densifying U and a 2^18-cell slab of vectors, as
+    # the check once did, took another 3.75 MiB at n = 14 (8.9 MiB peak)
     rademacher_l1(3)
     tracemalloc.start()
     try:
@@ -337,7 +338,7 @@ def test_rademacher_gram_check_holds_one_dense_block_and_one_slab():
     U = sysm.functional_rows
     arrays = (*sysm.row_support, *U, sysm.functional_index, sysm.space.weights)
     stored = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
-    assert peak < stored + U.n_rows * 2 ** 14 * 8 + 2 ** 18 * 8, (peak, stored)
+    assert peak < stored + 2 ** 18 * 8, (peak, stored)
 
 
 def test_csr_dense_fills_every_stored_entry():
@@ -345,6 +346,21 @@ def test_csr_dense_fills_every_stored_entry():
     rows = rng.standard_normal((30, 17)) * (rng.random((30, 17)) < 0.3)
     rows[4] = 0.0  # an empty row
     assert np.array_equal(Csr.from_dense(rows).dense(17), rows)
+    # full rows: the stored values are the dense matrix, read in place
+    filled = rng.standard_normal((6, 17))
+    full = Csr.from_dense(filled)
+    view = full.dense(17)
+    assert view.shape == (6, 17) and view.tobytes() == filled.tobytes()
+    assert np.shares_memory(view, full.vals) and not view.flags.writeable
+    assert full.vals.flags.writeable  # the stored array itself stays as it was
+    # one short row, or one empty row, and the result is a fresh copy again
+    for hole in ((2, 5), (3, slice(None))):
+        part = rng.standard_normal((6, 17))
+        part[hole] = 0.0
+        rows = Csr.from_dense(part)
+        out = rows.dense(17)
+        assert np.array_equal(out, part) and out.flags.writeable
+        assert not np.shares_memory(out, rows.vals)
 
 
 def _check_rows(indptr, cols, dim=4):
