@@ -18,7 +18,7 @@ import numpy as np
 from latmax.spaces import LpBlock
 from latmax.systems import BiorthogonalSystem, Csr
 
-_SIZE_LIMIT = 20  # 2^20 coordinates, ~8 MB per stored matrix row set
+_SIZE_LIMIT = 20  # 2^20 coordinates: a sign row is 8 MiB, R's and F's vals 160 MiB each
 
 
 def _points(n: int) -> np.ndarray:
@@ -28,14 +28,21 @@ def _points(n: int) -> np.ndarray:
     return np.arange(2 ** n, dtype=np.uint32)
 
 
+def _signs(omega, k: int, out: np.ndarray) -> np.ndarray:
+    """The signs of r_k at the points omega, into out: 1 - 2 * (bit k of
+    omega), exactly +1 or -1."""
+    np.multiply((omega >> k) & 1, -2.0, out=out)
+    out += 1.0
+    return out
+
+
 def sign_matrix(n: int) -> np.ndarray:
-    """n rows of length 2^n; entry (k, omega) is the sign of bit k of omega."""
-    bits = _points(n)[None, :] >> np.arange(n, dtype=np.uint32)[:, None]
-    bits &= 1
-    # 1 - 2 * bit, in place: one float copy of the bit table, no temporaries
-    signs = bits.astype(float)
-    signs *= -2.0
-    signs += 1.0
+    """n rows of length 2^n; entry (k, omega) is the sign of bit k of omega,
+    filled one row at a time."""
+    omega = _points(n)
+    signs = np.empty((n, 2 ** n))
+    for k, row in enumerate(signs):
+        _signs(omega, k, out=row)
     return signs
 
 
@@ -43,25 +50,28 @@ def sign_parts(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Column sums of the positive and of the negative parts of
     sign_matrix(n) / n, one sign row at a time.
 
-    Row k adds 1/n where bit k of omega is 0 (to pos) or 1 (to neg), in row
+    Row k adds 1/n where its sign is +1 (to pos) or -1 (to neg), in row
     order from zero: the additions of a sum over axis 0, so both are bitwise
     np.clip(+-sign_matrix(n) / n, 0, None).sum(axis=0).
     """
     omega, step = _points(n), 1.0 / n
     pos, neg, part = np.zeros(2 ** n), np.zeros(2 ** n), np.empty(2 ** n)
     for k in range(n):
-        neg += np.multiply((omega >> k) & 1, step, out=part)
+        # (1 - sign) * step / 2 is exactly 0 or step, as is its complement
+        np.subtract(1.0, _signs(omega, k, out=part), out=part)
+        neg += np.multiply(part, step / 2, out=part)
         pos += np.subtract(step, part, out=part)
     return pos, neg
 
 
 def rademacher_l1(n: int) -> BiorthogonalSystem:
     """The n sign vectors with their expectation functionals."""
-    # no sign is zero: every row holds all 2^n columns
-    R = Csr(np.arange(n + 1) * 2 ** n, np.tile(np.arange(2 ** n), n), sign_matrix(n).ravel())
+    # no sign is zero: every row holds all 2^n columns, stored once
+    ptr, cols = np.arange(n + 1) * 2 ** n, np.arange(2 ** n)
+    R = Csr(ptr, cols, sign_matrix(n).ravel())
     host = LpBlock(2 ** n, 1.0, weights=np.full(2 ** n, 2.0 ** -n))
     # E[r_j r_k] = delta: the plain pairing needs the 2^-n weight folded in
-    return BiorthogonalSystem(host, R, Csr(R.indptr, R.cols, R.vals * 2.0 ** -n))
+    return BiorthogonalSystem(host, R, Csr(ptr, cols, R.vals * 2.0 ** -n))
 
 
 def signed_mean(alpha) -> float:

@@ -36,8 +36,8 @@ def indicator_blocks(J: int) -> Csr:
     m = 2 ** J
     # rows 1.. of the wavelet layout: row 0 covers the cells once, and so
     # does each level after it
-    indptr, cols, _ = haar_rows(J, 2.0)[0]
-    return Csr(indptr[1:] - m, cols[m:], np.ones(J * m))
+    rows = haar_rows(J, 2.0)[0].slice(1, m)
+    return Csr(rows.indptr, rows.columns(), np.ones(J * m))
 
 
 def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
@@ -63,7 +63,7 @@ def typewriter_frame(J: int, p: float) -> BiorthogonalSystem:
     slots[0::3] = np.arange(m)
     slots[1::3] = m + np.arange(m - 1)
     slots[2::3] = 2 * m - 1 + np.arange(m - 1)
-    V = Csr.stack([W, T, Csr(T.indptr, T.cols, -T.vals)]).take(slots)
+    V = Csr.stack([W, T, Csr(T.indptr, T.columns(), -T.vals)]).take(slots)
     index = np.zeros(3 * m - 2, dtype=np.intp)
     index[0::3] = np.arange(m)
     return BiorthogonalSystem(dyadic_lp(J, p), V, W_dual, check=False, index=index)

@@ -5,8 +5,11 @@ space, both stored sparse as rows in compressed sparse row form (``Csr``;
 Saad, *Iterative Methods for Sparse Linear Systems*, 2003, ch. 3).  The
 vectors are one CSR row each (``row_support``).  The functionals are CSR
 rows U plus a row-index map idx, f_k = U[idx[k]], so a functional that
-several slots share is stored once.  Constructions build these rows
-directly; a dense input is converted once, at construction.  Every kernel
+several slots share is stored once.  Rows that all hold the same columns
+(the Rademacher signs) store those columns once, as one row; in either
+form position p's column is cols[p % len(cols)], read only through
+``Csr.columns``.  Constructions build these rows directly; a dense input
+is converted once, at construction.  Every kernel
 reads only the nonzeros: ordered joins and the typewriter pass scan them
 column by column (``_column_scan``), one running sum per occupied (pair,
 coordinate) cell, folded as it goes into the cell's high and low marks;
@@ -101,7 +104,7 @@ def _pair_ends(per_col, V: Csr) -> np.ndarray:
     (the pair products of vectors 0 .. k - 1 with a block holding per_col[c]
     nonzeros in column c): one in-place cumsum, read at each row's last
     nonzero, an empty row reading the row before it and 0 before any."""
-    run = per_col[V.cols]
+    run = per_col[V.columns()]
     np.cumsum(run, out=run)
     ends = np.zeros(V.n_rows + 1, dtype=run.dtype)
     filled = V.indptr > 0
@@ -111,16 +114,17 @@ def _pair_ends(per_col, V: Csr) -> np.ndarray:
 
 class Csr:
     """Rows in compressed sparse row form: row i holds the values
-    vals[indptr[i]:indptr[i + 1]] at the strictly ascending columns
-    cols[indptr[i]:indptr[i + 1]].  Unpacks as (indptr, cols, vals)."""
+    vals[indptr[i]:indptr[i + 1]] at strictly ascending columns.  Position
+    p's column is cols[p % len(cols)] (``columns``), in one of two forms,
+    read from the arrays' lengths.  Rows that store their own columns keep
+    one per position, len(cols) == len(vals).  Rows that all hold the same
+    L columns store them once: len(cols) == L, len(vals) == n_rows * L and
+    indptr == arange(n_rows + 1) * L."""
 
     __slots__ = ("indptr", "cols", "vals")
 
     def __init__(self, indptr, cols, vals):
         self.indptr, self.cols, self.vals = indptr, cols, vals
-
-    def __iter__(self):
-        return iter((self.indptr, self.cols, self.vals))
 
     @classmethod
     def from_dense(cls, rows) -> "Csr":
@@ -133,27 +137,56 @@ class Csr:
 
     @classmethod
     def stack(cls, blocks) -> "Csr":
-        """The rows of each block in turn."""
+        """The rows of each block in turn, each position with its own column."""
         counts = np.concatenate([np.diff(b.indptr) for b in blocks])
         return cls(np.concatenate([[0], np.cumsum(counts)]),
-                   np.concatenate([b.cols for b in blocks]),
+                   np.concatenate([b.columns() for b in blocks]),
                    np.concatenate([b.vals for b in blocks]))
 
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
 
+    def columns(self, pos=slice(None)) -> np.ndarray:
+        """The column of each stored position in pos, an index array or a
+        slice of step 1 (every position by default): cols[pos % len(cols)],
+        the one rule of both forms.  The form is read once per call: rows
+        that store their own columns read cols[pos], and shared columns
+        read a slice inside one row as a view of them."""
+        L = len(self.cols)
+        if L == len(self.vals):
+            return self.cols[pos]
+        if isinstance(pos, slice):
+            lo, hi, _ = pos.indices(len(self.vals))
+            if lo % L + hi - lo <= L:
+                return self.cols[lo % L : lo % L + hi - lo]
+            pos = np.arange(lo, hi)
+        return self.cols[pos % L]
+
+    def column_counts(self, dim: int) -> np.ndarray:
+        """The nonzeros in each of dim columns, from the shape alone: the
+        positions run through cols len(vals) / len(cols) times (once, or
+        once per row)."""
+        counts = np.bincount(self.cols, minlength=dim)
+        counts *= len(self.vals) // max(len(self.cols), 1)
+        return counts
+
     def slice(self, start: int, stop: int) -> "Csr":
-        """Rows start .. stop - 1, as views of the stored arrays."""
+        """Rows start .. stop - 1, as views of the stored arrays, in the
+        form of the whole: its columns are those of its first len(cols)
+        positions, every one of them or one shared row."""
         lo, hi = self.indptr[start], self.indptr[stop]
-        return Csr(self.indptr[start : stop + 1] - lo, self.cols[lo:hi], self.vals[lo:hi])
+        return Csr(self.indptr[start : stop + 1] - lo,
+                   self.columns(slice(lo, lo + min(len(self.cols), hi - lo))),
+                   self.vals[lo:hi])
 
     def take(self, rows) -> "Csr":
-        """The listed rows, in the listed order."""
+        """The listed rows, in the listed order, each position with its own
+        column."""
         rows = np.asarray(rows, dtype=np.intp)
         cnt = self.indptr[rows + 1] - self.indptr[rows]
         pos = _spans(self.indptr[rows], cnt)
-        return Csr(np.concatenate([[0], np.cumsum(cnt)]), self.cols[pos],
+        return Csr(np.concatenate([[0], np.cumsum(cnt)]), self.columns(pos),
                    self.vals[pos])
 
     def dense(self, dim: int) -> np.ndarray:
@@ -166,7 +199,7 @@ class Csr:
             return out
         out = np.zeros((self.n_rows, dim))
         for row, lo, hi in zip(out, self.indptr[:-1], self.indptr[1:]):
-            row[self.cols[lo:hi]] = self.vals[lo:hi]
+            row[self.columns(slice(lo, hi))] = self.vals[lo:hi]
         return out
 
 
@@ -179,12 +212,17 @@ def _as_rows(rows, dim: int, what: str) -> Csr:
         return Csr.from_dense(dense)
     ptr, cols = np.asarray(rows.indptr, dtype=np.intp), np.asarray(rows.cols, dtype=np.intp)
     vals = np.asarray(rows.vals, dtype=float)
-    # columns strictly ascend inside each row: a step down or a repeat may
-    # only fall where a new row starts (a bool mask, no int64 difference array)
+    # the stored columns as given, O(len(cols) + n_rows): one per position,
+    # or one row that at least two rows share (indptr = arange * L); they
+    # strictly ascend inside each row, so a step down or a repeat may only
+    # fall where a new row starts (a bool mask, no int64 difference array)
+    L = len(cols)
     bad = np.flatnonzero(cols[1:] <= cols[:-1]) + 1
     if (ptr.ndim != 1 or len(ptr) < 1 or ptr[0] != 0 or np.any(np.diff(ptr) < 0)
-            or ptr[-1] != len(cols) or len(vals) != len(cols)
-            or (len(cols) and (cols.min() < 0 or cols.max() >= dim))
+            or ptr[-1] != len(vals)
+            or (L != len(vals) and not (L < len(vals)
+                                        and np.array_equal(ptr, np.arange(len(ptr)) * L)))
+            or (L and (cols.min() < 0 or cols.max() >= dim))
             or np.any(ptr[np.searchsorted(ptr, bad)] != bad)):
         raise ValueError(f"{what} are not CSR rows over {dim} columns")
     return Csr(ptr, cols, vals)
@@ -245,7 +283,10 @@ class BiorthogonalSystem:
         """
         U, V, dim = self.functional_rows, self.row_support, self.space.dim
         n, nU, idx = len(self), U.n_rows, self.functional_index
-        pairs = int(np.bincount(U.cols, minlength=dim) @ np.bincount(V.cols, minlength=dim))
+        # full rows (n_rows * dim values each side) pair in every column:
+        # the dense flop count itself, read from the shape
+        full = len(U.vals) == nU * dim and len(V.vals) == n * dim
+        pairs = nU * n * dim if full else int(U.column_counts(dim) @ V.column_counts(dim))
         readers = np.bincount(idx, minlength=nU)  # slots that read each row
         err = 0.0  # np.max keeps a NaN error, where max() would drop it
         if _GRAM_DENSE_SHARE * pairs >= nU * n * dim:
@@ -260,23 +301,24 @@ class BiorthogonalSystem:
         # each block's nonzeros column by column, rows ascending in a column
         for r0, r1 in itertools.pairwise(_cuts(U.indptr, _WORKING_SET)):
             B = U.slice(r0, r1)
-            by_col = np.argsort(B.cols, kind="stable")
+            by_col = np.argsort(B.columns(), kind="stable")
             u_rows = np.repeat(np.arange(r1 - r0), np.diff(B.indptr))[by_col]
-            u_vals, per_col = B.vals[by_col], np.bincount(B.cols, minlength=dim)
+            u_vals, per_col = B.vals[by_col], B.column_counts(dim)
             col_start = np.cumsum(per_col) - per_col
             ends = _pair_ends(per_col, V)
             del B, by_col
             for k0, k1 in itertools.pairwise(_cuts(ends, _WORKING_SET)):
                 slab, w = V.slice(k0, k1), k1 - k0
-                cnt = per_col[slab.cols]
-                pos = _spans(col_start[slab.cols], cnt)
+                cols = slab.columns()
+                cnt = per_col[cols]
+                pos = _spans(col_start[cols], cnt)
                 r = u_rows[pos]
                 # cell (k, r) is key r * w + k - k0, r counted from r0: products
                 # come in order of k, so a stable sort by r orders them by key
                 key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
                 key += r * w
                 prod = u_vals[pos] * np.repeat(slab.vals, cnt)
-                del cnt, pos
+                del cols, cnt, pos
                 order = _stable_order(r, r1 - r0)
                 del r
                 key, prod = key[order], prod[order]
@@ -336,13 +378,12 @@ def coefficients(sys: BiorthogonalSystem, x) -> np.ndarray:
     """f_k(x) for every k, via the unweighted pairing: U x over the stored
     rows, each row's terms summed pairwise (np.add.reduceat), then
     gathered by idx."""
-    x = _coords(sys, x)
-    ptr, cols, vals = sys.functional_rows
-    out = np.zeros(len(ptr) - 1)
+    x, U = _coords(sys, x), sys.functional_rows
+    out = np.zeros(U.n_rows)
     # reduceat would copy a neighbouring term into an empty row
-    rows = np.flatnonzero(np.diff(ptr))
+    rows = np.flatnonzero(np.diff(U.indptr))
     if len(rows):
-        out[rows] = np.add.reduceat(vals * x[cols], ptr[rows])
+        out[rows] = np.add.reduceat(U.vals * x[U.columns()], U.indptr[rows])
     return out[sys.functional_index]
 
 
@@ -356,12 +397,12 @@ def _gather(sys: BiorthogonalSystem, pair, rows):
     rows[t] has cnt[t] nonzeros, at positions pos of the row support in
     scan order, in the cells seg = pair * dim + column.  The one place an
     index outside [0, n) is rejected (ValueError)."""
-    ptr, cols, _ = sys.row_support
+    V = sys.row_support
     if rows.size and (rows.min() < 0 or rows.max() >= len(sys)):
         raise ValueError(f"index out of range for {len(sys)} vectors")
-    cnt = ptr[rows + 1] - ptr[rows]
-    pos = _spans(ptr[rows], cnt)
-    return np.repeat(pair * sys.space.dim, cnt) + cols[pos], cnt, pos
+    cnt = V.indptr[rows + 1] - V.indptr[rows]
+    pos = _spans(V.indptr[rows], cnt)
+    return np.repeat(pair * sys.space.dim, cnt) + V.columns(pos), cnt, pos
 
 
 def _pairs(perms):

@@ -339,6 +339,24 @@ def test_sign_matrix_basics():
     assert np.array_equal(R @ R.T, 8 * np.eye(3))
 
 
+def test_sign_matrix_is_one_minus_twice_the_bits():
+    for n in range(1, 13):
+        bits = (np.arange(2 ** n)[None, :] >> np.arange(n)[:, None]) & 1
+        assert rad.sign_matrix(n).tobytes() == (1.0 - 2.0 * bits).tobytes(), n
+
+
+def test_sign_matrix_holds_no_bit_table():
+    tracemalloc.start()
+    try:
+        signs = rad.sign_matrix(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the signs are 8 MiB, and a row of bits at a time adds 0.75 MiB; a
+    # 16 x 2^16 uint32 bit table to convert from adds 4 MiB (12 MiB peak)
+    assert peak < signs.nbytes + 2 ** 20, peak
+
+
 def test_sign_parts_are_the_clipped_sums_of_the_sign_cube():
     for k in (1, 4, 9, 16):
         X = rad.sign_matrix(k) / k
@@ -367,12 +385,35 @@ def test_rademacher_round_trip():
 
 
 def test_rademacher_rows_are_the_dense_conversion_array_by_array():
-    # the rows are built straight from the signs, none of which is zero:
-    # the same arrays, dtype for dtype, as converting the dense signs
+    # the rows are built straight from the signs, none of which is zero: one
+    # shared row of columns, yet every row reads the columns and values of
+    # converting the dense signs, dtype for dtype
     for n in (1, 2, 5, 9):
         built = rad.rademacher_l1(n).row_support
-        for mine, ref in zip(built, Csr.from_dense(rad.sign_matrix(n))):
-            assert mine.dtype == ref.dtype and np.array_equal(mine, ref), n
+        ref = Csr.from_dense(rad.sign_matrix(n))
+        assert len(built.cols) == 2 ** n and np.array_equal(built.indptr, ref.indptr), n
+        for k in range(n):
+            lo, hi = ref.indptr[k], ref.indptr[k + 1]
+            for mine, want in ((built.columns(slice(lo, hi)), ref.columns(slice(lo, hi))),
+                               (built.vals[lo:hi], ref.vals[lo:hi])):
+                assert mine.dtype == want.dtype and np.array_equal(mine, want), (n, k)
+
+
+def test_rademacher_build_holds_one_row_of_columns():
+    rad.rademacher_l1(3)
+    tracemalloc.start()
+    try:
+        system = rad.rademacher_l1(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    R, F = system.row_support, system.functional_rows
+    # R's and F's vals are 8 MiB each; the host's weights and the one shared
+    # row of int64 columns take 0.5 MiB each, and the build's transients
+    # about 0.1 MiB (17.1 MiB peak).  The column tile, the same 2^16 columns
+    # once per row, was another 8 MiB (25.5 MiB peak)
+    assert peak < R.vals.nbytes + F.vals.nbytes + 2 * 2 ** 20, peak
+    assert R.cols is F.cols and len(R.cols) == 2 ** 16
 
 
 def test_modulus_sum_is_l1():
@@ -647,8 +688,9 @@ def test_direct_csr_builds_are_the_dense_conversion_and_join_bitwise(built, data
     for direct, converted in ((system.row_support, dense.row_support),
                               (system.functional_rows.take(system.functional_index),
                                dense.functional_rows)):
-        for a, b in zip(direct, converted):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for name in ("indptr", "cols", "vals"):
+            a, b = getattr(direct, name), getattr(converted, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     # every join reads the rows and the coefficients only, so each is
     # bitwise the dense path's: a cumsum over the dense rows
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))

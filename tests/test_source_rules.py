@@ -34,6 +34,14 @@ partial sum is an integer below 2^24.
 There is one +/-1 row stream: ``np.unpackbits`` is called once in the
 package, in ``hadamard._sign_rows``, which turns both the sign cube's
 counters and the sampled words into rows by one bits-to-signs step.
+
+A ``Csr`` position's column is read in one place.  Position p holds column
+cols[p % len(cols)], which is cols[p] only when every position stores its
+own column; on rows that share one stored row of columns a stray
+``x[cols]`` or ``cols[pos]`` reads the wrong columns.  So only
+``Csr.columns`` subscripts the stored columns or indexes with them, and
+only the ``Csr`` class and ``_as_rows`` (which validates the stored arrays
+as given) read them at all.  A ``Csr`` does not unpack into its arrays.
 """
 
 import ast
@@ -122,6 +130,86 @@ def test_one_sign_row_stream_unpacks_bits():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unpackbits"]
     assert [f.rsplit(":", 1)[0] for f in found] == ["latmax/constructions/hadamard.py"], found
+
+
+# scopes that may read a Csr's stored columns, each with its reason
+_COLUMN_SCOPES = {
+    "Csr.columns": "the rule itself: position p holds column cols[p % len(cols)]",
+    "_as_rows": "validates the stored arrays as given, before any position is read",
+}
+
+
+def _scopes(tree) -> dict:
+    """id(node) -> the dotted class and function names around it."""
+    scope_of, stack = {}, []
+
+    def visit(node):
+        named = isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if named:
+            stack.append(node.name)
+        scope_of[id(node)] = ".".join(stack)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if named:
+            stack.pop()
+
+    visit(tree)
+    return scope_of
+
+
+def _column_reads(tree) -> list:
+    """(line, scope, what) of every read of a Csr's stored columns the rule
+    forbids: a .cols read outside the Csr class, and a subscript of the
+    columns or by them, also through a name bound from them."""
+    scope_of, found = _scopes(tree), []
+    reads = lambda node: any(isinstance(n, ast.Attribute) and n.attr == "cols"
+                             and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
+    # a name bound from the columns, not from their length
+    bound = {(scope_of[id(node)], t.id) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and reads(node.value)
+             and getattr(getattr(node.value, "func", None), "id", None) != "len"
+             for target in node.targets for t in ast.walk(target)
+             if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        scope = scope_of[id(node)]
+        if scope in _COLUMN_SCOPES:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr == "cols"
+                and isinstance(node.ctx, ast.Load) and not scope.startswith("Csr.")):
+            found.append((node.lineno, scope, "reads .cols"))
+        if isinstance(node, ast.Subscript) and (reads(node) or any(
+                isinstance(n, ast.Name) and (scope, n.id) in bound for n in ast.walk(node))):
+            found.append((node.lineno, scope, "subscripts the columns"))
+    return found
+
+
+def test_only_the_column_accessor_subscripts_a_csrs_columns():
+    found = [f"{path.relative_to(SRC.parent)}:{line} {scope} {what}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, scope, what in _column_reads(
+                 ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, "Csr columns read outside Csr.columns: " + ", ".join(found)
+
+
+def test_column_rule_sees_every_form():
+    tree = ast.parse("def f(V, per_col, pos):\n"              # 1
+                     "    a = V.cols[pos]\n"                  # 2
+                     "    b = per_col[V.cols]\n"              # 3
+                     "    t = V.cols\n"                       # 4
+                     "    c = t[pos]\n"                       # 5
+                     "class Csr:\n"                           # 6
+                     "    def columns(self, pos):\n"          # 7
+                     "        return self.cols[pos]\n"        # 8
+                     "    def slice(self, lo):\n"             # 9
+                     "        L = len(self.cols)\n"           # 10
+                     "        table = self.cols\n"            # 11
+                     "        head = self.vals[L:]\n"         # 12
+                     "        return table[lo:]\n")           # 13
+    assert sorted({(line, what) for line, _, what in _column_reads(tree)}) == [
+        (2, "reads .cols"), (2, "subscripts the columns"),
+        (3, "reads .cols"), (3, "subscripts the columns"),
+        (4, "reads .cols"), (5, "subscripts the columns"),
+        (13, "subscripts the columns")]
 
 
 def test_only_estimation_names_the_dense_svd_cutoff():

@@ -335,8 +335,9 @@ def test_rademacher_gram_check_reads_full_rows_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    U = sysm.functional_rows
-    arrays = (*sysm.row_support, *U, sysm.functional_index, sysm.space.weights)
+    V, U = sysm.row_support, sysm.functional_rows
+    arrays = (V.indptr, V.cols, V.vals, U.indptr, U.cols, U.vals,
+              sysm.functional_index, sysm.space.weights)
     stored = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
     assert peak < stored + 2 ** 18 * 8, (peak, stored)
 
@@ -407,6 +408,85 @@ def test_csr_validation_holds_no_full_length_difference():
         tracemalloc.stop()
     assert checked.n_rows == rows
     assert peak < 2 * 2 ** 20, peak
+
+
+@st.composite
+def shared_row_sets(draw):
+    """(dim, columns, V, U): 1..6 vectors and functional rows that all hold
+    the same L <= 16 ascending columns, nonzero values, over dim = L columns
+    (full rows, the BLAS gram path) or 17 L (the pair path)."""
+    n, L = draw(st.integers(1, 6)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = L * draw(st.sampled_from((1, 17)))
+    cols = np.sort(rng.choice(dim, L, replace=False))
+    V, U = (rng.standard_normal((n, L)) for _ in range(2))
+    return dim, cols, V, U
+
+
+def _both_forms(cols, rows):
+    """The rows in the shared-column form and with a column per position."""
+    ptr = np.arange(len(rows) + 1) * len(cols)
+    return (Csr(ptr, cols, rows.ravel()),
+            Csr(ptr, np.tile(cols, len(rows)), rows.ravel()))
+
+
+def _same_rows(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.indptr, b.indptr), (a.columns(), b.columns()),
+                            (a.vals, b.vals)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_row_sets(), st.data())
+def test_shared_columns_read_as_a_column_per_position(rows, data):
+    dim, cols, V, U = rows
+    n = len(V)
+    (Vs, Ve), (Us, Ue) = _both_forms(cols, V), _both_forms(cols, U)
+    assert len(Vs.cols) == len(cols)
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            part = Vs.slice(start, stop)
+            assert _same_rows(part, Ve.slice(start, stop)), (start, stop)
+            # a row range keeps the one stored row of columns
+            assert len(part.cols) == (len(cols) if stop > start else 0)
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=8), label="rows")
+    assert _same_rows(Vs.take(picks), Ve.take(picks))
+    assert Vs.dense(dim).tobytes() == Ve.dense(dim).tobytes()
+    assert np.array_equal(Vs.column_counts(dim), Ve.column_counts(dim))
+    space = lp_block(dim, data.draw(st.sampled_from((1.0, 2.0, 3.0)), label="p"))
+    shared, explicit = (BiorthogonalSystem(space, Vr, Ur, check=False)
+                        for Vr, Ur in ((Vs, Us), (Ve, Ue)))
+    assert shared._gram_error().hex() == explicit._gram_error().hex()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    x, a = rng.standard_normal(dim), rng.standard_normal(n)
+    assert coefficients(shared, x).tobytes() == coefficients(explicit, x).tobytes()
+    assert reconstruct(shared, a).coords.tobytes() == reconstruct(explicit, a).coords.tobytes()
+    order = rng.permutation(n)
+    for name in systems.CONSTANT_NAMES:
+        report = ConstantReport(name, 0.0, a, "structured_family", 1,
+                                order if name == "kvee" else None)
+        assert recompute_constant(shared, report) == recompute_constant(explicit, report), name
+
+
+def test_a_csr_does_not_unpack_into_its_arrays():
+    # unpacking handed out the stored columns as if each position had one
+    with pytest.raises(TypeError):
+        indptr, cols, vals = Csr(np.arange(3) * 2, np.arange(2), np.ones(4))
+
+
+def test_shared_columns_validate_by_their_shape():
+    cols = np.array([0, 2, 3])
+    rows = systems._as_rows(Csr(np.arange(5) * 3, cols, np.ones(12)), 4, "rows")
+    assert rows.cols is cols and rows.n_rows == 4
+    # the rows must hold the stored row of columns each, once per row
+    for ptr, table, nnz in (([0, 3, 6, 12], cols, 12),    # a double row
+                            ([0, 6, 12], cols, 12),       # two rows of six
+                            ([0, 3, 6], cols, 9),          # values past the rows
+                            ([0], cols, 0),                # no rows
+                            ([0, 3, 6], [0, 3, 2], 6),     # a step down inside a row
+                            ([0, 3, 6], [0, 2, 4], 6)):    # a column past dim
+        with pytest.raises(ValueError, match="not CSR rows"):
+            systems._as_rows(Csr(np.array(ptr), np.array(table), np.ones(nnz)), 4, "rows")
 
 
 def test_haar_depth_limit():
