@@ -67,7 +67,7 @@ CONSTANT_NAMES = (
 SEARCH_TAGS = ("structured_family", "random_ascent")
 
 _GRAM_TOL = 1e-9  # largest |f_j(x_k) - delta_jk| a system may show
-_WORKING_SET = 2 ** 18  # entries one batch may hold: products, cells or signs
+_WORKING_SET = 2 ** 18  # entries one batch may hold, summed over every array it keeps alive
 _GRAM_DENSE_SHARE = 16  # BLAS once column pairs reach 1/16 of the dense flops
 _SCAN_BLOCK = 64  # rows per per-prefix norm block, candidates per kvee join
 _SCREEN_SLACK = 1e-9  # relative margin of the join screen over its rounding
@@ -86,7 +86,9 @@ def _stable_order(keys, top: int) -> np.ndarray:
 
 def _spans(starts, counts):
     """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    out = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    out += np.arange(len(out))
+    return out
 
 
 def _cuts(ends, cap: int) -> list:
@@ -274,8 +276,10 @@ class BiorthogonalSystem:
         dense rows (full ones in place) form the n_U x w blocks U V^T, w rows
         within _WORKING_SET cells.  Otherwise only the pair products are formed
         (Gustavson, ACM TOMS 4(3), 1978): blocks of U's rows of at most
-        _WORKING_SET nonzeros, each against slabs of whole vectors of at most
-        _WORKING_SET products, a hard cap, as a vector meets a nonzero at most
+        _batch_size(1) nonzeros, each against slabs of whole vectors.  A slab
+        keeps four product-length arrays alive at its peak, so it holds at
+        most _batch_size(4) products, or one vector, whose products are at
+        most its U block's nonzeros, as a vector meets a nonzero at most
         once.  A stable sort groups them by cell (vector k, functional row
         r), and each cell adds its products in column order from zero, as a
         dense slab's np.bincount would, so the error is the same bit for bit.
@@ -299,7 +303,7 @@ class BiorthogonalSystem:
                 err = np.max([err, _cell_error(gram, readers, diag, k1 - k0)])
             return float(err)
         # each block's nonzeros column by column, rows ascending in a column
-        for r0, r1 in itertools.pairwise(_cuts(U.indptr, _WORKING_SET)):
+        for r0, r1 in itertools.pairwise(_cuts(U.indptr, _batch_size(1))):
             B = U.slice(r0, r1)
             by_col = np.argsort(B.columns(), kind="stable")
             u_rows = np.repeat(np.arange(r1 - r0), np.diff(B.indptr))[by_col]
@@ -307,28 +311,34 @@ class BiorthogonalSystem:
             col_start = np.cumsum(per_col) - per_col
             ends = _pair_ends(per_col, V)
             del B, by_col
-            for k0, k1 in itertools.pairwise(_cuts(ends, _WORKING_SET)):
+            # a slab's peak is four product-length arrays: r, prod, order and
+            # one more (the sort's index scratch, the repeat of k or a sorted
+            # copy), with a 16-bit copy of r in the sort
+            for k0, k1 in itertools.pairwise(_cuts(ends, _batch_size(4))):
                 slab, w = V.slice(k0, k1), k1 - k0
                 cols = slab.columns()
                 cnt = per_col[cols]
                 pos = _spans(col_start[cols], cnt)
-                r = u_rows[pos]
+                r, prod = u_rows[pos], u_vals[pos]
+                del cols, pos
+                prod *= np.repeat(slab.vals, cnt)
                 # cell (k, r) is key r * w + k - k0, r counted from r0: products
                 # come in order of k, so a stable sort by r orders them by key
-                key = np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
-                key += r * w
-                prod = u_vals[pos] * np.repeat(slab.vals, cnt)
-                del cols, cnt, pos
                 order = _stable_order(r, r1 - r0)
+                r *= w
+                r += np.repeat(np.repeat(np.arange(w), np.diff(slab.indptr)), cnt)
+                key = r[order]
                 del r
-                key, prod = key[order], prod[order]
+                prod = prod[order]
                 del order
                 # cell i's products are the run of equal keys it numbers
                 start = np.ones(len(key), dtype=bool)
                 np.not_equal(key[1:], key[:-1], out=start[1:])
-                gram = np.bincount(np.cumsum(start) - 1, prod)
                 r, k = np.divmod(key[start], w)
                 r += r0
+                np.cumsum(start, out=key)
+                key -= 1
+                gram = np.bincount(key, prod)
                 del key, prod, start
                 diag = np.nonzero(r == idx[k0 + k])
                 due = np.count_nonzero((r0 <= idx[k0:k1]) & (idx[k0:k1] < r1))

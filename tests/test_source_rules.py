@@ -24,6 +24,11 @@ An index outside [0, n) is rejected in one place: the only "index out of
 range" raise in ``systems.py`` is in ``_gather``, which every kernel reads
 its rows through.
 
+Every batch and every cut is sized by one rule: only
+``systems._batch_size`` reads ``_WORKING_SET``, the entries one batch may
+hold across every array it keeps alive, so each caller states what an item
+costs.  Tests may still patch the constant.
+
 Whether a spectral norm takes the dense SVD is ``spectral_norm``'s own
 decision: no module but ``estimation.py`` names ``_DENSE_SVD_CUTOFF``.
 
@@ -210,6 +215,26 @@ def test_column_rule_sees_every_form():
         (3, "reads .cols"), (3, "subscripts the columns"),
         (4, "reads .cols"), (5, "subscripts the columns"),
         (13, "subscripts the columns")]
+
+
+def _working_set_reads(tree) -> list:
+    """(line, scope) of every read of _WORKING_SET, as a name or an attribute."""
+    scope_of = _scopes(tree)
+    return [(node.lineno, scope_of[id(node)]) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) == "_WORKING_SET"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_only_batch_size_reads_the_working_set():
+    found = [f"{path.relative_to(SRC.parent)}:{line} {scope}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, scope in _working_set_reads(
+                 ast.parse(path.read_text(), filename=str(path)))
+             if (path, scope) != (SRC / "systems.py", "_batch_size")]
+    assert found == [] and _working_set_reads(
+        ast.parse("def f():\n    return g(systems._WORKING_SET, _WORKING_SET)\n")) == [
+            (2, "f"), (2, "f")], "working set read outside _batch_size: " + ", ".join(found)
 
 
 def test_only_estimation_names_the_dense_svd_cutoff():

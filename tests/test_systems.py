@@ -227,7 +227,8 @@ def test_gram_check_rejects_nan():
 
 
 def test_gram_check_holds_pair_products_not_slabs():
-    # the 2^20-cell slabs of the dense-slab check peaked at 60 MiB here
+    # the 2^20-cell slabs of the dense-slab check peaked at 60 MiB here, and
+    # slabs of 2^18 products at 15.3 MiB
     sysm = haar_system(14, 2.0)
     tracemalloc.start()
     try:
@@ -235,7 +236,24 @@ def test_gram_check_holds_pair_products_not_slabs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    assert peak < 16 * 2 ** 20, peak
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=30), st.integers(1, 40))
+def test_cuts_are_greedy_pieces_within_the_cap(units, cap):
+    # zero-unit items (empty rows) included
+    ends = np.concatenate([[0], np.cumsum(units, dtype=np.int64)])
+    cuts = systems._cuts(ends, cap)
+    assert cuts[0] == 0 and cuts[-1] == len(ends) - 1
+    assert all(a < b for a, b in zip(cuts, cuts[1:]))
+    for a, b in zip(cuts, cuts[1:]):
+        assert ends[b] - ends[a] <= cap or b == a + 1, (a, b)
+        # greedy: the next item would overflow the piece
+        assert b == len(ends) - 1 or ends[b + 1] - ends[a] > cap, (a, b)
+    for i, u in enumerate(units):
+        if u > cap:
+            assert i in cuts and i + 1 in cuts, i
 
 
 def test_pair_ends_read_the_previous_end_across_empty_rows():
@@ -267,7 +285,8 @@ def test_gram_error_with_empty_vectors_is_the_slab_check(monkeypatch):
 def test_gram_check_at_depth_16_holds_no_full_length_ends():
     # the prefix sum of the block's column counts over all of V's nonzeros
     # was three int64 arrays of 17 * 2^16 entries: the check peaked at
-    # 28.5 MiB, and at 21.6 MiB with one in-place cumsum
+    # 28.5 MiB, at 21.6 MiB with one in-place cumsum, and at 19.2 MiB with
+    # slabs sized by the four arrays they keep alive
     V, F = haar_rows(16, 2.0)
     sysm = BiorthogonalSystem(dyadic_lp(16, 2.0), V, F, check=False)
     tracemalloc.start()
@@ -277,7 +296,7 @@ def test_gram_check_at_depth_16_holds_no_full_length_ends():
     finally:
         tracemalloc.stop()
     assert err == 2.0 ** -52
-    assert peak < 24 * 2 ** 20
+    assert peak < 22 * 2 ** 20, peak
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,8 +304,8 @@ def test_gram_check_at_depth_16_holds_no_full_length_ends():
 @example(_shared_row_system())
 @example(_unproduced_diagonal_system())
 def test_gram_error_is_the_same_under_a_tiny_slab_cap(sysm):
-    # a 64-product cap takes U's rows in blocks of at most 64 nonzeros and
-    # the vectors in slabs of at most 64 products: every cell keeps its
+    # a 64-entry cap takes U's rows in blocks of at most 64 nonzeros and
+    # the vectors in slabs of at most 16 products: every cell keeps its
     # products in column order, and a diagonal is missing only if the block
     # that holds its row does not form it
     U, V, dim = sysm.functional_rows, sysm.row_support, sysm.space.dim
@@ -311,7 +330,7 @@ def test_haar_gram_error_is_the_same_under_a_tiny_slab_cap(monkeypatch):
 def test_gram_check_of_haar_16_keeps_its_slab_cap():
     # the constant vector alone makes 17 * 2^16 pair products; formed whole,
     # as one slab, they took the check to 71.6 MiB, and with U's rows in
-    # blocks of at most 2^18 nonzeros it peaks near 28.5 MiB
+    # blocks of at most 2^18 nonzeros it peaked near 28.5 MiB
     V, U = haar_rows(16, 2.0)
     sysm = BiorthogonalSystem(dyadic_lp(16, 2.0), V, U, check=False)
     tracemalloc.start()
@@ -321,7 +340,21 @@ def test_gram_check_of_haar_16_keeps_its_slab_cap():
     finally:
         tracemalloc.stop()
     assert err <= systems._GRAM_TOL
-    assert peak < 36 * 2 ** 20, peak
+    assert peak < 22 * 2 ** 20, peak
+
+
+def test_haar_12_gram_check_holds_one_working_set():
+    # slabs of 2^18 products kept six product-length arrays alive, 11.4 MiB;
+    # sized by the four they keep, the check peaks near 3.2 MiB
+    sysm = BiorthogonalSystem(dyadic_lp(12, 2.0), *haar_rows(12, 2.0), check=False)
+    tracemalloc.start()
+    try:
+        err = sysm._gram_error()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err <= systems._GRAM_TOL
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_rademacher_gram_check_reads_full_rows_in_place():
