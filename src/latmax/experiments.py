@@ -16,6 +16,7 @@ fixed config reproduces the value columns byte for byte.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -44,6 +45,8 @@ from .spaces import LpBlock
 from .systems import _batch_size, _joins, _scan_plan, coefficients, reconstruct
 
 _BIBASIS_BLOCK = 16  # haar-bibasis samples per pass through the scan plan
+# what sets the BLAS thread count, in OpenBLAS's order of precedence
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 __all__ = ["ExperimentConfig", "RunResult", "UsageError", "list_experiments", "run"]
 
@@ -95,6 +98,75 @@ def _pow2_grid(lo, hi):
         if n & (n - 1):
             raise UsageError("grid endpoints must be powers of two")
     return [1 << j for j in range(lo.bit_length() - 1, hi.bit_length())]
+
+
+def _workers(count: int) -> int:
+    """Threads for count independent calls: min(count, cpus // blas_threads),
+    at least one.  cpus is the process's CPU affinity (os.cpu_count() where
+    that is missing); blas_threads is the first of _BLAS_THREAD_VARS that
+    parses as a positive integer, else cpus, as OpenBLAS itself defaults.
+    An unpinned BLAS already fills the CPUs, and task threads on top of
+    its own made hadamard-mixed slower, so it gets one worker."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, min(count, cpus // blas))
+
+
+def _concurrently(calls) -> list:
+    """The results of zero-argument calls, in their order, run on
+    _workers(len(calls)) threads, the calling one among them.
+
+    Threads take calls off one shared iterator in the order given, so a
+    list sorted longest first is split by Graham's LPT rule, and store each
+    result at its call's index.  After a call raises, no thread takes a new
+    one; once every thread has joined, the exception of the lowest-index
+    failing call is raised, the one a serial loop would raise.  The calls
+    must share no mutable state.  Plain threading, which numpy already
+    loads: concurrent.futures would import logging.
+    """
+    import threading
+
+    calls = list(calls)
+    results, errors = [None] * len(calls), [None] * len(calls)
+    tasks, lock, failed = enumerate(calls), threading.Lock(), []
+
+    def work():
+        while True:
+            with lock:
+                i, call = next(tasks, (None, None))
+                if call is None or failed:
+                    return
+            try:
+                results[i] = call()
+            except BaseException as exc:  # raised again below, once all have joined
+                errors[i] = exc
+                with lock:
+                    failed.append(i)
+
+    threads = [threading.Thread(target=work)
+               for _ in range(_workers(len(calls)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 # ---------------------------------------------------------------- runners
@@ -214,14 +286,27 @@ def _run_haar_kvee(params, seed):
 
 
 def _run_hadamard(params, seed):
-    """Sign-sum versus modulus-sum norms of the perturbed sup-block rows."""
+    """Sign-sum versus modulus-sum norms of the perturbed sup-block rows.
+
+    The sign sweep and the unconditionality window of each size k = 2..n
+    are independent seeded calls, each with its own generator and buffers.
+    _concurrently runs them longest first (k from n down, each sweep before
+    its window), on two threads on a two-CPU host with BLAS pinned to one
+    thread and serially when BLAS is unpinned; the rows and checks are
+    built from the results in size order, so no value depends on the split.
+    """
     n, samples, alphas = params["n"], params["samples"], params["alphas"]
     columns = ("n", "mode", "patterns", "sign_sum_max", "modulus_sum_norm",
                "absolute_lower_bound", "window_low", "window_high")
+    sizes = range(n, 1, -1)
+    done = _concurrently([call for k in sizes for call in (
+        functools.partial(_hadamard.sign_pattern_sweep, k, samples=samples, seed=seed),
+        functools.partial(_hadamard.unconditionality_window, k, count=alphas,
+                          seed=seed + 1))])
+    runs = dict(zip(sizes, zip(done[::2], done[1::2])))
     rows, checks = [], []
     for k in range(2, n + 1):
-        sweep = _hadamard.sign_pattern_sweep(k, samples=samples, seed=seed)
-        win = _hadamard.unconditionality_window(k, count=alphas, seed=seed + 1)
+        sweep, win = runs[k]
         mod = _hadamard.modulus_sum(k).norm()
         rows.append((k, sweep["mode"], sweep["count"], sweep["max"], mod,
                      mod / sweep["max"], win["low"], win["high"]))

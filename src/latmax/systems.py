@@ -104,13 +104,21 @@ def _cuts(ends, cap: int) -> list:
 def _pair_ends(per_col, V: Csr) -> np.ndarray:
     """ends[k] = sum of per_col over the nonzero columns of V's rows 0 .. k - 1
     (the pair products of vectors 0 .. k - 1 with a block holding per_col[c]
-    nonzeros in column c): one in-place cumsum, read at each row's last
-    nonzero, an empty row reading the row before it and 0 before any."""
-    run = per_col[V.columns()]
-    np.cumsum(run, out=run)
-    ends = np.zeros(V.n_rows + 1, dtype=run.dtype)
-    filled = V.indptr > 0
-    ends[filled] = run[V.indptr[filled] - 1]
+    nonzeros in column c): a running count over V's nonzeros in chunks of
+    _batch_size(1), the total carried from chunk to chunk, read at each
+    row's last nonzero, an empty row reading the row before it and 0 before
+    any.  ends[k] is read in the chunk that holds position indptr[k] - 1."""
+    ends = np.zeros(V.n_rows + 1, dtype=per_col.dtype)
+    total, step = 0, _batch_size(1)
+    for lo in range(0, len(V.vals), step):
+        hi = min(lo + step, len(V.vals))
+        run = per_col[V.columns(slice(lo, hi))]
+        run[0] += total
+        np.cumsum(run, out=run)
+        a, b = np.searchsorted(V.indptr, (lo + 1, hi + 1))
+        ends[a:b] = run[V.indptr[a:b] - (lo + 1)]
+        total = run[-1]
+        del run  # before the next chunk's
     return ends
 
 

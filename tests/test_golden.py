@@ -38,6 +38,21 @@ ARM = "byte arm" if BYTE_ARM else f"REL_TOL arm ({record.REL_TOL:g}, host differ
                          ids=[f"{g}/{label}" for g, label, _, _ in ENTRIES])
 def test_seed_zero_artifacts_match_the_golden_files(tmp_path, group, label,
                                                     experiment, params):
+    _assert_golden(tmp_path, group, label, experiment, params)
+
+
+HADAMARD = [e for e in ENTRIES if e[2] == "hadamard-mixed"]
+
+
+@pytest.mark.parametrize("group, label, experiment, params", HADAMARD,
+                         ids=[f"{g}/{label}" for g, label, _, _ in HADAMARD])
+def test_hadamard_artifacts_match_the_golden_files_on_two_task_threads(
+        tmp_path, two_task_threads, group, label, experiment, params):
+    # the suite runs with BLAS unpinned, where the runner is serial
+    _assert_golden(tmp_path, group, label, experiment, params)
+
+
+def _assert_golden(tmp_path, group, label, experiment, params):
     got = record.artifacts(experiment, params, tmp_path)
     want = record.golden(group, label)
     assert sorted(got) == sorted(want), f"{ARM}: {group}/{label} files"

@@ -1,9 +1,12 @@
 """Experiment catalog and CLI contract tests."""
 
+import functools
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -308,6 +311,112 @@ def test_uniform_bound_rows_keep_half_ratio(tmp_path):
         assert abs(mod - 1.0) < 1e-12
         assert ratio >= 0.5 - 1e-12
         assert margin >= -1e-12
+
+
+# ---------------------------------------------------------------- concurrency
+
+def test_hadamard_runner_is_the_same_on_two_task_threads(two_task_threads, monkeypatch):
+    params = {"samples": 20, "alphas": 5}
+    got = [repr(experiments._run_hadamard({"n": n, **params}, 3)) for n in range(2, 10)]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert experiments._workers(16) == 1
+    want = [repr(experiments._run_hadamard({"n": n, **params}, 3)) for n in range(2, 10)]
+    assert got == want
+
+
+def test_hadamard_runner_hands_out_the_largest_sizes_first(monkeypatch):
+    handed = []
+
+    def spy(calls):
+        handed.extend((c.func.__name__, c.args[0]) for c in calls)
+        return [c() for c in calls]
+
+    monkeypatch.setattr(experiments, "_concurrently", spy)
+    experiments._run_hadamard({"n": 6, "samples": 10, "alphas": 5}, 0)
+    assert handed == [(name, k) for k in range(6, 1, -1)
+                      for name in ("sign_pattern_sweep", "unconditionality_window")]
+
+
+def _fail(message, delay=0.0):
+    time.sleep(delay)
+    raise ValueError(message)
+
+
+def test_concurrently_raises_the_lowest_index_failure_once_all_have_joined(
+        two_task_threads):
+    before = threading.active_count()
+    # call 1 fails first, call 0 later: a serial loop would raise call 0's
+    calls = [functools.partial(_fail, "first", 0.05), functools.partial(_fail, "second"),
+             lambda: 2]
+    with pytest.raises(ValueError, match="^first$"):
+        experiments._concurrently(calls)
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="^second$"):
+        experiments._concurrently([lambda: 0, functools.partial(_fail, "second")])
+    assert threading.active_count() == before
+
+
+def test_concurrently_returns_results_in_input_order(two_task_threads):
+    before = threading.active_count()
+    delays = (0.04, 0.0, 0.02, 0.0, 0.01)
+    calls = [functools.partial(lambda i, d: time.sleep(d) or i, i, d)
+             for i, d in enumerate(delays)]
+    assert experiments._concurrently(calls) == [0, 1, 2, 3, 4]
+    assert experiments._concurrently([]) == []
+    assert threading.active_count() == before
+
+
+def test_concurrently_runs_each_call_once_under_fast_switching(monkeypatch):
+    # eight threads on two CPUs, switching every microsecond: a call taken
+    # twice or never would show in the counts
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    runs = [0] * 400
+
+    def call(i):
+        runs[i] += 1
+        return sum(range(i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = experiments._concurrently([functools.partial(call, i) for i in range(400)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [sum(range(i)) for i in range(400)] and runs == [1] * 400
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2),
+])
+def test_workers_divide_the_cpus_by_the_blas_threads(monkeypatch, env, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in experiments._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert experiments._workers(22) == workers
+
+
+def test_workers_are_capped_by_the_calls(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert [experiments._workers(c) for c in (0, 1, 3, 22)] == [1, 1, 3, 8]
+    # without an affinity call the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert experiments._workers(22) == 4
 
 
 # ---------------------------------------------------------------- cli

@@ -29,6 +29,11 @@ Every batch and every cut is sized by one rule: only
 hold across every array it keeps alive, so each caller states what an item
 costs.  Tests may still patch the constant.
 
+Every concurrent path shares one worker rule and one exception policy:
+only ``experiments._concurrently`` imports ``threading`` or makes a
+``Thread``, and no module imports ``_thread``, ``concurrent`` or
+``multiprocessing``.
+
 Whether a spectral norm takes the dense SVD is ``spectral_norm``'s own
 decision: no module but ``estimation.py`` names ``_DENSE_SVD_CUTOFF``.
 
@@ -235,6 +240,53 @@ def test_only_batch_size_reads_the_working_set():
     assert found == [] and _working_set_reads(
         ast.parse("def f():\n    return g(systems._WORKING_SET, _WORKING_SET)\n")) == [
             (2, "f"), (2, "f")], "working set read outside _batch_size: " + ", ".join(found)
+
+
+_THREAD_MODULES = ("threading", "_thread", "concurrent", "multiprocessing")
+
+
+def _thread_uses(tree) -> list:
+    """(line, scope) of every import of a module that starts threads or
+    processes, static or through import_module or __import__, and every
+    call of a name or attribute Thread."""
+    scope_of, found = _scopes(tree), []
+    starts = lambda module: module.split(".")[0] in _THREAD_MODULES
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(starts(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = starts(node.module or "")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            hit = name == "Thread" or (
+                name in _DYNAMIC_IMPORTS and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str) and starts(node.args[0].value))
+        else:
+            hit = False
+        if hit:
+            found.append((node.lineno, scope_of[id(node)]))
+    return found
+
+
+def test_only_concurrently_starts_threads():
+    found = [f"{path.relative_to(SRC.parent)}:{line} {scope}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, scope in _thread_uses(ast.parse(path.read_text(), filename=str(path)))
+             if (path, scope) != (SRC / "experiments.py", "_concurrently")]
+    tree = ast.parse("import threading\n"                                 # 1
+                     "def f():\n"                                         # 2
+                     "    from concurrent import futures\n"               # 3
+                     "    t = threading.Thread(target=f)\n"               # 4
+                     "    u = Thread()\n"                                 # 5
+                     "    m = importlib.import_module('multiprocessing')\n"  # 6
+                     "class C:\n"                                         # 7
+                     "    def g(self):\n"                                 # 8
+                     "        import os, _thread as th\n"                 # 9
+                     "        return os.Threads(), __import__('sys')\n")  # 10
+    assert found == [] and sorted(_thread_uses(tree)) == [
+        (1, ""), (3, "f"), (4, "f"), (5, "f"), (6, "f"), (9, "C.g")], (
+            "threads started outside experiments._concurrently: " + ", ".join(found))
 
 
 def test_only_estimation_names_the_dense_svd_cutoff():

@@ -269,6 +269,51 @@ def test_pair_ends_read_the_previous_end_across_empty_rows():
     assert systems._pair_ends(per_col, empty).tolist() == [0, 0, 0, 0]
 
 
+@st.composite
+def rows_and_counts(draw):
+    """(V, per_col): CSR rows over 6 columns, empty rows leading, inner
+    and trailing, each storing its own columns or all sharing one row of
+    them, and a count per column."""
+    per_col = np.array(draw(st.lists(st.integers(0, 9), min_size=6, max_size=6)))
+    subsets = st.sets(st.integers(0, 5), max_size=6).map(sorted)
+    if draw(st.booleans()):
+        cols = draw(subsets)
+        n_rows = draw(st.integers(2, 9))
+        return Csr(np.arange(n_rows + 1) * len(cols), np.array(cols, dtype=np.intp),
+                   np.ones(n_rows * len(cols))), per_col
+    rows = [[]] + draw(st.lists(subsets, max_size=10)) + [[]]
+    counts = [len(r) for r in rows]
+    return Csr(np.concatenate([[0], np.cumsum(counts)]),
+               np.array([c for r in rows for c in r], dtype=np.intp),
+               np.ones(sum(counts))), per_col
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_counts(), st.integers(1, 7))
+def test_pair_ends_are_the_one_pass_cumsum_in_any_chunks(rows, chunk):
+    V, per_col = rows
+    want = np.concatenate([[0], np.cumsum(per_col[V.columns()])])[V.indptr]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_WORKING_SET", chunk)
+        ends = systems._pair_ends(per_col, V)
+    assert ends.dtype == want.dtype and np.array_equal(ends, want)
+
+
+def test_pair_ends_of_haar_15_hold_one_chunk():
+    # the running count over all 2^19 of V's nonzeros was one int64 array,
+    # a 4.8 MiB peak; counted a chunk of 2^18 at a time it is 2.75 MiB
+    V, U = haar_rows(15, 2.0)
+    per_col = U.slice(0, 1).column_counts(2 ** 15)
+    tracemalloc.start()
+    try:
+        ends = systems._pair_ends(per_col, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ends[-1] == len(V.vals)
+    assert peak < 3 * 2 ** 20, peak
+
+
 def test_gram_error_with_empty_vectors_is_the_slab_check(monkeypatch):
     # leading, inner and trailing empty vectors leave their diagonals
     # unformed, an error of 1, under any slab cuts
@@ -285,8 +330,9 @@ def test_gram_error_with_empty_vectors_is_the_slab_check(monkeypatch):
 def test_gram_check_at_depth_16_holds_no_full_length_ends():
     # the prefix sum of the block's column counts over all of V's nonzeros
     # was three int64 arrays of 17 * 2^16 entries: the check peaked at
-    # 28.5 MiB, at 21.6 MiB with one in-place cumsum, and at 19.2 MiB with
-    # slabs sized by the four arrays they keep alive
+    # 28.5 MiB, at 21.6 MiB with one in-place cumsum, at 19.2 MiB with
+    # slabs sized by the four arrays they keep alive, and at 15.5 MiB with
+    # the sum taken a chunk of 2^18 nonzeros at a time
     V, F = haar_rows(16, 2.0)
     sysm = BiorthogonalSystem(dyadic_lp(16, 2.0), V, F, check=False)
     tracemalloc.start()
@@ -296,7 +342,7 @@ def test_gram_check_at_depth_16_holds_no_full_length_ends():
     finally:
         tracemalloc.stop()
     assert err == 2.0 ** -52
-    assert peak < 22 * 2 ** 20, peak
+    assert peak < 17 * 2 ** 20, peak
 
 
 @settings(max_examples=100, deadline=None)
@@ -322,8 +368,9 @@ def test_haar_gram_error_is_the_same_under_a_tiny_slab_cap(monkeypatch):
         for p in (1.0, 2.0, 3.0):
             sysm = haar_system(J, p)
             want = sysm._gram_error().hex()
-            monkeypatch.setattr(systems, "_WORKING_SET", 64)
-            assert sysm._gram_error().hex() == want, (J, p)
+            for cap in (64, 2 ** 8):
+                monkeypatch.setattr(systems, "_WORKING_SET", cap)
+                assert sysm._gram_error().hex() == want, (J, p, cap)
             monkeypatch.undo()
 
 
